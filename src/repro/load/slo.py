@@ -13,7 +13,9 @@ fleet rollups exactly like :class:`repro.telemetry.stats.LatencyHistogram`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -21,6 +23,39 @@ from repro.errors import ConfigurationError
 #: Default burn-rate alert windows (seconds) -- scaled-down analogues of
 #: the SRE book's 5m/1h/6h multiwindow alerts for simulated-minute runs.
 DEFAULT_WINDOWS = (10.0, 60.0, 300.0)
+
+#: Every finite double is ``n / 2**k`` with ``k <= 1074``, so scaling by
+#: ``2**1074`` makes window sums exact ints.
+_FIXED_BITS = 1074
+_time = itemgetter(0)
+
+
+def _fixed(x: float) -> int:
+    """``x * 2**1074`` exactly."""
+    num, den = x.as_integer_ratio()
+    return num << (_FIXED_BITS + 1 - den.bit_length())
+
+
+def _rate(good: float, bad: float) -> float:
+    total = good + bad
+    return bad / total if total > 0 else 0.0
+
+
+def _burn_bound(good_fx: int, bad_fx: int, count: int, budget: float) -> float:
+    """Upper bound on the burn a fold over ``count`` samples gives.
+
+    ``good_fx`` and ``bad_fx`` are the window's exact sums G and B.  A
+    float sum of m non-negative terms is within ``gamma(m-1) = (m-1)u /
+    (1-(m-1)u)`` of the exact sum, relatively, with ``u = 2**-53``, and
+    the fold's ``good + bad`` rounds once more.  So the fold's
+    ``bad / total`` before rounding is at most ``B / (G+B)`` times
+    ``(1 + (4m + 4)u)``.  The bound rounds that product and divides by
+    the budget just as the fold rounds its own quotients; rounding is
+    monotone, so the fold's burn cannot exceed it.  A fold that
+    overflows gives 0.0 or nan, which never raises a peak.
+    """
+    slack = (1 << 53) + 4 * count + 4
+    return (bad_fx * slack) / ((good_fx + bad_fx) << 53) / budget
 
 
 @dataclass(frozen=True)
@@ -59,9 +94,17 @@ class SloTracker:
     samples so the tracker is O(window / epoch) memory regardless of
     request volume.  Peak burn per window is tracked as it happens --
     campaigns report it without replaying the timeline.
+
+    Peaks are exact without folding every window on every record.  Each
+    window also keeps its sums as exact fixed-point ints, which bound
+    the float fold from above.  A record whose bound could beat the
+    window's peak becomes a candidate; candidates wait until time moves
+    on or the peak is read, and then only those whose bound still beats
+    the peak are folded, highest bound first.
     """
 
-    __slots__ = ("objective", "good", "bad", "_samples", "_peak_burn")
+    __slots__ = ("objective", "good", "bad", "_samples", "_peak_burn",
+                 "_budget", "_windows", "_window_state")
 
     def __init__(self, objective: SloObjective) -> None:
         self.objective = objective
@@ -70,6 +113,13 @@ class SloTracker:
         # Chronological (t, good, bad) epoch samples for window sums.
         self._samples: List[Tuple[float, float, float]] = []
         self._peak_burn: Dict[float, float] = {w: 0.0 for w in objective.windows}
+        self._budget = objective.error_budget
+        self._windows = tuple(sorted(self._peak_burn))
+        # Per window in ``_windows``: [index of its oldest sample, exact
+        # good sum, exact bad sum, candidates]; sums are in units of
+        # 2**-1074 and each candidate is (burn bound, samples in window).
+        self._window_state: List[list] = []
+        self._rebuild_windows()
 
     @property
     def total(self) -> float:
@@ -77,49 +127,109 @@ class SloTracker:
 
     def record(self, t: float, good: float, bad: float) -> None:
         """Account an epoch's request masses at simulation time ``t``."""
-        if good < 0 or bad < 0:
-            raise ValueError("good/bad request masses must be >= 0")
+        if not (0 <= good < math.inf and 0 <= bad < math.inf):
+            raise ValueError(
+                f"good/bad request masses must be finite and >= 0, "
+                f"got {good}/{bad}"
+            )
         if good == 0 and bad == 0:
             return
-        if self._samples and t < self._samples[-1][0]:
-            raise ValueError(
-                f"samples must be recorded in time order "
-                f"({t} < {self._samples[-1][0]})"
-            )
+        samples = self._samples
+        if samples and t != samples[-1][0]:
+            if t < samples[-1][0]:
+                raise ValueError(
+                    f"samples must be recorded in time order "
+                    f"({t} < {samples[-1][0]})"
+                )
+            # Window starts move from here on: settle the candidates.
+            self._settle()
         self.good += good
         self.bad += bad
-        self._samples.append((t, good, bad))
-        self._trim(t)
-        for window in self.objective.windows:
-            self._peak_burn[window] = max(
-                self._peak_burn[window], self.burn_rate(window, now=t)
-            )
+        samples.append((t, good, bad))
+        good_fx = _fixed(good) if good else 0
+        bad_fx = _fixed(bad) if bad else 0
+        for window, state in zip(self._windows, self._window_state):
+            start, good_sum, bad_sum, candidates = state
+            good_sum += good_fx
+            bad_sum += bad_fx
+            # The fold's own membership test, so the sums cover exactly
+            # the samples it visits.
+            cutoff = t - window
+            while samples[start][0] < cutoff:
+                _, g, b = samples[start]
+                if g:
+                    good_sum -= _fixed(g)
+                if b:
+                    bad_sum -= _fixed(b)
+                start += 1
+            state[0], state[1], state[2] = start, good_sum, bad_sum
+            # An all-good window folds to exactly 0.0.
+            if bad_sum:
+                count = len(samples) - start
+                bound = _burn_bound(good_sum, bad_sum, count, self._budget)
+                if bound > self._peak_burn[window]:
+                    candidates.append((bound, count))
+        self._trim()
 
-    def _trim(self, now: float) -> None:
+    def _settle(self) -> None:
+        """Fold the candidates that could still raise a peak."""
+        for window, state in zip(self._windows, self._window_state):
+            start, _, _, candidates = state
+            candidates.sort(reverse=True)
+            for bound, count in candidates:
+                if bound <= self._peak_burn[window]:
+                    break
+                burn = _rate(*self._fold(start, start + count)) / self._budget
+                self._peak_burn[window] = max(self._peak_burn[window], burn)
+            candidates.clear()
+
+    def _rebuild_windows(self) -> None:
+        """Recompute every window's start and exact sums from the samples."""
+        samples = self._samples
+        now = samples[-1][0] if samples else 0.0
+        self._window_state = []
+        for window in self._windows:
+            start = self._window_start(now, window, len(samples))
+            self._window_state.append([
+                start,
+                sum(_fixed(g) for _, g, _ in samples[start:]),
+                sum(_fixed(b) for _, _, b in samples[start:]),
+                [],
+            ])
+        self._trim()
+
+    def _trim(self) -> None:
         """Drop samples older than the longest window (keeps memory flat)."""
-        horizon = now - max(self.objective.windows)
-        drop = 0
-        while drop < len(self._samples) - 1 and self._samples[drop][0] < horizon:
-            drop += 1
+        drop = self._window_state[-1][0]
         if drop:
             del self._samples[:drop]
+            for state in self._window_state:
+                state[0] -= drop
+
+    def _window_start(self, now: float, window_s: float, end: int) -> int:
+        """Index of the oldest of ``_samples[:end]`` in the window."""
+        return bisect_left(self._samples, now - window_s, 0, end, key=_time)
+
+    def _fold(self, start: int, end: int) -> Tuple[float, float]:
+        """Float (good, bad) sums of ``_samples[start:end]``, newest first."""
+        good = bad = 0.0
+        for _, g, b in reversed(self._samples[start:end]):
+            good += g
+            bad += b
+        return good, bad
 
     def error_rate(self, window_s: Optional[float] = None,
                    now: Optional[float] = None) -> float:
-        """Bad fraction overall, or within the trailing window."""
+        """Bad fraction overall, or within the trailing window.
+
+        Samples stamped after ``now`` are not counted.
+        """
         if window_s is None:
-            total = self.total
-            return self.bad / total if total > 0 else 0.0
+            return _rate(self.good, self.bad)
         if now is None:
             now = self._samples[-1][0] if self._samples else 0.0
-        good = bad = 0.0
-        for t, g, b in reversed(self._samples):
-            if t < now - window_s:
-                break
-            good += g
-            bad += b
-        total = good + bad
-        return bad / total if total > 0 else 0.0
+        end = bisect_right(self._samples, now, key=_time)
+        return _rate(*self._fold(self._window_start(now, window_s, end), end))
 
     def burn_rate(self, window_s: Optional[float] = None,
                   now: Optional[float] = None) -> float:
@@ -128,6 +238,7 @@ class SloTracker:
 
     def peak_burn_rate(self, window_s: Optional[float] = None) -> float:
         """Highest burn seen over any ``window_s`` window so far."""
+        self._settle()
         if window_s is None:
             return max(self._peak_burn.values(), default=0.0)
         if window_s not in self._peak_burn:
@@ -154,12 +265,12 @@ class SloTracker:
                 "cannot merge trackers with different objectives: "
                 f"{self.objective} vs {other.objective}"
             )
+        self._settle()
+        other._settle()
         self.good += other.good
         self.bad += other.bad
-        merged = sorted(self._samples + other._samples)
-        self._samples = merged
-        if merged:
-            self._trim(merged[-1][0])
+        self._samples = sorted(self._samples + other._samples)
+        self._rebuild_windows()
         for window in self.objective.windows:
             self._peak_burn[window] = max(
                 self._peak_burn[window], other._peak_burn[window]
@@ -188,31 +299,3 @@ class SloTracker:
             f"{self.objective.threshold_s * 1e3:g}ms err={shown} "
             f"burn={self.burn_rate():.2f}>"
         )
-
-
-@dataclass
-class SloRollup:
-    """Named collection of trackers with a fleet-level aggregate view."""
-
-    trackers: Dict[str, SloTracker] = field(default_factory=dict)
-
-    def tracker(self, name: str, objective: SloObjective) -> SloTracker:
-        found = self.trackers.get(name)
-        if found is None:
-            found = self.trackers[name] = SloTracker(objective)
-        return found
-
-    def fleet_error_rate(self) -> float:
-        good = sum(t.good for t in self.trackers.values())
-        bad = sum(t.bad for t in self.trackers.values())
-        total = good + bad
-        return bad / total if total > 0 else 0.0
-
-    def worst_burn(self) -> Tuple[Optional[str], float]:
-        """(service, burn) with the highest overall burn rate."""
-        worst_name, worst = None, 0.0
-        for name in sorted(self.trackers):
-            burn = self.trackers[name].burn_rate()
-            if burn > worst:
-                worst_name, worst = name, burn
-        return worst_name, worst

@@ -9,7 +9,7 @@ from repro.load.sessions import (
     SessionPool,
     partition_regions,
 )
-from repro.load.slo import SloRollup
+from tests.slo_reference import BruteForceSlo
 
 
 class TestSloObjective:
@@ -67,6 +67,19 @@ class TestSloTracker:
         assert tracker.error_rate() == pytest.approx(0.5)
         assert tracker.error_rate(window_s=10.0, now=50.0) == 0.0
 
+    def test_windowed_error_rate_skips_future_samples(self):
+        tracker = self.make(windows=(10.0, 60.0))
+        tracker.record(1.0, good=0.0, bad=100.0)
+        tracker.record(50.0, good=100.0, bad=0.0)    # after now=5
+        assert tracker.error_rate(window_s=10.0, now=5.0) == 1.0
+        assert tracker.burn_rate(window_s=10.0, now=0.5) == 0.0
+
+    def test_non_finite_mass_rejected(self):
+        with pytest.raises(ValueError):
+            self.make().record(0.0, good=float("inf"), bad=0.0)
+        with pytest.raises(ValueError):
+            self.make().record(0.0, good=0.0, bad=float("nan"))
+
     def test_peak_burn_tracked_online(self):
         tracker = self.make(objective=0.9, windows=(10.0,))
         tracker.record(1.0, good=50.0, bad=50.0)     # burn 5.0 in-window
@@ -95,6 +108,21 @@ class TestSloTracker:
         with pytest.raises(ValueError):
             a.merge(SloTracker(SloObjective(objective=0.5)))
 
+    def test_records_after_merge_match_brute_force(self):
+        a, b = self.make(windows=(10.0, 60.0)), self.make(windows=(10.0, 60.0))
+        for t in range(0, 80, 3):
+            a.record(float(t), good=100.0 - t, bad=t % 7)
+            b.record(t + 1.5, good=50.0, bad=(t % 5) * 0.3)
+        a.merge(b)
+        ref = BruteForceSlo.like(a)
+        for t in range(80, 200, 2):
+            good, bad = 10.0 + t % 13, (t % 11) * 0.7
+            a.record(float(t), good=good, bad=bad)
+            ref.record(float(t), good=good, bad=bad)
+            for window in (10.0, 60.0):
+                assert a.peak_burn_rate(window).hex() == ref.peak[window].hex()
+        assert a._samples == ref.samples[-len(a._samples):]
+
     def test_row_keys(self):
         tracker = self.make(windows=(10.0, 60.0))
         tracker.record(0.0, good=1.0, bad=0.0)
@@ -104,18 +132,6 @@ class TestSloTracker:
             "bad_requests", "error_rate", "burn_rate",
             "peak_burn_10s", "peak_burn_60s",
         }
-
-
-class TestSloRollup:
-    def test_fleet_view(self):
-        rollup = SloRollup()
-        web = rollup.tracker("web", SloObjective(objective=0.99))
-        api = rollup.tracker("api", SloObjective(objective=0.99))
-        assert rollup.tracker("web", SloObjective(objective=0.99)) is web
-        web.record(0.0, good=99.0, bad=1.0)
-        api.record(0.0, good=90.0, bad=10.0)
-        assert rollup.fleet_error_rate() == pytest.approx(11.0 / 200.0)
-        assert rollup.worst_burn() == ("api", pytest.approx(10.0))
 
 
 class TestServiceModel:

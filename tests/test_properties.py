@@ -2,20 +2,22 @@
 
 Covers the algorithms whose correctness everything rests on: max-min
 fairness, the GPS scheduler's conservation laws, packing plans, address
-pools, gauge integrals and the event queue's ordering.
+pools, gauge integrals, the event queue's ordering and SLO peak burns.
 """
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hardware import Cpu, CpuSpec
 from repro.hostos.scheduler import FairShareScheduler
+from repro.load.slo import SloObjective, SloTracker
 from repro.netsim.addresses import Ipv4Pool
 from repro.netsim.fairness import max_min_rates
 from repro.placement.consolidation import plan_packing
 from repro.sim import Simulator
 from repro.telemetry.series import Gauge
+from tests.slo_reference import BruteForceSlo
 
 # ---------------------------------------------------------------------------
 # max-min fairness
@@ -258,3 +260,61 @@ def test_simulator_executes_in_time_order(times):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(times)
+
+
+# ---------------------------------------------------------------------------
+# SLO peak burns
+# ---------------------------------------------------------------------------
+
+slo_mass = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2e-308),                 # subnormals
+    st.floats(1e-300, 1e300),
+    st.just(1.5e308),                            # sums overflow
+    st.sampled_from([0.1, 0.2, 0.3, 1.0 / 3.0, 1.0, 3.0, 7.0]),  # near ties
+)
+slo_step = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0, 50.0]),  # 50 s empties windows
+    slo_mass,
+    slo_mass,
+    st.booleans(),                               # read peaks after it?
+)
+
+
+@given(
+    windows=st.lists(st.sampled_from([0.5, 1.0, 2.0, 10.0]), min_size=1,
+                     max_size=3, unique=True),
+    objective=st.sampled_from([0.5, 0.9, 0.999, 1.0 - 2.0 ** -52]),
+    t0=st.sampled_from([0.0, 3.7, 1e17]),
+    steps=st.lists(slo_step, max_size=60),
+)
+@example(  # the fold rounds above the exact ratio: the bound needs slack
+    windows=[1.0], objective=0.5, t0=0.0,
+    steps=[(0.0, 0.1, 0.1, True), (0.0, 0.2, 0.1, True),
+           (0.0, 0.2, 0.0, True), (0.0, 0.0, 0.3, True),
+           (0.0, 1.0, 1.0, True)],
+)
+@example(  # 30 tiny good masses the fold drops: the slack must grow with m
+    windows=[1.0], objective=0.5, t0=0.0,
+    steps=([(0.0, 1.0, 0.5 - 2.0 ** -52, True), (5.0, 2.0 ** -54, 0.0, False)]
+           + [(0.0, 2.0 ** -54, 0.0, False)] * 29
+           + [(0.0, 1.0, 0.5, True)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_slo_peak_burns_match_brute_force(windows, objective, t0, steps):
+    """Filtered peaks equal folding every window on every record, bit for
+    bit, whether peaks are read after every record or only now and then."""
+    slo = SloObjective(objective=objective, windows=tuple(windows))
+    eager, lazy, ref = SloTracker(slo), SloTracker(slo), BruteForceSlo(slo)
+    t = t0
+    for dt, good, bad, read in steps:
+        t += dt
+        for tracker in (eager, lazy, ref):
+            tracker.record(t, good, bad)
+        checked = (eager, lazy) if read else (eager,)
+        for tracker in checked:
+            for window in windows:
+                assert (tracker.peak_burn_rate(window).hex()
+                        == ref.peak[window].hex())
+    for window in windows:
+        assert lazy.peak_burn_rate(window).hex() == ref.peak[window].hex()
