@@ -12,17 +12,6 @@ import pytest
 from repro.core import PiCloud, PiCloudConfig
 
 
-def pytest_configure(config):
-    # Benchmarks run outside tests/ (whose conftest registers this for
-    # the unit suite); register here too so scale runs under
-    # ``pytest benchmarks/`` don't warn about an unknown marker.
-    config.addinivalue_line(
-        "markers",
-        "timeout(seconds): per-test timeout (enforced when pytest-timeout "
-        "is installed)",
-    )
-
-
 def build_small_cloud(**overrides) -> PiCloud:
     """A 2x3 cloud for experiments that sweep many configurations."""
     defaults = dict(racks=2, pis=3, start_monitoring=False, routing="shortest")

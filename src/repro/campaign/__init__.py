@@ -5,9 +5,11 @@ campaigns* cheap and repeatable.  This package is that leverage layer:
 
 * :class:`CampaignSpec` (``spec.py``) -- a parameter grid over a named
   scenario, loaded from a small YAML/JSON file or a dict.
-* the scenario registry (``scenarios.py``) -- built-in
-  ``availability_mtbf`` and ``scale_perf`` bodies, plus dotted-path
-  refs for scenarios defined outside the library.
+* the scenario registry (``scenarios.py``) -- the built-in bodies
+  (``availability_mtbf``, ``scale_perf``, ``flashcrowd_slo``,
+  ``partition_chaos``), plus dotted-path refs for scenarios defined
+  outside the library.  Scenarios return reproducible metrics only;
+  performance is measured by ``bench/``, not by campaigns.
 * :class:`CampaignRunner` / :func:`run_campaign` (``runner.py``) --
   fan runs out across worker processes under the kernel's run budgets,
   with per-run retry/timeout and deterministic run IDs.

@@ -14,11 +14,10 @@ Built-ins:
   (optionally self-healing) cloud, measuring fleet availability and the
   recovery plane's counters.  ``specs/availability_mtbf.yaml`` sweeps
   it; CI's ``chaos-smoke`` job runs that spec.
-* ``scale_perf`` -- the consolidation-vs-congestion throughput
-  benchmark at 56/224/896 nodes (shared with
-  ``benchmarks/test_scale_perf.py``); CI's ``perf-gate`` job runs
-  ``specs/perf_224.yaml`` and gates it with
-  ``benchmarks/compare_baseline.py``.
+* ``scale_perf`` -- the consolidation-vs-congestion workload at
+  56/224/896/3456 nodes (:func:`measure_scale`, which ``repro scale``
+  also runs).  ``specs/cc_consolidation.yaml`` sweeps it against the
+  rate model; CI's ``cc-smoke`` job runs that spec.
 * ``flashcrowd_slo`` -- a million-user flash crowd through the
   session-level load engine (``repro.load``), static ECMP vs the SDN
   TE arm, reported as p99/p999 latency and SLO error-budget burn.
@@ -215,7 +214,7 @@ SCALES = {
 # Chatty container pairs per scale: enough concurrent flows to make the
 # fair-share solver the hot path, bounded so the 896-node run stays in
 # CI-able territory (each spawn costs a fleet-wide placement scan --
-# O(nodes) REST exchanges -- which both solver modes pay identically).
+# O(nodes) REST exchanges).
 PAIRS = {56: 6, 224: 12, 896: 16, 3456: 20}
 
 WARMUP_S = 30.0
@@ -225,7 +224,6 @@ MEASURE_S = 30.0
 
 def measure_scale(
     nodes: int,
-    incremental: bool = True,
     seed: Optional[int] = None,
     budget: Optional[SimBudgetConfig] = None,
     pairs: Optional[int] = None,
@@ -235,11 +233,10 @@ def measure_scale(
 ) -> Dict[str, Any]:
     """Build, load, and drive the consolidation scenario at ``nodes``.
 
-    The single source of truth for the scale benchmark: both the
-    ``scale_perf`` campaign scenario and
-    ``benchmarks/test_scale_perf.py`` call this, so the committed
-    ``BENCH_perf.json`` baseline and campaign result stores measure the
-    exact same workload.
+    The one body behind both the ``scale_perf`` campaign scenario and
+    ``repro scale``.  ``wall_s``, ``setup_wall_s`` and ``events_per_s``
+    are host timings; every other value reproduces on a same-seed
+    rerun.  The repository's performance benchmark is ``bench/``.
 
     ``rate_model``/``protocol`` select the fabric's rate assignment
     (``specs/cc_consolidation.yaml`` sweeps them against the
@@ -259,6 +256,8 @@ def measure_scale(
         )
     racks, pis, k = SCALES[nodes]
     pair_count = PAIRS[nodes] if pairs is None else int(pairs)
+    if pair_count < 1:
+        raise CampaignError(f"pairs must be >= 1, got {pair_count}")
 
     setup_start = time.monotonic()
     config = PiCloudConfig(
@@ -267,7 +266,6 @@ def measure_scale(
         routing="ecmp",
         rate_model=RateModelConfig(model=rate_model, protocol=protocol),
         seed=nodes if seed is None else seed,
-        incremental_fairness=incremental,
         start_monitoring=True,
         budget=budget or SimBudgetConfig(),
     )
@@ -275,8 +273,7 @@ def measure_scale(
     cloud.boot()
 
     # Setup: spread container pairs wide, wire on/off traffic sources.
-    # Untimed in wall_s -- each spawn triggers a fleet-wide placement
-    # scan that both solver modes pay identically.
+    # Untimed in wall_s -- each spawn triggers a fleet-wide placement scan.
     records = [
         cloud.spawn_and_wait("base", name=f"c{i}", policy=WorstFit())
         for i in range(2 * pair_count)
@@ -314,7 +311,6 @@ def measure_scale(
     events = cloud.sim.events_executed - start_events
     result = {
         "nodes": nodes,
-        "incremental": incremental,
         "setup_wall_s": round(setup_wall_s, 3),
         "wall_s": round(wall_s, 3),
         "events": events,
@@ -334,10 +330,13 @@ def measure_scale(
 
 @register_scenario("scale_perf")
 def scale_perf(ctx: RunContext) -> Dict[str, Any]:
-    """Campaign wrapper over :func:`measure_scale` (grid: nodes x solver)."""
-    return measure_scale(
+    """Campaign wrapper over :func:`measure_scale`.
+
+    The host timings are dropped so a rerun reproduces every metric; the
+    runner records the run's wall time in ``duration_s``.
+    """
+    result = measure_scale(
         int(ctx.param("nodes", 224)),
-        incremental=bool(ctx.param("incremental", True)),
         seed=ctx.seed,
         budget=ctx.budget,
         pairs=ctx.param("pairs"),
@@ -345,6 +344,9 @@ def scale_perf(ctx: RunContext) -> Dict[str, Any]:
         protocol=str(ctx.param("protocol", "reno")),
         consolidate=bool(ctx.param("consolidate", True)),
     )
+    for key in ("setup_wall_s", "wall_s", "events_per_s"):
+        del result[key]
+    return result
 
 
 # -- built-in: flash-crowd SLO burn ------------------------------------------

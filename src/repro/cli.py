@@ -6,7 +6,8 @@ Commands:
 * ``table1``     -- regenerate the paper's Table I.
 * ``dashboard``  -- boot a cloud, spawn demo containers, print the Fig. 4
   control panel.
-* ``scale``      -- the scale throughput benchmark.
+* ``scale``      -- the consolidation-vs-congestion workload at 56 to
+  3456 nodes, with host timings.
 * ``storm``      -- run the inter-rack elephant storm under a routing mode
   and report completion time (experiment C3's workload).
 * ``load``       -- drive session-level user load (optionally a flash
@@ -19,6 +20,7 @@ so paper-scale and toy runs use the same entry point.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import sys
 from pathlib import PurePath
 from typing import Optional, Sequence
@@ -121,7 +123,6 @@ def _build_cloud(args: argparse.Namespace, monitoring: bool = False) -> PiCloud:
             model=getattr(args, "rate_model", "maxmin"),
             protocol=getattr(args, "cc_protocol", "reno"),
         ),
-        profile_out=_resolve_profile_out(args),
     )
     cloud = PiCloud(config)
     # Remembered so main() can export the trace even when the command
@@ -139,15 +140,6 @@ def _export_trace(args: argparse.Namespace) -> None:
         return
     path = cloud.write_trace(args.trace_out)
     print(f"trace written to {path}", file=sys.stderr)
-
-
-def _export_profile(args: argparse.Namespace) -> None:
-    cloud = getattr(args, "_cloud", None)
-    if cloud is None or cloud.profiler is None:
-        return
-    path = cloud.write_profile()
-    print(f"profile written to {path} "
-          f"(inspect with: python -m pstats {path})", file=sys.stderr)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -229,33 +221,10 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    """The scale benchmark (:func:`~repro.campaign.scenarios.measure_scale`).
+    """The scale workload (:func:`~repro.campaign.scenarios.measure_scale`)."""
+    from repro.campaign.scenarios import measure_scale
 
-    ``--profile`` wraps the whole measurement (build + boot + spread +
-    timed window) in one cProfile and dumps it as pstats.
-    """
-    import cProfile
-
-    from repro.campaign.scenarios import SCALES, measure_scale
-
-    if args.nodes not in SCALES:
-        print(f"unknown scale {args.nodes}; known: {sorted(SCALES)}",
-              file=sys.stderr)
-        return 2
-
-    profile_out = _resolve_profile_out(args)
-    if profile_out is None:
-        result = measure_scale(args.nodes, incremental=True,
-                               seed=args.seed, pairs=args.pairs)
-    else:
-        profiler = cProfile.Profile()
-        result = profiler.runcall(measure_scale, args.nodes, incremental=True,
-                                  seed=args.seed, pairs=args.pairs)
-        profiler.dump_stats(profile_out)
-        print(f"profile written to {profile_out} "
-              f"(inspect with: python -m pstats {profile_out})",
-              file=sys.stderr)
-
+    result = measure_scale(args.nodes, seed=args.seed, pairs=args.pairs)
     rows = [[key, result[key]] for key in sorted(result)]
     print(format_table(["metric", "value"], rows))
     return 0
@@ -396,10 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.set_defaults(handler=cmd_dashboard)
 
     scale = commands.add_parser(
-        "scale", help="scale benchmark (docs/performance.md)",
+        "scale", help="consolidation workload at 56-3456 nodes "
+                      "(docs/performance.md)",
     )
     scale.add_argument("--nodes", type=int, default=224,
-                       help="cloud size; must be a known benchmark scale")
+                       help="cloud size; must be a known scale")
     scale.add_argument("--pairs", type=int, default=None,
                        help="chatty pair count (default: per-scale)")
     scale.add_argument("--seed", type=int, default=None,
@@ -508,8 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    profile_out = _resolve_profile_out(args)
+    profiler = None if profile_out is None else cProfile.Profile()
     try:
-        return args.handler(args)
+        if profiler is None:
+            return args.handler(args)
+        return profiler.runcall(args.handler, args)
     except SimBudgetExceeded as exc:
         print("simulation aborted: run budget exceeded", file=sys.stderr)
         if exc.snapshot is not None:
@@ -520,7 +494,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     finally:
         _export_trace(args)
-        _export_profile(args)
+        if profiler is not None:
+            profiler.dump_stats(profile_out)
+            print(f"profile written to {profile_out} "
+                  f"(inspect with: python -m pstats {profile_out})",
+                  file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

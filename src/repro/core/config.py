@@ -402,8 +402,8 @@ class PiCloudConfig:
     # -- diagnostics ------------------------------------------------------
     # When set, the cloud starts a cProfile.Profile() at construction
     # (covering build + boot + everything run afterwards) and
-    # ``write_profile()`` dumps pstats to this path -- the CLI's
-    # ``--profile`` flag plumbs through here and dumps on exit.
+    # ``write_profile()`` dumps pstats to this path.  The CLI's
+    # ``--profile`` does not use it: it profiles the whole command.
     profile_out: Optional[str] = None
 
     # -- grouped sub-configs ----------------------------------------------

@@ -12,6 +12,9 @@ When a test fails while causal tracing is active (``repro.trace``), every
 live tracer's spans are exported as Chrome trace JSON under
 ``$PICLOUD_TRACE_DUMP_DIR`` (default ``test-traces/``); CI uploads that
 directory as an artifact so a red test ships its own timeline.
+
+``short_scale_windows`` trims ``measure_scale``'s simulated windows for
+tests that run the consolidation workload.
 """
 
 from __future__ import annotations
@@ -85,6 +88,16 @@ def _dump_live_traces(nodeid: str) -> None:
             tracer.write_chrome(str(TRACE_DUMP_DIR / f"{stem}{suffix}.json"))
     except Exception:  # noqa: BLE001 -- diagnostics only, never fatal
         pass
+
+
+@pytest.fixture
+def short_scale_windows(monkeypatch):
+    # The real workload simulates 120 s; 6 s exercises the same code path.
+    import repro.campaign.scenarios as scenarios
+
+    monkeypatch.setattr(scenarios, "WARMUP_S", 2.0)
+    monkeypatch.setattr(scenarios, "SETTLE_S", 2.0)
+    monkeypatch.setattr(scenarios, "MEASURE_S", 2.0)
 
 
 @pytest.hookimpl(wrapper=True)

@@ -505,6 +505,20 @@ class TestPartitionChaosScenario:
         assert "partition_chaos" in registered_scenarios()
 
 
+# -- the scale_perf built-in scenario ----------------------------------------
+
+
+class TestScalePerfScenario:
+    def test_rerun_reproduces_every_metric(self, short_scale_windows):
+        from repro.campaign.scenarios import RunContext
+
+        scenario = resolve_scenario("scale_perf")
+        ctx = dict(params={"nodes": 56, "pairs": 2}, seed=56)
+        first = scenario(RunContext(**ctx))
+        assert first["events"] > 0
+        assert scenario(RunContext(**ctx)) == first
+
+
 class TestAdmission:
     """The runner keeps at most ``workers`` runs in flight.
 

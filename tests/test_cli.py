@@ -63,6 +63,25 @@ class TestCommands:
         assert main(["storm", "--racks", "1", "--pis", "2",
                      "--routing", "shortest"]) == 2
 
+    def test_storm_profile_covers_the_command(self, tmp_path, capsys):
+        import pstats
+
+        out_path = tmp_path / "storm.pstats"
+        assert main(["storm", "--racks", "2", "--pis", "2",
+                     "--routing", "shortest", "--flows", "2", "--mb", "1",
+                     "--profile", str(out_path)]) == 0
+        assert "profile written to" in capsys.readouterr().err
+        stats = pstats.Stats(str(out_path))
+        assert any(func == "cmd_storm" for (_, _, func) in stats.stats)
+
+    def test_profile_written_when_budget_trips(self, tmp_path, capsys):
+        out_path = tmp_path / "storm.pstats"
+        assert main(["storm", "--racks", "2", "--pis", "2",
+                     "--routing", "shortest", "--max-events", "10",
+                     "--profile", str(out_path)]) == 3
+        assert "run budget exceeded" in capsys.readouterr().err
+        assert out_path.is_file()
+
     def test_load_smoke(self, capsys):
         assert main(["load", "--racks", "1", "--pis", "3",
                      "--routing", "shortest", "--replicas", "2",
@@ -93,22 +112,17 @@ class TestCommands:
         assert capsys.readouterr().out == first
 
 
+@pytest.mark.usefixtures("short_scale_windows")
 class TestScaleCommand:
-    """The ``scale`` benchmark command."""
-
-    @pytest.fixture(autouse=True)
-    def _short_workload(self, monkeypatch):
-        # The real benchmark simulates 120 s; trim it so CLI-level tests
-        # stay cheap while exercising the identical code path.
-        import repro.campaign.scenarios as scenarios
-
-        monkeypatch.setattr(scenarios, "WARMUP_S", 2.0)
-        monkeypatch.setattr(scenarios, "SETTLE_S", 2.0)
-        monkeypatch.setattr(scenarios, "MEASURE_S", 2.0)
+    """The ``scale`` command."""
 
     def test_unknown_scale_rejected(self, capsys):
         assert main(["scale", "--nodes", "57"]) == 2
         assert "unknown scale" in capsys.readouterr().err
+
+    def test_pairs_below_one_rejected(self, capsys):
+        assert main(["scale", "--nodes", "56", "--pairs", "-1"]) == 2
+        assert "error: pairs must be >= 1" in capsys.readouterr().err
 
     def test_scale_runs(self, capsys):
         assert main(["scale", "--nodes", "56", "--pairs", "2"]) == 0
