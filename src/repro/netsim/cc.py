@@ -16,8 +16,8 @@ assignment to a :class:`RateModel` strategy:
   variant (smoothed-RTT backoff).
 
 Allocation under ``cc`` is *demand-capped max-min*: every flow's demand
-``min(cwnd / rtt, rate_cap)`` is handed to
-:func:`~repro.netsim.fairness.max_min_rates` as its cap, so flows still
+``min(cwnd / rtt, rate_cap)`` is handed to the max-min fill
+(:func:`~repro.netsim.fairness.fill_components`) as its cap, so flows still
 share each direction's capacity max-min fairly *below* their windows --
 the shared-capacity accounting lives in one place for both models.
 
@@ -41,10 +41,13 @@ Fidelity notes (the model is fluid, not packet-level):
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.errors import RateModelError
-from repro.netsim.fairness import max_min_rates
+from repro.netsim.fairness import (
+    connected_components, fill_components, max_min_rates,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.fabric import FlowTransfer, Network
@@ -77,7 +80,7 @@ class RateModel:
     Lifecycle: the :class:`~repro.netsim.fabric.Network` calls
     :meth:`attach` once at construction, :meth:`on_activate` /
     :meth:`on_detach` as flows join and leave, and :meth:`allocate`
-    from every solve.  ``allocate`` receives the flows of a closed
+    from every churn solve.  ``allocate`` receives the flows of a closed
     bottleneck component (sorted by flow id) and must return a rate for
     each; ``dirty_dirs`` is the set of directions the triggering churn
     touched (``None`` for a full solve) so stateful models can refresh
@@ -249,6 +252,31 @@ class CcFlowState:
         self.decreases += 1
 
 
+class _EpochPlan:
+    """The epoch's view of the active set, valid until the next churn.
+
+    Membership (activate, detach) and paths (reroute) only change on
+    churn, which bumps ``Network._churn``; the tick rebuilds the plan
+    when that counter moves.  Capacities, queue state and windows change
+    between epochs, so they are read live and never cached here.
+    """
+
+    __slots__ = ("churn", "flows", "states", "flow_paths", "directions",
+                 "components")
+
+    def __init__(self, churn: int,
+                 states: Dict["FlowTransfer", CcFlowState]) -> None:
+        self.churn = churn
+        self.flows = sorted(states, key=attrgetter("flow_id"))
+        self.states = [states[flow] for flow in self.flows]
+        self.flow_paths = {flow: flow.directions for flow in self.flows}
+        self.directions = sorted(
+            {direction for flow in self.flows for direction in flow.directions},
+            key=attrgetter("name"),
+        )
+        self.components = connected_components(self.flow_paths)
+
+
 class CcRateModel(RateModel):
     """Per-flow congestion control stepped on a fixed epoch.
 
@@ -258,7 +286,11 @@ class CcRateModel(RateModel):
     offered demand so the queues evolve toward the new operating point.
     Churn between epochs (flows starting/finishing) reallocates with the
     current windows through the fabric's normal deferred solve; windows
-    only move on epoch boundaries.
+    only move on epoch boundaries.  What only churn can change -- the
+    sorted flows and directions, the paths and their bottleneck
+    components -- lives in an :class:`_EpochPlan` rebuilt on the first
+    tick after churn, so a steady epoch pays for signals, windows and
+    the fill alone.
     """
 
     name = "cc"
@@ -332,6 +364,7 @@ class CcRateModel(RateModel):
         self.delay_threshold = float(delay_threshold)
         self.delay_smoothing = float(delay_smoothing)
         self._states: Dict["FlowTransfer", CcFlowState] = {}
+        self._plan: Optional[_EpochPlan] = None
         self._tick_event = None
         self._last_tick = 0.0
 
@@ -377,13 +410,45 @@ class CcRateModel(RateModel):
 
     # -- allocation ----------------------------------------------------------
 
-    def _path_queue_delay(self, flow: "FlowTransfer") -> float:
-        total = 0.0
-        for direction in flow.directions:
-            queue = direction.queue
-            if queue is not None:
-                total += queue.delay_s()
-        return total
+    def _solve(
+        self,
+        flows: List["FlowTransfer"],
+        flow_paths: Dict["FlowTransfer", List["LinkDirection"]],
+        components: List[List["FlowTransfer"]],
+        capacities: Dict["LinkDirection", float],
+        path_delays: List[float],
+    ) -> tuple[Dict["FlowTransfer", float], Dict["LinkDirection", float]]:
+        """Demand-capped max-min over ``components``: (rates, offered).
+
+        Demand per flow: window over queue-inclusive RTT (``path_delays``
+        runs parallel to ``flows``, which arrive sorted by flow_id),
+        clamped by any explicit rate_cap.  ``capacities`` covers every
+        direction on those paths.  ``offered`` is each
+        direction's aggregate finite demand, accumulated in flow_id
+        order so the float sums are deterministic.
+        """
+        rate_caps = self.network._rate_caps
+        states = self._states
+        demands: Dict["FlowTransfer", float] = {}
+        for flow, queue_delay in zip(flows, path_delays):
+            state = states.get(flow)
+            if state is None:
+                demand = math.inf  # e.g. flow activated before attach
+            else:
+                demand = state.demand_rate(queue_delay)
+            cap = rate_caps.get(flow)
+            if cap is not None and cap < demand:
+                demand = cap
+            demands[flow] = demand
+        rates = fill_components(components, flow_paths, capacities, demands)
+        offered: Dict["LinkDirection", float] = {}
+        for flow in flows:
+            demand = demands[flow]
+            if not math.isfinite(demand):
+                continue
+            for direction in flow_paths[flow]:
+                offered[direction] = offered.get(direction, 0.0) + demand
+        return rates, offered
 
     def allocate(
         self,
@@ -392,42 +457,21 @@ class CcRateModel(RateModel):
     ) -> Dict["FlowTransfer", float]:
         network = self.network
         now = network.sim.now
-        rate_caps = network._rate_caps
-        # Demand per flow: window over queue-inclusive RTT, clamped by
-        # any explicit rate_cap.  ``flows`` arrives sorted by flow_id.
-        demands: Dict["FlowTransfer", float] = {}
-        for flow in flows:
-            state = self._states.get(flow)
-            if state is None:
-                demand = math.inf  # e.g. flow activated before attach
-            else:
-                demand = state.demand_rate(self._path_queue_delay(flow))
-            cap = rate_caps.get(flow)
-            if cap is not None and cap < demand:
-                demand = cap
-            demands[flow] = demand
+        # Churn solve: queue delays as of each queue's last update.
+        path_delays = [network.path_queue_delay(flow.directions)
+                       for flow in flows]
         flow_paths = {flow: flow.directions for flow in flows}
-        capacities: Dict["LinkDirection", float] = {}
-        for flow in flows:
-            for direction in flow.directions:
-                capacities[direction] = direction.capacity
-        rates = max_min_rates(flow_paths, capacities, demands,
-                              validate=False)
+        capacities = {direction: direction.capacity
+                      for flow in flows for direction in flow.directions}
+        rates, offered = self._solve(
+            flows, flow_paths, connected_components(flow_paths), capacities,
+            path_delays)
         # Refresh queue inflows: settle each touched queue with the old
         # offered demand up to now, then set the new aggregate demand.
-        # Accumulation follows flow_id order, so the float sums are
-        # deterministic.
-        offered: Dict["LinkDirection", float] = {}
-        for flow in flows:
-            demand = demands[flow]
-            if not math.isfinite(demand):
-                continue
-            for direction in flow.directions:
-                offered[direction] = offered.get(direction, 0.0) + demand
         touched: set = set(offered)
         if dirty_dirs:
             touched |= dirty_dirs
-        for direction in sorted(touched, key=lambda d: d.name):
+        for direction in sorted(touched, key=attrgetter("name")):
             queue = direction.queue
             if queue is None:
                 continue
@@ -449,41 +493,50 @@ class CcRateModel(RateModel):
         now = sim.now
         dt = now - self._last_tick
         self._last_tick = now
-        flows = sorted(self._states, key=lambda f: f.flow_id)
+        plan = self._plan
+        if plan is None or plan.churn != network._churn:
+            plan = self._plan = _EpochPlan(network._churn, self._states)
         # Close the epoch on every queue along any active path, then pull
-        # the per-direction interval signals once.
+        # each direction's interval signals and delay once.
         signals: Dict["LinkDirection", tuple] = {}
-        directions: set = set()
-        for flow in flows:
-            directions.update(flow.directions)
-        for direction in sorted(directions, key=lambda d: d.name):
+        for direction in plan.directions:
             queue = direction.queue
             if queue is None:
                 continue
             queue.advance(now)
-            signals[direction] = queue.collect()
+            marked_s, observed_s, dropped = queue.collect()
+            frac = marked_s / observed_s if observed_s > 0.0 else 0.0
+            signals[direction] = (frac, dropped, queue.delay_s())
         # Window updates from the path-worst signals.
-        if dt > 0.0:
-            for flow in flows:
-                state = self._states[flow]
-                ecn_frac = 0.0
-                loss = False
-                queue_delay = 0.0
-                for direction in flow.directions:
-                    entry = signals.get(direction)
-                    if entry is None:
-                        continue
-                    marked_s, observed_s, dropped = entry
-                    if observed_s > 0.0:
-                        frac = marked_s / observed_s
-                        if frac > ecn_frac:
-                            ecn_frac = frac
-                    loss = loss or dropped
-                    queue_delay += direction.queue.delay_s()
+        path_delays: List[float] = []
+        for flow, state in zip(plan.flows, plan.states):
+            ecn_frac = 0.0
+            loss = False
+            queue_delay = 0.0
+            for direction in flow.directions:
+                entry = signals.get(direction)
+                if entry is None:
+                    continue
+                frac, dropped, delay = entry
+                if frac > ecn_frac:
+                    ecn_frac = frac
+                loss = loss or dropped
+                queue_delay += delay
+            if dt > 0.0:
                 state.update(now, dt, state.rtt_base + queue_delay,
                              ecn_frac, loss)
-        # Re-allocate the whole active set under the new windows.
-        network._epoch_reallocate(flows)
+            path_delays.append(queue_delay)
+        # Re-allocate the whole active set under the new windows.  The
+        # queues already stand at now, so only their inflows move.
+        capacities = {direction: direction.capacity
+                      for direction in plan.directions}
+        rates, offered = self._solve(plan.flows, plan.flow_paths,
+                                     plan.components, capacities, path_delays)
+        for direction, demand in offered.items():
+            queue = direction.queue
+            if queue is not None:
+                queue.offered = demand
+        network._epoch_reallocate(plan.flows, rates, plan.directions)
         self._tick_event = sim.schedule(self.epoch_s, self._tick)
 
     def describe(self) -> dict:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import attrgetter
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro import trace
@@ -181,6 +182,10 @@ class Network:
         # The one deferred solve armed for the current instant (None when
         # no churn is pending).  See the module docstring on coalescing.
         self._solve_event: Optional[Event] = None
+        # Bumped whenever the active set or a flow's path changes
+        # (activate, detach, reroute): rate models that cache per-epoch
+        # structure compare it to know when to rebuild.
+        self._churn = 0
         # Cumulative solver effort counters (benchmark/diagnostic aid):
         # how many flow-rate assignments each recompute performed.
         self.recomputes = 0
@@ -255,6 +260,7 @@ class Network:
         fluid byte accounting itself is lossless.
         """
         link = self.link(a, b)
+        self._advance_queues(link)
         link.degrade(bandwidth_frac=bandwidth_frac,
                      extra_latency=extra_latency, loss=loss)
         self._dirty_directions.add(link.forward)
@@ -266,10 +272,20 @@ class Network:
         link = self.link(a, b)
         if not link.degraded:
             return
+        self._advance_queues(link)
         link.restore()
         self._dirty_directions.add(link.forward)
         self._dirty_directions.add(link.reverse)
         self._request_solve()
+
+    def _advance_queues(self, link: Link) -> None:
+        """Integrate both queues up to now at the capacity about to change,
+        so the part of the epoch before a gray failure (or its repair)
+        drains at the capacity it actually had."""
+        now = self.sim.now
+        for direction in (link.forward, link.reverse):
+            if direction.queue is not None:
+                direction.queue.advance(now)
 
     # -- partitions -----------------------------------------------------------
 
@@ -406,6 +422,7 @@ class Network:
         return directions
 
     def _activate(self, flow: FlowTransfer) -> None:
+        self._churn += 1
         flow.state = FlowState.ACTIVE
         flow.started_at = self.sim.now
         flow._last_update = self.sim.now
@@ -432,6 +449,7 @@ class Network:
                 f"reroute path must join {flow.src!r} to {flow.dst!r}"
             )
         directions = self._directions_for(new_path)
+        self._churn += 1
         self._settle(flow)
         for direction in flow.directions:
             direction.flows.discard(flow)
@@ -541,30 +559,29 @@ class Network:
 
         rates = self.rate_model.allocate(flows, dirty_dirs)
         self._apply_rates(flows, rates)
-        self._refresh_loads(flows, dirty_dirs)
+        self._refresh_loads(flows, None if dirty_dirs is None
+                            else sorted(dirty_dirs, key=attrgetter("name")))
 
-    def _epoch_reallocate(self, flows: List[FlowTransfer]) -> None:
-        """Cc epoch entry point: re-rate ``flows`` under updated windows.
+    def _epoch_reallocate(self, flows: List[FlowTransfer],
+                          rates: Dict[FlowTransfer, float],
+                          directions: List[LinkDirection]) -> None:
+        """Cc epoch entry point: install ``rates`` from updated windows.
 
         Called by :class:`~repro.netsim.cc.CcRateModel` on its epoch tick
-        with the *whole* active cc flow set (sorted by flow id).  Same
-        settle -> allocate -> apply -> refresh sequence as a churn solve,
-        but without touching the dirty sets: windows moving changes no
-        link membership.  Only directions on active paths can see their
-        aggregate rate move, so only those loads are refreshed.
+        with the *whole* active cc flow set (sorted by flow id), the
+        rates its epoch allocation computed, and every direction on
+        their paths (sorted by name).  Same settle -> apply -> refresh
+        sequence as a churn solve, but without touching the dirty sets:
+        windows moving changes no link membership.  Only directions on
+        active paths can see their aggregate rate move, so only those
+        loads are refreshed.
         """
-        if not flows:
-            return
         self.recomputes += 1
         self.flows_solved += len(flows)
         for flow in flows:
             self._settle(flow)
-        rates = self.rate_model.allocate(flows, None)
         self._apply_rates(flows, rates)
-        touched: set[LinkDirection] = set()
-        for flow in flows:
-            touched.update(flow.directions)
-        self._refresh_loads(flows, touched)
+        self._refresh_loads(flows, directions)
 
     def _apply_rates(self, flows: List[FlowTransfer],
                      rates: Dict[FlowTransfer, float]) -> None:
@@ -602,24 +619,25 @@ class Network:
                 )
 
     def _refresh_loads(self, flows: List[FlowTransfer],
-                       dirty_dirs: Optional[set]) -> None:
+                       directions: Optional[List[LinkDirection]]) -> None:
         """Refresh loads and congestion accounting on touched directions
         only: an untouched direction's aggregate rate cannot have moved.
-        ``dirty_dirs=None`` refreshes every direction (full solve)."""
+        ``directions`` arrive sorted by name, the order congestion spans
+        open in; ``None`` refreshes every direction (full solve)."""
         loads: Dict[LinkDirection, float] = {}
         for flow in flows:
             if not math.isfinite(flow.rate):
                 continue
             for direction in flow.directions:
                 loads[direction] = loads.get(direction, 0.0) + flow.rate
-        if dirty_dirs is None:
+        if directions is None:
             for link in self._links.values():
                 for direction in (link.forward, link.reverse):
                     direction.set_load(
                         loads.get(direction, 0.0), self.congestion_threshold
                     )
         else:
-            for direction in sorted(dirty_dirs, key=lambda d: d.name):
+            for direction in directions:
                 direction.set_load(
                     loads.get(direction, 0.0), self.congestion_threshold
                 )
@@ -683,6 +701,7 @@ class Network:
             self._request_solve()
 
     def _detach(self, flow: FlowTransfer) -> None:
+        self._churn += 1
         self._active.discard(flow)
         self._dirty_flows.discard(flow)
         self._rate_caps.pop(flow, None)

@@ -17,6 +17,10 @@ bottleneck resource is inside its own component), so decomposition
 changes nothing about the answer while making the incremental fabric
 solver (:mod:`repro.netsim.fabric`) possible: re-solving one component
 with this function is bit-identical to the slice of a full solve.
+:func:`max_min_rates` runs the two steps back to back:
+:func:`connected_components` (decompose), then :func:`fill_components`
+(fill).  A caller whose flow paths have not changed since the last
+solve may keep the decomposition and call the fill alone.
 
 Determinism: all iteration happens in the insertion order of
 ``flow_paths`` (and path order within each flow), never over sets, so the
@@ -183,27 +187,36 @@ def _fill_component_vectorized(
       each resource slot (repeated subtraction of one increment value is
       a chain on that slot alone, so interleaving cannot change it).
 
+    Paths live in one flat CSR layout built once: ``flat`` holds every
+    active flow's resource indices back to back, ``lengths`` each flow's
+    hop count.  A round selects the hops of alive (or newly frozen)
+    flows with ``flat[np.repeat(mask, lengths)]`` -- the same indices,
+    in the same order, as concatenating those flows' paths.
+
     Hence rates out of this path equal the scalar path's bit-for-bit --
     the gate at :data:`VECTORIZE_MIN_FLOWS` is purely a speed decision.
     """
     res_index = {res: i for i, res in enumerate(remaining)}
-    rem = _np.array([remaining[res] for res in remaining], dtype=_np.float64)
-    cross = _np.array([crossing[res] for res in crossing], dtype=_np.float64)
-    paths = [
-        _np.array([res_index[res] for res in flow_paths[flow]],
-                  dtype=_np.intp)
-        for flow in active
-    ]
+    rem = _np.array(list(remaining.values()), dtype=_np.float64)
+    cross = _np.array(list(crossing.values()), dtype=_np.float64)
+    flat = _np.array(
+        [res_index[res] for flow in active for res in flow_paths[flow]],
+        dtype=_np.intp,
+    )
+    lengths = _np.array([len(flow_paths[flow]) for flow in active],
+                        dtype=_np.intp)
     caps = _np.array(
         [rate_caps.get(flow, _np.inf) for flow in active], dtype=_np.float64
     )
     flow_rates = _np.zeros(len(active), dtype=_np.float64)
     alive = _np.ones(len(active), dtype=bool)
-    # CSR-ish layout over ALL initially-active flows for the per-flow
-    # "crosses a saturated resource?" reduction each round.
-    all_idx = _np.concatenate(paths) if paths else _np.empty(0, _np.intp)
+    # Per-flow "crosses a saturated resource?" reduction over the same
+    # layout.  reduceat mishandles zero-length segments (an empty-path
+    # flow), so substitute index 0 there and mask afterwards.
+    nonempty = lengths > 0
     ptr = _np.zeros(len(active) + 1, dtype=_np.intp)
-    _np.cumsum([len(p) for p in paths], out=ptr[1:])
+    _np.cumsum(lengths, out=ptr[1:])
+    seg_starts = _np.where(nonempty, ptr[:-1], 0)
 
     while alive.any():
         loaded = cross > 0
@@ -220,37 +233,44 @@ def _fill_component_vectorized(
         increment = max(float(increment), 0.0)
 
         flow_rates[alive] += increment
-        alive_idx = _np.nonzero(alive)[0]
-        touched = _np.concatenate([paths[i] for i in alive_idx]) \
-            if alive_idx.size else _np.empty(0, _np.intp)
-        _np.subtract.at(rem, touched, increment)
+        _np.subtract.at(rem, flat[_np.repeat(alive, lengths)], increment)
 
         saturated = rem <= _EPSILON
         hits = _np.zeros(len(active), dtype=_np.float64)
-        if all_idx.size:
-            # reduceat mishandles zero-length segments (an empty-path
-            # flow), so substitute index 0 there and mask afterwards.
-            lengths = _np.diff(ptr)
-            seg_starts = _np.where(lengths > 0, ptr[:-1], 0)
+        if flat.size:
             per_flow = _np.add.reduceat(
-                saturated[all_idx].astype(_np.float64), seg_starts)
-            hits = _np.where(lengths > 0, per_flow, 0.0)
+                saturated[flat].astype(_np.float64), seg_starts)
+            hits = _np.where(nonempty, per_flow, 0.0)
         at_cap = _np.isfinite(caps) & (flow_rates >= caps - _EPSILON)
         frozen = alive & (at_cap | (hits > 0))
         if not frozen.any():
             # Numerical safety: freeze everything rather than loop forever.
             frozen = alive.copy()
-        frozen_idx = _np.nonzero(frozen)[0]
-        if frozen_idx.size:
-            _np.subtract.at(
-                cross,
-                _np.concatenate([paths[i] for i in frozen_idx]),
-                1.0,
-            )
+        _np.subtract.at(cross, flat[_np.repeat(frozen, lengths)], 1.0)
         alive &= ~frozen
 
-    for i, flow in enumerate(active):
-        rates[flow] = float(flow_rates[i])
+    for flow, rate in zip(active, flow_rates.tolist()):
+        rates[flow] = rate
+
+
+def fill_components(
+    components: Iterable[List[FlowId]],
+    flow_paths: Mapping[FlowId, Sequence[ResourceId]],
+    capacities: Mapping[ResourceId, float],
+    rate_caps: Mapping[FlowId, float],
+) -> Dict[FlowId, float]:
+    """Water-fill each component of a decomposition of ``flow_paths``.
+
+    The second step of :func:`max_min_rates`; ``components`` is what
+    :func:`connected_components` returned for these ``flow_paths``.
+    The decomposition depends on the paths alone, so a caller whose
+    paths have not changed may reuse it (the cc epoch does); capacities
+    and caps are read afresh on every fill.
+    """
+    rates: Dict[FlowId, float] = {flow: 0.0 for flow in flow_paths}
+    for component in components:
+        _fill_component(component, flow_paths, capacities, rate_caps, rates)
+    return rates
 
 
 def max_min_rates(
@@ -298,26 +318,6 @@ def max_min_rates(
             if cap is not None and cap < 0:
                 raise ConfigurationError(f"flow {flow!r} has negative rate cap")
 
-    rates: Dict[FlowId, float] = {flow: 0.0 for flow in flow_paths}
-    for component in connected_components(flow_paths):
-        _fill_component(component, flow_paths, capacities, rate_caps, rates)
-    return rates
+    return fill_components(connected_components(flow_paths), flow_paths,
+                           capacities, rate_caps)
 
-
-def solve_subset(
-    flows: Iterable[FlowId],
-    flow_paths: Mapping[FlowId, Sequence[ResourceId]],
-    capacities: Mapping[ResourceId, float],
-    rate_caps: Mapping[FlowId, float] | None = None,
-    validate: bool = True,
-) -> Dict[FlowId, float]:
-    """Solve max-min rates for a subset of flows known to be closed.
-
-    ``flows`` must be a union of whole components (every flow sharing a
-    resource with a member is itself a member); the fabric's dirty-set
-    tracker guarantees this.  Equivalent to slicing a full
-    :func:`max_min_rates` solve down to ``flows`` -- bit-for-bit, since
-    the full solve fills each component independently anyway.
-    """
-    subset = {flow: flow_paths[flow] for flow in flows}
-    return max_min_rates(subset, capacities, rate_caps, validate=validate)

@@ -153,6 +153,9 @@ class LinkDirection:
         self.link = link
         self.src = src
         self.dst = dst
+        # Endpoints never change, so the name is built once: solvers sort
+        # directions by it on every epoch.
+        self.name = f"{src}->{dst}"
         self.flows: Set["FlowTransfer"] = set()
         # Last load applied via set_load; solves touching a direction
         # whose aggregate rate did not actually move skip the telemetry
@@ -170,10 +173,6 @@ class LinkDirection:
         self.congestion_episodes = 0
         # Open span covering the current congestion episode (repro.trace).
         self._congestion_span = None
-
-    @property
-    def name(self) -> str:
-        return f"{self.src}->{self.dst}"
 
     @property
     def capacity(self) -> float:

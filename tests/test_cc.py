@@ -23,6 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import repro
@@ -476,3 +477,321 @@ class TestQueueStateModel:
         assert marked_s == pytest.approx(1.0)
         assert observed_s == pytest.approx(2.0)
         assert queue.mark_fraction() == pytest.approx(0.5)
+
+
+def _gray_incast(fault_at):
+    """8 Reno flows into h0; gray-fail h0's edge cable at ``fault_at``."""
+    sim = Simulator()
+    topo = fat_tree(4)
+    net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
+                  rate_model=CcRateModel(protocol="reno"))
+    for i in range(1, 9):
+        net.transfer(f"h{i}", "h0", 5e6, flow_key=f"h{i}")
+    queue = net.direction("p0-edge0", "h0").queue
+    sim.run(until=fault_at)
+    return sim, net, queue
+
+
+class TestGrayFailureUnderCc:
+    """A capacity change must not reach back into the running epoch:
+    the queue integrates at the old capacity up to the fault."""
+
+    def test_degrade_integrates_pre_fault_time_at_old_capacity(self):
+        _, _, twin_queue = _gray_incast(0.0203)
+        twin_queue.advance(0.0203)       # old capacity up to the fault
+        expected = twin_queue.occupancy
+
+        _, net, queue = _gray_incast(0.0203)
+        net.degrade_link("h0", "p0-edge0", bandwidth_frac=0.25)
+        net.sync()
+        assert queue.occupancy == expected
+        # The 0.2 ms since the last epoch drain at 12.5 MB/s; integrating
+        # them at the degraded 3.125 MB/s would queue 1,875 B more.
+        assert queue.occupancy == pytest.approx(122_972.71, abs=0.01)
+
+    def test_restore_integrates_pre_repair_time_at_degraded_capacity(self):
+        sim, twin_net, twin_queue = _gray_incast(0.0203)
+        twin_net.degrade_link("h0", "p0-edge0", bandwidth_frac=0.25)
+        sim.run(until=0.0307)
+        twin_queue.advance(0.0307)       # degraded capacity up to repair
+        expected = twin_queue.occupancy
+
+        sim, net, queue = _gray_incast(0.0203)
+        net.degrade_link("h0", "p0-edge0", bandwidth_frac=0.25)
+        sim.run(until=0.0307)
+        net.restore_link("h0", "p0-edge0")
+        net.sync()
+        assert queue.occupancy == expected
+
+
+# Pinned at the release before the cc epoch plan landed, with
+# ``float.hex`` so any change in float arithmetic or its order shows.
+# Per scenario/protocol: every flow's (completed_at, remaining,
+# cc.cwnd) in start order, the fabric's queue_metrics(), recomputes and
+# flows_solved.
+_CC_PINS = {
+    "staggered/reno": {
+        "flows": [
+            ("0x1.048e14de8e94ap-3", "0x0.0p+0", "0x1.23ed77532d14ep+15"),
+            ("0x1.982f94c4048bap-5", "0x0.0p+0", "0x1.5f40303b10258p+15"),
+            ("0x1.284eea2d10c19p-4", "0x0.0p+0", "0x1.e33b3f5491096p+14"),
+            ("0x1.41d00b159b761p-4", "0x0.0p+0", "0x1.99a5e42e5710fp+15"),
+            ("0x1.1ede107c1f0c3p-3", "0x0.0p+0", "0x1.675aa560d50d8p+15"),
+            ("0x1.f07394a6117b8p-6", "0x0.0p+0", "0x1.1652016df828ap+15"),
+            ("0x1.a04776d4eb84bp-4", "0x0.0p+0", "0x1.0a6273005b400p+15"),
+            ("0x1.5c14c7c955e6fp-5", "0x0.0p+0", "0x1.3545a250d2acap+15"),
+            ("0x1.2b12e70c31a5bp-4", "0x0.0p+0", "0x1.950feb33ae8fdp+14"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.d9fc9ebff2f00p+16",
+            "queue_depth_peak": "0x1.d9fc9ebff2f00p+16",
+            "ecn_mark_frac": "0x1.cce0a6fdad230p-1",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 157,
+        "flows_solved": 724,
+    },
+    "staggered/dctcp": {
+        "flows": [
+            ("0x1.11a6698e28711p-3", "0x0.0p+0", "0x1.a1eb5e9fed156p+14"),
+            ("0x1.982f94c4048bap-5", "0x0.0p+0", "0x1.5f40303b10258p+15"),
+            ("0x1.1f589a4bcd298p-4", "0x0.0p+0", "0x1.a377c6bce52a9p+13"),
+            ("0x1.3859dfd5fc02cp-4", "0x0.0p+0", "0x1.54f142b01e074p+15"),
+            ("0x1.1cbacc9ba3fe0p-3", "0x0.0p+0", "0x1.0f5c3ad974b30p+15"),
+            ("0x1.f07394a6117b8p-6", "0x0.0p+0", "0x1.1652016df828ap+15"),
+            ("0x1.99f6ff07d91f7p-4", "0x0.0p+0", "0x1.1aa5a0373ac94p+14"),
+            ("0x1.5c14c7c955e6fp-5", "0x0.0p+0", "0x1.3545a250d2acap+15"),
+            ("0x1.122334805fe32p-4", "0x0.0p+0", "0x1.8dd20947a52cep+13"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.c02c167b62266p+15",
+            "queue_depth_peak": "0x1.c02c167b62266p+15",
+            "ecn_mark_frac": "0x1.bd7373aec5ce6p-3",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 156,
+        "flows_solved": 716,
+    },
+    "staggered/delay": {
+        "flows": [
+            ("0x1.6edc53b0f8963p-3", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a17c1bda51198p-4", "0x0.0p+0", "0x1.1940000000004p+12"),
+            ("0x1.d1331dd69de80p-5", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.1e64a5665f6e6p-3", "0x0.0p+0", "0x1.1db68a19b5cefp+12"),
+            ("0x1.77a6ff6cfc7c8p-3", "0x0.0p+0", "0x1.1940000000004p+11"),
+            ("0x1.aa64c2f837b47p-5", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.dbfb770b6dc9bp-4", "0x0.0p+0", "0x1.f400000000005p+11"),
+            ("0x1.5643728d2ceb9p-4", "0x0.0p+0", "0x1.f400000000005p+11"),
+            ("0x1.53af3cb9accb3p-4", "0x0.0p+0", "0x1.7700000000000p+10"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.c98154c450f78p+14",
+            "queue_depth_peak": "0x1.4c7f0c30c30c5p+15",
+            "ecn_mark_frac": "0x0.0p+0",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 201,
+        "flows_solved": 1003,
+    },
+    "reroute/reno": {
+        "flows": [
+            ("0x1.f28a9360bfda7p-4", "0x0.0p+0", "0x1.292721f2d414fp+15"),
+            ("0x1.982f94c4048bap-5", "0x0.0p+0", "0x1.5f40303b10258p+15"),
+            ("0x1.3511b25ae0fbdp-4", "0x0.0p+0", "0x1.e15a673cd358ap+14"),
+            ("0x1.22d4cae496462p-4", "0x0.0p+0", "0x1.9b3db3ef431ccp+15"),
+            ("0x1.202ad1c48f717p-3", "0x0.0p+0", "0x1.676afb2fa70fcp+15"),
+            ("0x1.f07394a6117b8p-6", "0x0.0p+0", "0x1.1652016df828ap+15"),
+            ("0x1.b514e55645e9cp-4", "0x0.0p+0", "0x1.097dd1c94c8e0p+15"),
+            ("0x1.5c14c7c955e6fp-5", "0x0.0p+0", "0x1.3545a250d2acap+15"),
+            ("0x1.390b179a7eb20p-4", "0x0.0p+0", "0x1.960e5b7da252bp+14"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.fd05aa82e967ap+16",
+            "queue_depth_peak": "0x1.fd05aa82e967ap+16",
+            "ecn_mark_frac": "0x1.b542bde36e1ddp-1",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 159,
+        "flows_solved": 723,
+    },
+    "reroute/dctcp": {
+        "flows": [
+            ("0x1.f3250f17773b8p-4", "0x0.0p+0", "0x1.71f95c2085004p+14"),
+            ("0x1.982f94c4048bap-5", "0x0.0p+0", "0x1.5f40303b10258p+15"),
+            ("0x1.336d76b8397a1p-4", "0x0.0p+0", "0x1.6576750392761p+13"),
+            ("0x1.22cde9a888acap-4", "0x0.0p+0", "0x1.9b4dcd470754ep+15"),
+            ("0x1.1fbea6c28c6e2p-3", "0x0.0p+0", "0x1.1244da2a069d1p+15"),
+            ("0x1.f07394a6117b8p-6", "0x0.0p+0", "0x1.1652016df828ap+15"),
+            ("0x1.bbf79dade9681p-4", "0x0.0p+0", "0x1.16aac58f651a9p+14"),
+            ("0x1.5c14c7c955e6fp-5", "0x0.0p+0", "0x1.3545a250d2acap+15"),
+            ("0x1.231753959060dp-4", "0x0.0p+0", "0x1.4e141892b7879p+13"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.d9a72d536f8dep+15",
+            "queue_depth_peak": "0x1.d9a72d536f8dep+15",
+            "ecn_mark_frac": "0x1.d5bc1cc89e569p-3",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 159,
+        "flows_solved": 718,
+    },
+    "reroute/delay": {
+        "flows": [
+            ("0x1.47b63cea5cf4ep-3", "0x0.0p+0", "0x1.9640000000005p+12"),
+            ("0x1.a17c1bda51198p-4", "0x0.0p+0", "0x1.1940000000004p+12"),
+            ("0x1.bf953affcfce4p-5", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.2fc081548deecp-3", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.72f57f5ab4894p-3", "0x0.0p+0", "0x1.9640000000005p+12"),
+            ("0x1.aa64c2f837b47p-5", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.1539b2acb945dp-3", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.5643728d2ceb9p-4", "0x0.0p+0", "0x1.f400000000005p+11"),
+            ("0x1.59c29a9e89f31p-4", "0x0.0p+0", "0x1.7700000000000p+10"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.cbecfd306a8d0p+14",
+            "queue_depth_peak": "0x1.4c7f0c30c30c5p+15",
+            "ecn_mark_frac": "0x0.0p+0",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 199,
+        "flows_solved": 1009,
+    },
+    "fail_link/reno": {
+        "flows": [
+            (None, "0x1.5e4f2527fc2e5p+18", "0x1.1bba97ac00d40p+14"),
+            ("0x1.982f94c4048bap-5", "0x0.0p+0", "0x1.5f40303b10258p+15"),
+            ("0x1.8f0a5061eb005p-5", "0x0.0p+0", "0x1.d92f26facf761p+14"),
+            ("0x1.219c032de0b21p-4", "0x0.0p+0", "0x1.9a7872085a936p+15"),
+            (None, "0x1.139a7d2213ea1p+19", "0x1.27f9942fc57b9p+14"),
+            ("0x1.f07394a6117b8p-6", "0x0.0p+0", "0x1.1652016df828ap+15"),
+            ("0x1.03ea5d29f7895p-4", "0x0.0p+0", "0x1.091cff6521292p+15"),
+            ("0x1.5c14c7c955e6fp-5", "0x0.0p+0", "0x1.3545a250d2acap+15"),
+            ("0x1.aca8bf35defc4p-5", "0x0.0p+0", "0x1.976702f6b7161p+14"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.1e2a0af8b2387p+16",
+            "queue_depth_peak": "0x1.1e2a0af8b2387p+16",
+            "ecn_mark_frac": "0x1.83db14c41b79bp-1",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 87,
+        "flows_solved": 381,
+    },
+    "fail_link/dctcp": {
+        "flows": [
+            (None, "0x1.5eee7723547d2p+18", "0x1.feaeba51eab34p+13"),
+            ("0x1.982f94c4048bap-5", "0x0.0p+0", "0x1.5f40303b10258p+15"),
+            ("0x1.9914bdf0fa5d4p-5", "0x0.0p+0", "0x1.0dd2ae76f27d4p+14"),
+            ("0x1.21c64ff886201p-4", "0x0.0p+0", "0x1.9a91a5b5718bap+15"),
+            (None, "0x1.1375bf9a2a52dp+19", "0x1.b79d0abdc5250p+13"),
+            ("0x1.f07394a6117b8p-6", "0x0.0p+0", "0x1.1652016df828ap+15"),
+            ("0x1.02bbbc9d0c1bcp-4", "0x0.0p+0", "0x1.8fe8b72cd43c1p+14"),
+            ("0x1.5c14c7c955e6fp-5", "0x0.0p+0", "0x1.3545a250d2acap+15"),
+            ("0x1.8ec2ecc6992f5p-5", "0x0.0p+0", "0x1.222d8eddfba81p+14"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.9df7868c5d557p+15",
+            "queue_depth_peak": "0x1.9df7868c5d557p+15",
+            "ecn_mark_frac": "0x1.ac0469af06d15p-3",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 87,
+        "flows_solved": 377,
+    },
+    "fail_link/delay": {
+        "flows": [
+            (None, "0x1.6aac83dbb186ep+18", "0x1.7700000000000p+10"),
+            ("0x1.a17c1bda51198p-4", "0x0.0p+0", "0x1.1940000000004p+12"),
+            ("0x1.410b88dba7051p-5", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.2fc081548deecp-3", "0x0.0p+0", "0x1.7700000000000p+10"),
+            (None, "0x1.1a84a6281ff32p+19", "0x1.7700000000000p+10"),
+            ("0x1.aa64c2f837b47p-5", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.39d14188e0987p-4", "0x0.0p+0", "0x1.f400000000005p+11"),
+            ("0x1.5643728d2ceb9p-4", "0x0.0p+0", "0x1.f400000000005p+11"),
+            ("0x1.1eb960d683d58p-4", "0x0.0p+0", "0x1.f400000000005p+11"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.2488607c8e540p+15",
+            "queue_depth_peak": "0x1.4c7f0c30c30c5p+15",
+            "ecn_mark_frac": "0x0.0p+0",
+            "dropped_bytes": "0x0.0p+0",
+            "drop_events": 0,
+        },
+        "recomputes": 165,
+        "flows_solved": 593,
+    },
+}
+
+
+# (src, dst, bytes, start time): a staggered incast into h0 plus three
+# cross-pod flows, so the epoch sees several bottleneck components.
+_CC_SCENARIO_FLOWS = [
+    ("h4", "h0", 0.4e6, 0.0), ("h1", "h0", 0.2e6, 0.0007),
+    ("h8", "h0", 0.6e6, 0.0016), ("h13", "h0", 0.3e6, 0.0041),
+    ("h2", "h7", 0.5e6, 0.0003), ("h10", "h6", 0.25e6, 0.0029),
+    ("h15", "h5", 0.35e6, 0.0052), ("h9", "h0", 0.15e6, 0.0123),
+    ("h5", "h2", 0.8e6, 0.0009),
+]
+
+
+def _cc_scenario(protocol, scenario):
+    sim = Simulator()
+    topo = fat_tree(4)
+    net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
+                  rate_model=CcRateModel(protocol=protocol))
+    flows = []
+
+    def start(src, dst, size):
+        flows.append(net.transfer(src, dst, size, flow_key=f"{src}>{dst}"))
+
+    for src, dst, size, at in _CC_SCENARIO_FLOWS:
+        sim.schedule(at, start, src, dst, size)
+    if scenario == "reroute":
+        def move():
+            # h4->h0 leaves the p1-agg0 uplink it shares with h5->h2.
+            flow = flows[0]
+            alternatives = sorted(
+                nx.all_shortest_paths(topo.graph, flow.src, flow.dst))
+            net.reroute(flow, next(p for p in alternatives
+                                   if p[2] != flow.path[2]))
+        sim.schedule(0.0105, move)
+    elif scenario == "fail_link":
+        # Kills h4->h0 and h8->h0; the other flows run on.
+        sim.schedule(0.0125, net.fail_link, "core0", "p0-agg0")
+    sim.run(until=2.0)
+    net.sync()
+    return flows, net
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+class TestCcPinnedAcrossEpochPlan:
+    """Staggered churn, a reroute and a link failure under every cc
+    protocol reproduce the pinned floats bit for bit."""
+
+    @pytest.mark.parametrize("protocol", ["reno", "dctcp", "delay"])
+    @pytest.mark.parametrize("scenario", ["staggered", "reroute",
+                                          "fail_link"])
+    def test_matches_pins(self, scenario, protocol):
+        flows, net = _cc_scenario(protocol, scenario)
+        pins = _CC_PINS[f"{scenario}/{protocol}"]
+        assert [
+            (_hex(f.completed_at), _hex(f.remaining), _hex(f.cc.cwnd))
+            for f in flows
+        ] == pins["flows"]
+        assert {
+            key: value if isinstance(value, int) else _hex(value)
+            for key, value in net.queue_metrics().items()
+        } == pins["queues"]
+        assert net.recomputes == pins["recomputes"]
+        assert net.flows_solved == pins["flows_solved"]
