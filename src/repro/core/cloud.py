@@ -19,7 +19,7 @@ import os
 from typing import Dict, Optional
 
 from repro import trace
-from repro.core.config import PiCloudConfig
+from repro.core.config import PiCloudConfig, SimBudgetConfig
 from repro.errors import LeaseError, PiCloudError
 from repro.hardware.machine import Machine
 from repro.hostos.kernelhost import HostKernel
@@ -47,6 +47,31 @@ from repro.virt.container import Container
 PIMASTER_NODE = "pimaster"
 # Static assignment for the head node, reserved out of the DHCP pool.
 PIMASTER_IP_SUFFIX = 1
+
+
+def run_until_triggered(
+    sim: Simulator,
+    signal: Signal,
+    until: Optional[float],
+    budget: Optional[SimBudgetConfig] = None,
+) -> None:
+    """``sim.run(until, budget=budget)`` that also returns once ``signal`` fires.
+
+    Registering the stop callback schedules nothing, so event order is
+    the same as an unstopped run's; the callback is removed again however
+    the run ends, so it cannot stop a later run.
+    """
+    if signal.triggered:
+        return
+
+    def stop(_signal: Signal) -> None:
+        sim.stop()
+
+    signal.add_done_callback(stop)
+    try:
+        sim.run(until=until, budget=budget)
+    finally:
+        signal.discard_callback(stop)
 
 
 class PiCloud:
@@ -283,16 +308,16 @@ class PiCloud:
         return signal.value  # raises if the spawn failed
 
     def run_until_signal(self, signal: Signal, max_seconds: float = 86_400.0) -> None:
-        """Step the simulator until ``signal`` triggers (or the cap hits).
+        """Run the simulator until ``signal`` triggers (or the cap hits).
 
-        Unlike ``run_for``, this stops the moment the signal fires, so
-        periodic background work (monitoring polls) does not needlessly
-        extend the run.
+        Unlike ``run_for``, this stops right after the event that fires
+        the signal, so periodic background work (monitoring polls) does
+        not needlessly extend the run.  If the signal never fires, this
+        returns the way ``run(until=now + max_seconds)`` does: the clock
+        ends at the cap, also when the event queue drains first.  The
+        installed run budget applies throughout.
         """
-        deadline = self.sim.now + max_seconds
-        while not signal.triggered and self.sim.now < deadline:
-            if not self.sim.step():
-                break
+        run_until_triggered(self.sim, signal, until=self.sim.now + max_seconds)
 
     def container(self, name: str) -> Container:
         """The live container object for a managed container name."""

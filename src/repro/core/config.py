@@ -28,6 +28,7 @@ from repro.hardware.catalog import (
     SPEC_CATALOG,
 )
 from repro.hardware.specs import MachineSpec
+from repro.sim.budget import SimBudgetConfig
 from repro.units import gbit_per_s, mbit_per_s, usec
 
 ROUTING_MODES = (
@@ -39,49 +40,6 @@ ROUTING_MODES = (
 )
 
 TOPOLOGY_KINDS = ("multi-root-tree", "fat-tree")
-
-
-@dataclass(frozen=True, kw_only=True)
-class SimBudgetConfig:
-    """Hard safety nets for the discrete-event kernel.
-
-    Exhausting an axis raises
-    :class:`~repro.errors.SimBudgetExceeded` with a diagnostic snapshot
-    instead of spinning.  ``None`` disables an axis.  ``max_wall_s`` is
-    wall-clock seconds per ``run()`` call; ``max_events`` is cumulative
-    over the simulator's lifetime.
-    """
-
-    max_events: Optional[int] = None
-    max_sim_time_s: Optional[float] = None
-    max_wall_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_events is not None and self.max_events < 1:
-            raise ConfigurationError(
-                f"max_events must be >= 1, got {self.max_events}"
-            )
-        if self.max_sim_time_s is not None and self.max_sim_time_s < 0:
-            raise ConfigurationError(
-                f"max_sim_time_s must be >= 0, got {self.max_sim_time_s}"
-            )
-        if self.max_wall_s is not None and self.max_wall_s <= 0:
-            raise ConfigurationError(
-                f"max_wall_s must be > 0, got {self.max_wall_s}"
-            )
-
-    def run_budget(self):
-        """The configured kernel budget, or None when fully unbounded."""
-        if (self.max_events is None and self.max_sim_time_s is None
-                and self.max_wall_s is None):
-            return None
-        from repro.sim.budget import RunBudget
-
-        return RunBudget(
-            max_events=self.max_events,
-            max_sim_time=self.max_sim_time_s,
-            max_wall_s=self.max_wall_s,
-        )
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -15,13 +15,14 @@ it, and returns a plain-dict result row -- ready for tabulation.
 from __future__ import annotations
 
 import random
-import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.http import HttpClientApp, HttpServerApp
 from repro.apps.traffic import OnOffTrafficSource
-from repro.core.cloud import PiCloud
-from repro.errors import DeadlineExceeded
+from repro.core.cloud import PiCloud, run_until_triggered
+from repro.errors import DeadlineExceeded, SimBudgetExceeded
+from repro.sim.budget import SimBudgetConfig
 from repro.sim.process import Signal
 from repro.units import kib, mib
 
@@ -38,66 +39,56 @@ def run_phase(
     signal: Optional[Signal] = None,
     sim_seconds: Optional[float] = None,
     wall_s: Optional[float] = DEFAULT_PHASE_WALL_S,
-    wall_check_every: int = 4096,
 ) -> float:
     """Drive one experiment phase under sim-time and wall-clock deadlines.
 
-    Steps the simulator until ``signal`` triggers (if given) and/or
+    Runs the simulator until ``signal`` triggers (if given) and/or
     ``sim_seconds`` of simulated time elapse -- whichever is satisfied
-    first; at least one of the two must be provided.  A wall-clock
-    watchdog aborts the phase with :class:`DeadlineExceeded` after
-    ``wall_s`` real seconds, so a stuck scenario fails loudly with the
+    first; at least one of the two must be provided.  A signal that is
+    still pending when the deadline passes or the event queue drains
+    raises :class:`DeadlineExceeded`.  The phase runs under the installed
+    run budget with its wall-clock axis set to ``wall_s`` (unless the
+    installed one is tighter), so a stuck scenario fails loudly with the
     phase's name instead of hanging the experiment driver.
 
     Returns the simulated seconds the phase consumed.
     """
     if signal is None and sim_seconds is None:
         raise ValueError(f"phase {name!r}: need a signal and/or sim_seconds")
-    started_sim = cloud.sim.now
+    sim = cloud.sim
+    started_sim = sim.now
     sim_deadline = None if sim_seconds is None else started_sim + sim_seconds
-    wall_start = time.monotonic()
-    steps = 0
-    while True:
-        if signal is not None and signal.triggered:
-            break
-        if sim_deadline is not None and cloud.sim.now >= sim_deadline:
-            if signal is not None and not signal.triggered:
-                raise DeadlineExceeded(
-                    f"experiment phase {name!r} did not complete within "
-                    f"{sim_seconds} simulated seconds",
-                    deadline_s=float(sim_seconds),
-                )
-            break
-        next_time = cloud.sim.peek()
-        if next_time is None:
-            if signal is not None and not signal.triggered:
-                raise DeadlineExceeded(
-                    f"experiment phase {name!r}: event queue drained at "
-                    f"t={cloud.sim.now:.3f} with the phase signal untriggered",
-                    deadline_s=float(sim_seconds or 0.0),
-                )
-            if sim_deadline is not None:
-                cloud.sim.run(until=sim_deadline)
-            break
-        if sim_deadline is not None and next_time > sim_deadline:
-            cloud.sim.run(until=sim_deadline)
-            continue
-        cloud.sim.step()
-        steps += 1
-        if (wall_s is not None and steps % wall_check_every == 0
-                and time.monotonic() - wall_start > wall_s):
-            cloud.sim.watchdog_trips += 1
-            snapshot = cloud.sim.snapshot(
-                "wall_clock", wall_elapsed_s=time.monotonic() - wall_start
-            )
-            for hook in cloud.sim.budget_hooks:
-                hook(snapshot)
+    installed = sim.budget or SimBudgetConfig()
+    watchdog = wall_s is not None and (
+        installed.max_wall_s is None or wall_s <= installed.max_wall_s
+    )
+    budget = replace(installed, max_wall_s=wall_s) if watchdog else None
+    try:
+        if signal is None:
+            sim.run(until=sim_deadline, budget=budget)
+        else:
+            run_until_triggered(sim, signal, sim_deadline, budget)
+    except SimBudgetExceeded as exc:
+        if not watchdog or exc.snapshot.reason != "wall_clock":
+            raise
+        raise DeadlineExceeded(
+            f"experiment phase {name!r} exceeded its {wall_s}s wall-clock "
+            f"watchdog\n{exc.snapshot.describe()}",
+            deadline_s=wall_s,
+        ) from exc
+    if signal is not None and not signal.triggered:
+        if sim.peek() is None:
             raise DeadlineExceeded(
-                f"experiment phase {name!r} exceeded its {wall_s}s wall-clock "
-                f"watchdog\n{snapshot.describe()}",
-                deadline_s=wall_s,
+                f"experiment phase {name!r}: event queue drained at "
+                f"t={sim.now:.3f} with the phase signal untriggered",
+                deadline_s=float(sim_seconds or 0.0),
             )
-    return cloud.sim.now - started_sim
+        raise DeadlineExceeded(
+            f"experiment phase {name!r} did not complete within "
+            f"{sim_seconds} simulated seconds",
+            deadline_s=float(sim_seconds),
+        )
+    return sim.now - started_sim
 
 
 def http_load_experiment(

@@ -1,6 +1,6 @@
 """Run budgets for the discrete-event kernel.
 
-A :class:`RunBudget` bounds a simulation along three axes -- events
+A :class:`SimBudgetConfig` bounds a simulation along three axes -- events
 executed, simulated time, and wall-clock time -- so that no run can spin
 forever.  When the kernel trips a budget it raises
 :class:`~repro.errors.SimBudgetExceeded` carrying a
@@ -15,40 +15,54 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-DEFAULT_TRACE_LENGTH = 32
-DEFAULT_WALL_CHECK_EVERY = 1024
+from repro.errors import ConfigurationError
+
+# Recently executed events kept for the snapshot's trace tail.
+TRACE_LENGTH = 32
+# The wall clock is read once per this many events, not per event.
+WALL_CHECK_EVERY = 1024
 
 
-@dataclass(frozen=True)
-class RunBudget:
-    """Limits for one (or many) :meth:`Simulator.run` calls.
+@dataclass(frozen=True, kw_only=True)
+class SimBudgetConfig:
+    """Hard safety nets for the discrete-event kernel.
 
-    ``None`` disables an axis.  ``max_sim_time`` is an *absolute* simulated
-    timestamp: the run trips when the next event lies strictly beyond it.
-    ``max_wall_s`` is wall-clock seconds per ``run()`` call, checked every
-    ``wall_check_every`` events (cheap enough to leave on everywhere).
+    Exhausting an axis raises
+    :class:`~repro.errors.SimBudgetExceeded` with a diagnostic snapshot
+    instead of spinning.  ``None`` disables an axis.  ``max_events`` is
+    cumulative over the simulator's lifetime; ``max_sim_time_s`` is an
+    *absolute* simulated timestamp (the run trips when the next event lies
+    strictly beyond it); ``max_wall_s`` is wall-clock seconds per
+    :meth:`~repro.sim.kernel.Simulator.run` call, checked every
+    ``WALL_CHECK_EVERY`` events.
     """
 
     max_events: Optional[int] = None
-    max_sim_time: Optional[float] = None
+    max_sim_time_s: Optional[float] = None
     max_wall_s: Optional[float] = None
-    wall_check_every: int = DEFAULT_WALL_CHECK_EVERY
-    trace_length: int = DEFAULT_TRACE_LENGTH
 
     def __post_init__(self) -> None:
         if self.max_events is not None and self.max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {self.max_events}")
-        if self.max_sim_time is not None and self.max_sim_time < 0:
-            raise ValueError(f"max_sim_time must be >= 0, got {self.max_sim_time}")
+            raise ConfigurationError(
+                f"max_events must be >= 1, got {self.max_events}"
+            )
+        if self.max_sim_time_s is not None and self.max_sim_time_s < 0:
+            raise ConfigurationError(
+                f"max_sim_time_s must be >= 0, got {self.max_sim_time_s}"
+            )
         if self.max_wall_s is not None and self.max_wall_s <= 0:
-            raise ValueError(f"max_wall_s must be > 0, got {self.max_wall_s}")
-        if self.wall_check_every < 1:
-            raise ValueError("wall_check_every must be >= 1")
+            raise ConfigurationError(
+                f"max_wall_s must be > 0, got {self.max_wall_s}"
+            )
 
     @property
     def unbounded(self) -> bool:
-        return (self.max_events is None and self.max_sim_time is None
+        return (self.max_events is None and self.max_sim_time_s is None
                 and self.max_wall_s is None)
+
+    def run_budget(self) -> Optional["SimBudgetConfig"]:
+        """This budget, or None when fully unbounded."""
+        return None if self.unbounded else self
 
 
 @dataclass

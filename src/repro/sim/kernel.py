@@ -14,7 +14,12 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import SimBudgetExceeded, SimulationError
-from repro.sim.budget import DEFAULT_TRACE_LENGTH, BudgetSnapshot, RunBudget
+from repro.sim.budget import (
+    TRACE_LENGTH,
+    WALL_CHECK_EVERY,
+    BudgetSnapshot,
+    SimBudgetConfig,
+)
 
 
 def _callback_label(callback: Callable[..., None]) -> str:
@@ -34,10 +39,10 @@ class Event:
     """A scheduled callback.
 
     Events are created via :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at` and may be cancelled with
-    :meth:`Simulator.cancel` (or :meth:`cancel` directly) any time before
-    they fire.  Comparison is by ``(time, priority, seq)`` so the heap is
-    stable: two events at the same instant fire in scheduling order.
+    :meth:`Simulator.schedule_at` and may be cancelled with :meth:`cancel`
+    any time before they fire.  Comparison is by ``(time, priority, seq)``
+    so the heap is stable: two events at the same instant fire in
+    scheduling order.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
@@ -97,7 +102,7 @@ class Simulator:
     COMPACT_CHECK_MASK = 0x0FFF
     COMPACT_MIN_QUEUE = 8192
 
-    def __init__(self, budget: Optional[RunBudget] = None) -> None:
+    def __init__(self, budget: Optional[SimBudgetConfig] = None) -> None:
         self._now = 0.0
         # Heap entries are (time, priority, seq, event) tuples: seq is
         # unique, so ordering never falls through to comparing Event
@@ -105,6 +110,7 @@ class Simulator:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
+        self._stop_requested = False
         self.events_executed = 0
         self.heap_compactions = 0
         self.budget = budget
@@ -121,19 +127,12 @@ class Simulator:
         # are resolved to human-readable labels only when a snapshot is
         # taken (budget trip / inspection), keeping the dispatch loop free
         # of the getattr chain in _callback_label.
-        trace_length = budget.trace_length if budget else DEFAULT_TRACE_LENGTH
         self._trace: deque[tuple[float, Callable[..., None]]] = deque(
-            maxlen=trace_length
+            maxlen=TRACE_LENGTH
         )
         # Live Process objects (registered by repro.sim.process) so budget
         # snapshots can name what was still runnable.
         self._live_processes: set = set()
-
-    def set_budget(self, budget: Optional[RunBudget]) -> None:
-        """Install (or clear) the default budget for subsequent runs."""
-        self.budget = budget
-        if budget is not None and budget.trace_length != self._trace.maxlen:
-            self._trace = deque(self._trace, maxlen=budget.trace_length)
 
     # -- clock ------------------------------------------------------------
 
@@ -192,10 +191,6 @@ class Simulator:
         queue[:] = live
         self.heap_compactions += 1
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (lazy removal; the heap slot is skipped)."""
-        event.cancel()
-
     # -- execution --------------------------------------------------------
 
     def peek(self) -> Optional[float]:
@@ -204,49 +199,19 @@ class Simulator:
             heapq.heappop(self._queue)
         return self._queue[0][0] if self._queue else None
 
-    def step(self) -> bool:
-        """Execute the single next event.  Returns False if none remained.
-
-        The installed budget's event and sim-time axes are enforced here,
-        so even callers that drive the kernel one event at a time (signal
-        waits, experiment phases) cannot spin past them.  Wall-clock
-        enforcement lives in :meth:`run`, which owns a start timestamp.
-        """
-        if self.peek() is None:
-            return False
-        event = self._queue[0][3]
-        budget = self.budget
-        if budget is not None:
-            if (budget.max_events is not None
-                    and self.events_executed >= budget.max_events):
-                self._trip(budget, "events", 0.0)
-            if (budget.max_sim_time is not None
-                    and event.time > budget.max_sim_time):
-                if budget.max_sim_time > self._now:
-                    self._now = budget.max_sim_time
-                self._trip(budget, "sim_time", 0.0)
-        heapq.heappop(self._queue)
-        self._now = event.time
-        self.events_executed += 1
-        self._trace.append((event.time, event.callback))
-        tracer = self.tracer
-        if tracer is not None and tracer.kernel_events:
-            tracer.on_kernel_event(event.time, _callback_label(event.callback))
-        event.callback(*event.args)
-        return True
-
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        budget: Optional[RunBudget] = None,
+        budget: Optional[SimBudgetConfig] = None,
     ) -> None:
         """Run events in order.
 
         Stops when the queue drains, when the next event lies strictly
-        beyond ``until`` (the clock is then advanced *to* ``until``), or
-        after ``max_events`` events -- whichever comes first.  ``run`` may
-        be called repeatedly to resume.
+        beyond ``until`` (the clock is then advanced *to* ``until``), after
+        ``max_events`` events, or once the event that called :meth:`stop`
+        has finished -- whichever comes first.  ``run`` may be called
+        repeatedly to resume; ``run(max_events=1)`` executes one event.
 
         ``budget`` (or, if omitted, the simulator's installed default
         budget) is a hard safety net: unlike ``until``/``max_events``,
@@ -266,26 +231,26 @@ class Simulator:
         wall_start = time.monotonic() if effective is not None else 0.0
         # Hoist per-event budget state out of the loop: the hot path pays
         # int compares only, and wall-clock reads happen every
-        # wall_check_every events rather than per event.
+        # WALL_CHECK_EVERY events rather than per event.
         if effective is not None:
             limit_events = effective.max_events
-            limit_sim_time = effective.max_sim_time
+            limit_sim_time = effective.max_sim_time_s
             limit_wall_s = effective.max_wall_s
-            wall_check_every = effective.wall_check_every
         else:
             limit_events = limit_sim_time = limit_wall_s = None
-            wall_check_every = 0
-        next_wall_check = wall_check_every
+        next_wall_check = WALL_CHECK_EVERY
         queue = self._queue
         heappop = heapq.heappop
         try:
             while True:
+                if self._stop_requested:
+                    return
                 if max_events is not None and executed >= max_events:
                     return
                 if limit_events is not None and self.events_executed >= limit_events:
                     self._trip(effective, "events", time.monotonic() - wall_start)
                 if limit_wall_s is not None and executed >= next_wall_check:
-                    next_wall_check = executed + wall_check_every
+                    next_wall_check = executed + WALL_CHECK_EVERY
                     if time.monotonic() - wall_start > limit_wall_s:
                         self.watchdog_trips += 1
                         self._trip(effective, "wall_clock",
@@ -316,17 +281,27 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
+            self._stop_requested = False
+
+    def stop(self) -> None:
+        """Ask the running :meth:`run` to return once the current event ends.
+
+        Budget checks and later events are skipped; the clock stays at the
+        stopping event's time.  A no-op when no run is in progress.
+        """
+        if self._running:
+            self._stop_requested = True
 
     # -- budget enforcement ------------------------------------------------
 
-    def _trip(self, budget: RunBudget, reason: str, wall_elapsed_s: float) -> None:
+    def _trip(self, budget: SimBudgetConfig, reason: str, wall_elapsed_s: float) -> None:
         self.budget_trips += 1
         snapshot = self.snapshot(reason, wall_elapsed_s=wall_elapsed_s)
         for hook in self.budget_hooks:
             hook(snapshot)
         limit = {
             "events": f"{budget.max_events} events",
-            "sim_time": f"sim time t={budget.max_sim_time}",
+            "sim_time": f"sim time t={budget.max_sim_time_s}",
             "wall_clock": f"{budget.max_wall_s}s wall clock",
         }[reason]
         message = f"simulation exceeded its run budget ({limit})"

@@ -258,15 +258,10 @@ class Process(Signal):
         if self.triggered:
             return
         self._detach_wait()
-        if not self._started:
-            self._started = True
-            self.sim.schedule(
-                0.0, self._advance, lambda: self._generator.throw(Interrupt(cause))
-            )
-        else:
-            self.sim.schedule(
-                0.0, self._advance, lambda: self._generator.throw(Interrupt(cause))
-            )
+        self._started = True
+        self.sim.schedule(
+            0.0, self._advance, lambda: self._generator.throw(Interrupt(cause))
+        )
 
     # -- engine -------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.budget import BudgetSnapshot, RunBudget
+from repro.sim.budget import BudgetSnapshot, SimBudgetConfig
 from repro.sim.kernel import Simulator
 from repro.telemetry.series import Counter, Gauge
 
@@ -63,7 +63,7 @@ class BudgetTelemetry:
     def report(self) -> dict[str, float]:
         """Plain-dict summary row (experiment tabulation friendly)."""
         self.sample()
-        budget: Optional[RunBudget] = self.sim.budget
+        budget: Optional[SimBudgetConfig] = self.sim.budget
         return {
             "events_executed": self.events_executed.total,
             "event_budget": float(budget.max_events) if budget and budget.max_events else 0.0,

@@ -15,7 +15,7 @@ from repro.core import PiCloud, PiCloudConfig
 from repro.core.config import SimBudgetConfig
 from repro.core.experiments import run_phase
 from repro.errors import DeadlineExceeded, PiCloudError, SimBudgetExceeded
-from repro.sim.budget import BudgetSnapshot, RunBudget
+from repro.sim.budget import BudgetSnapshot
 from repro.sim.kernel import Simulator
 from repro.sim.process import Signal, Timeout
 from repro.telemetry.budget import BudgetTelemetry
@@ -34,17 +34,16 @@ def ticker(sim, period=1.0):
 class TestRunBudgetValidation:
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):
-            RunBudget(max_events=0)
+            SimBudgetConfig(max_events=0)
         with pytest.raises(ValueError):
-            RunBudget(max_sim_time=-1.0)
+            SimBudgetConfig(max_sim_time_s=-1.0)
         with pytest.raises(ValueError):
-            RunBudget(max_wall_s=0.0)
-        with pytest.raises(ValueError):
-            RunBudget(wall_check_every=0)
+            SimBudgetConfig(max_wall_s=0.0)
 
     def test_unbounded(self):
-        assert RunBudget().unbounded
-        assert not RunBudget(max_events=10).unbounded
+        assert SimBudgetConfig().unbounded
+        assert SimBudgetConfig().run_budget() is None
+        assert not SimBudgetConfig(max_events=10).unbounded
 
     def test_config_validates_budget_knobs(self):
         with pytest.raises(PiCloudError):
@@ -61,7 +60,7 @@ class TestRunBudgetValidation:
 
 class TestEventBudget:
     def test_exhaustion_raises_with_snapshot(self):
-        sim = Simulator(budget=RunBudget(max_events=25))
+        sim = Simulator(budget=SimBudgetConfig(max_events=25))
         ticker(sim)
         with pytest.raises(SimBudgetExceeded) as excinfo:
             sim.run()
@@ -76,7 +75,7 @@ class TestEventBudget:
         assert sim.budget_trips == 1
 
     def test_snapshot_names_the_repeat_offender(self):
-        sim = Simulator(budget=RunBudget(max_events=40))
+        sim = Simulator(budget=SimBudgetConfig(max_events=40))
         ticker(sim)
         with pytest.raises(SimBudgetExceeded) as excinfo:
             sim.run()
@@ -84,7 +83,7 @@ class TestEventBudget:
         assert culprit is not None and "Timeout._fire" in culprit
 
     def test_describe_is_readable(self):
-        sim = Simulator(budget=RunBudget(max_events=10))
+        sim = Simulator(budget=SimBudgetConfig(max_events=10))
         ticker(sim)
         with pytest.raises(SimBudgetExceeded) as excinfo:
             sim.run()
@@ -92,13 +91,6 @@ class TestEventBudget:
         assert "budget exceeded (events)" in text
         assert "pending events:" in text
         assert "ticker" in text
-
-    def test_enforced_when_stepping_manually(self):
-        sim = Simulator(budget=RunBudget(max_events=10))
-        ticker(sim)
-        with pytest.raises(SimBudgetExceeded):
-            while sim.step():
-                pass
 
     def test_legacy_max_events_still_returns_quietly(self):
         sim = Simulator()
@@ -110,14 +102,14 @@ class TestEventBudget:
         sim = Simulator()
         ticker(sim)
         with pytest.raises(SimBudgetExceeded):
-            sim.run(budget=RunBudget(max_events=5))
+            sim.run(budget=SimBudgetConfig(max_events=5))
         # The override does not stick.
         sim.run(max_events=5)
 
 
 class TestSimTimeBudget:
     def test_next_event_beyond_cap_trips(self):
-        sim = Simulator(budget=RunBudget(max_sim_time=10.0))
+        sim = Simulator(budget=SimBudgetConfig(max_sim_time_s=10.0))
         ticker(sim, period=3.0)
         with pytest.raises(SimBudgetExceeded) as excinfo:
             sim.run()
@@ -126,7 +118,7 @@ class TestSimTimeBudget:
         assert sim.now == 10.0
 
     def test_run_until_below_cap_is_unaffected(self):
-        sim = Simulator(budget=RunBudget(max_sim_time=100.0))
+        sim = Simulator(budget=SimBudgetConfig(max_sim_time_s=100.0))
         ticker(sim, period=1.0)
         sim.run(until=50.0)
         assert sim.now == 50.0
@@ -134,7 +126,7 @@ class TestSimTimeBudget:
 
 class TestWallClockWatchdog:
     def test_zero_progress_loop_is_killed(self):
-        sim = Simulator(budget=RunBudget(max_wall_s=0.2, wall_check_every=64))
+        sim = Simulator(budget=SimBudgetConfig(max_wall_s=0.2))
 
         def respin():
             sim.schedule(0.0, respin)
@@ -146,10 +138,26 @@ class TestWallClockWatchdog:
         assert sim.watchdog_trips == 1
         assert excinfo.value.snapshot.wall_elapsed_s >= 0.2
 
+    @pytest.mark.timeout(20)
+    def test_run_until_signal_honours_installed_wall_budget(self):
+        cloud = PiCloud(PiCloudConfig.small(
+            budget=SimBudgetConfig(max_wall_s=0.5), start_monitoring=False,
+        ))
+        cloud.boot()
+
+        def respin():
+            cloud.sim.schedule(0.0, respin)
+
+        cloud.sim.schedule(0.0, respin)
+        with pytest.raises(SimBudgetExceeded) as excinfo:
+            cloud.run_until_signal(Signal(cloud.sim, name="never"))
+        assert excinfo.value.snapshot.reason == "wall_clock"
+        assert cloud.sim.watchdog_trips == 1
+
 
 class TestBudgetTelemetry:
     def test_counters_track_trips_and_events(self):
-        sim = Simulator(budget=RunBudget(max_events=20))
+        sim = Simulator(budget=SimBudgetConfig(max_events=20))
         telemetry = BudgetTelemetry(sim)
         ticker(sim)
         with pytest.raises(SimBudgetExceeded):
@@ -265,6 +273,38 @@ class TestRunPhase:
             run_phase(cloud, "drained", signal=never, sim_seconds=5.0)
         assert "drained" in str(excinfo.value)
 
+    @pytest.mark.timeout(20)
+    def test_wall_watchdog_names_the_phase(self, small_cloud):
+        sim = small_cloud.sim
+
+        def respin():
+            sim.schedule(0.0, respin)
+
+        sim.schedule(0.0, respin)
+        never = Signal(sim, name="never")
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            run_phase(small_cloud, "spin-phase", signal=never, wall_s=0.2)
+        assert "spin-phase" in str(excinfo.value)
+        assert excinfo.value.deadline_s == 0.2
+        assert sim.watchdog_trips == 1
+        assert sim.budget_trips == 1
+
+    def test_tighter_installed_wall_budget_wins(self):
+        cloud = PiCloud(PiCloudConfig.small(
+            racks=1, pis=2, start_monitoring=False, routing="shortest",
+            budget=SimBudgetConfig(max_wall_s=0.2),
+        ))
+        cloud.boot()
+
+        def respin():
+            cloud.sim.schedule(0.0, respin)
+
+        cloud.sim.schedule(0.0, respin)
+        never = Signal(cloud.sim, name="never")
+        with pytest.raises(SimBudgetExceeded) as excinfo:
+            run_phase(cloud, "spin-phase", signal=never, wall_s=30.0)
+        assert excinfo.value.snapshot.reason == "wall_clock"
+
 
 class TestFabricResidueRegression:
     """The root cause of the seed suite's hangs (consolidation,
@@ -277,7 +317,7 @@ class TestFabricResidueRegression:
         from repro.netsim.fabric import FlowState, Network
         from repro.netsim.topology import Topology
 
-        sim = Simulator(budget=RunBudget(max_events=50_000))
+        sim = Simulator(budget=SimBudgetConfig(max_events=50_000))
         topo = Topology()
         topo.add_host("a")
         topo.add_host("b")

@@ -51,6 +51,13 @@ class TestCommands:
         assert "PiCloud control panel" in out
         assert "web-1" in out and "db-1" in out
 
+    def test_dashboard_budget_trip_in_spawn_wait(self, capsys):
+        assert main(["dashboard", "--racks", "1", "--pis", "3",
+                     "--routing", "shortest", "--max-events", "50"]) == 3
+        err = capsys.readouterr().err
+        assert "run budget exceeded" in err
+        assert "spawn:web-1" in err
+
     def test_storm_small(self, capsys):
         assert main(["storm", "--racks", "2", "--pis", "2",
                      "--routing", "sdn-least-congested",

@@ -5,6 +5,7 @@ import pytest
 from repro.core import PiCloud, PiCloudConfig
 from repro.errors import PiCloudError
 from repro.hardware import PowerState, RASPBERRY_PI_MODEL_B_512
+from repro.sim.process import Signal
 
 
 class TestConfig:
@@ -127,6 +128,38 @@ class TestBoot:
         cloud.boot()
         ip = cloud.pimaster.dns.resolve("pi-r0-n0")
         assert ip == cloud.pimaster.node_ip("pi-r0-n0")
+
+
+class TestRunUntilSignal:
+    def test_stops_right_after_the_firing_event(self):
+        cloud = PiCloud(PiCloudConfig.small(start_monitoring=False))
+        cloud.boot()
+        signal = Signal(cloud.sim, name="fires")
+        later = []
+        cloud.sim.schedule(2.0, signal.succeed)
+        cloud.sim.schedule(3.0, later.append, "late")
+        started = cloud.sim.now
+        cloud.run_until_signal(signal)
+        assert signal.ok
+        assert cloud.sim.now == started + 2.0
+        assert later == []
+
+    def test_cap_leaves_no_stop_behind(self):
+        cloud = PiCloud(PiCloudConfig.small(start_monitoring=False))
+        cloud.boot()
+        signal = Signal(cloud.sim, name="late")
+        fired = []
+        cloud.sim.schedule(5.0, signal.succeed)
+        cloud.sim.schedule(6.0, fired.append, "after")
+        started = cloud.sim.now
+        cloud.run_until_signal(signal, max_seconds=1.0)
+        assert not signal.triggered
+        assert cloud.sim.now == started + 1.0
+        # A later run must not stop when the signal finally fires.
+        cloud.run_for(10.0)
+        assert signal.ok
+        assert fired == ["after"]
+        assert cloud.sim.now == started + 11.0
 
 
 class TestPowerAndFailure:

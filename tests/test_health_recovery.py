@@ -18,6 +18,7 @@ from repro.errors import CircuitOpenError
 from repro.faults import FaultSchedule
 from repro.mgmt.health import BreakerState, CircuitBreaker, NodeHealth
 from repro.sim.kernel import Simulator
+from tests.sim_helpers import run_while
 
 HEARTBEAT_INTERVAL_S = 1.0
 DEAD_AFTER_MISSES = 3
@@ -56,14 +57,6 @@ def run_until(cloud, signal, deadline=3600.0):
     cloud.run_until_signal(signal, max_seconds=deadline)
     assert signal.triggered, f"signal {signal.name!r} did not trigger"
     return signal.value
-
-
-def run_while(cloud, condition, max_seconds):
-    """Step the simulator while ``condition()`` holds, up to a cap."""
-    deadline = cloud.sim.now + max_seconds
-    while condition() and cloud.sim.now < deadline:
-        if not cloud.sim.step():
-            break
 
 
 # -- circuit breaker unit behaviour ----------------------------------------

@@ -28,6 +28,7 @@ from repro.netsim import Network
 from repro.netsim.topology import single_switch
 from repro.sim import Simulator
 from repro.units import mib
+from tests.sim_helpers import run_while
 
 HEARTBEAT_S = 1.0
 
@@ -60,13 +61,6 @@ def build_cloud(tracing=False, **overrides):
 
 
 RACK0 = ["pi-r0-n0", "pi-r0-n1", "tor0"]
-
-
-def run_while(cloud, condition, max_seconds):
-    deadline = cloud.sim.now + max_seconds
-    while condition() and cloud.sim.now < deadline:
-        if not cloud.sim.step():
-            break
 
 
 # -- the gen-2 detector state machine ---------------------------------------

@@ -78,7 +78,7 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         event = sim.schedule(1.0, fired.append, "nope")
-        sim.cancel(event)
+        event.cancel()
         sim.run()
         assert fired == []
 
@@ -135,8 +135,25 @@ class TestRunControl:
         sim.run(max_events=3)
         assert sim.events_executed == 3
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+    def test_stop_returns_after_the_current_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
+        sim.schedule(1.0, fired.append, "b")
+        sim.schedule(2.0, fired.append, "c")
+        sim.run(until=10.0)
+        assert fired == ["a"]
+        assert sim.now == 1.0
+        sim.run()
+        assert fired == ["a", "b", "c"]
+
+    def test_stop_outside_run_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.stop()
+        sim.run()
+        assert fired == ["a"]
 
     def test_nested_run_rejected(self):
         sim = Simulator()

@@ -13,7 +13,7 @@ from repro.core.config import PiCloudConfig, TraceConfig
 from repro.errors import DeadlineExceeded, SimBudgetExceeded
 from repro.faults import FaultSchedule
 from repro.mgmt.node_daemon import NODE_DAEMON_PORT
-from repro.sim.budget import RunBudget
+from repro.sim.budget import SimBudgetConfig
 from repro.sim.kernel import Simulator
 from repro.telemetry.budget import BudgetTelemetry
 from repro.trace import Tracer
@@ -186,7 +186,7 @@ def test_node_daemon_504_body_carries_trace_id():
 
 
 def test_budget_snapshot_records_active_trace_id():
-    sim = Simulator(budget=RunBudget(max_events=10))
+    sim = Simulator(budget=SimBudgetConfig(max_events=10))
     tracer = Tracer(sim)
     telemetry = BudgetTelemetry(sim)
     span = tracer.start_span("experiment.phase", kind="test")
@@ -202,7 +202,7 @@ def test_budget_snapshot_records_active_trace_id():
 
 
 def test_budget_snapshot_trace_id_none_when_untraced():
-    sim = Simulator(budget=RunBudget(max_events=10))
+    sim = Simulator(budget=SimBudgetConfig(max_events=10))
     telemetry = BudgetTelemetry(sim)
     for i in range(50):
         sim.schedule(0.1 * i, lambda: None)
