@@ -15,7 +15,6 @@ Fig. 1/2 system in software::
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 from repro import trace
@@ -79,14 +78,6 @@ class PiCloud:
 
     def __init__(self, config: Optional[PiCloudConfig] = None) -> None:
         self.config = config or PiCloudConfig()
-        # Profiling starts before any other construction so the dump
-        # covers the full cold start (build + boot), not just the run.
-        self.profiler = None
-        if self.config.profile_out:
-            import cProfile
-
-            self.profiler = cProfile.Profile()
-            self.profiler.enable()
         self.sim = Simulator(budget=self.config.run_budget())
         self.tracer: Optional[Tracer] = None
         if self.config.trace.enabled:
@@ -229,29 +220,7 @@ class PiCloud:
             self.kernels[name] = HostKernel(self.sim, machine, self.ip_fabric)
 
         # The pimaster and its services.
-        health = self.config.health
-        self.pimaster = PiMaster(
-            self.kernels[PIMASTER_NODE],
-            subnet=self.config.subnet,
-            zone=self.config.dns_zone,
-            monitoring_interval_s=self.config.monitoring_interval_s,
-            monitoring_idle_backoff=self.config.monitoring_idle_backoff,
-            monitoring_max_interval_s=self.config.monitoring_max_interval_s,
-            op_deadline_s=self.config.op_deadline_s,
-            op_attempts=self.config.op_attempts,
-            op_backoff_s=self.config.op_backoff_s,
-            heartbeat_interval_s=health.heartbeat_interval_s,
-            heartbeat_timeout_s=health.heartbeat_timeout_s,
-            suspect_after_misses=health.suspect_after_misses,
-            dead_after_misses=health.dead_after_misses,
-            evacuation_queue_limit=health.evacuation_queue_limit,
-            evacuation_retry_budget=health.evacuation_retry_budget,
-            breaker_failure_threshold=health.breaker_failure_threshold,
-            breaker_reset_s=health.breaker_reset_s,
-            unreachable_grace_s=health.unreachable_grace_s,
-            fencing=health.fencing,
-            witness_count=health.witness_count,
-        )
+        self.pimaster = PiMaster(self.kernels[PIMASTER_NODE], self.config)
         self.pimaster.health.fault_context_provider = self.fault_context
         pool = self.pimaster.dhcp.pool
         pimaster_ip = pool.allocate()
@@ -528,25 +497,6 @@ class PiCloud:
             )
         self.tracer.finish_open_spans()
         return self.tracer.write(path)
-
-    def write_profile(self, path: Optional[str] = None) -> str:
-        """Stop the ``profile_out`` profiler and dump pstats to disk.
-
-        Returns the path written.  The dump covers everything since
-        construction -- build, boot and all simulation run so far -- and
-        is loadable with ``pstats.Stats(path)`` or snakeviz.
-        """
-        if self.profiler is None:
-            raise PiCloudError(
-                "profiling is off; build with PiCloudConfig(profile_out=...)"
-            )
-        self.profiler.disable()
-        target = path or self.config.profile_out
-        parent = os.path.dirname(target)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self.profiler.dump_stats(target)
-        return target
 
     # -- measurements ------------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import ConfigurationError, PiCloudError
+from repro.errors import ConfigurationError
 from repro.hardware.catalog import (
     RASPBERRY_PI_MODEL_B,
     RASPBERRY_PI_MODEL_B_512,
@@ -207,7 +207,10 @@ class RateModelConfig:
     ``md_factor`` on loss; ``dctcp_g`` is DCTCP's EWMA gain; the delay
     variant backs off when smoothed RTT exceeds ``delay_threshold``
     times the propagation RTT, smoothing with weight ``delay_smoothing``.
-    Defaults mirror :mod:`repro.netsim.cc` (pinned by ``tests/test_cc.py``).
+    The defaults are tuned for the paper's fabric: 100 Mb/s links,
+    shallow switch buffers (200 x 1500 B packets) and a DCTCP-style ECN
+    threshold at 15% of the buffer.  This class is the only place the
+    knobs are declared, defaulted and checked; the model copies them.
     """
 
     model: str = "maxmin"
@@ -283,20 +286,7 @@ class RateModelConfig:
             return None
         from repro.netsim.cc import CcRateModel
 
-        return CcRateModel(
-            protocol=self.protocol,
-            epoch_s=self.epoch_s,
-            queue_limit_bytes=self.queue_limit_bytes,
-            ecn_threshold_frac=self.ecn_threshold_frac,
-            init_cwnd_bytes=self.init_cwnd_bytes,
-            min_cwnd_bytes=self.min_cwnd_bytes,
-            mss_bytes=self.mss_bytes,
-            ai_mss_per_rtt=self.ai_mss_per_rtt,
-            md_factor=self.md_factor,
-            dctcp_g=self.dctcp_g,
-            delay_threshold=self.delay_threshold,
-            delay_smoothing=self.delay_smoothing,
-        )
+        return CcRateModel(self)
 
 
 @dataclass(kw_only=True)
@@ -352,17 +342,12 @@ class PiCloudConfig:
     # Management-plane operation guards: container start/stop/migrate and
     # other REST orchestration time out after op_deadline_s (simulated)
     # and are retried up to op_attempts times with exponential backoff
-    # starting at op_backoff_s.
+    # starting at op_backoff_s.  Management calls can legitimately take
+    # minutes (an image push moves hundreds of MiB across the fabric onto
+    # an SD card), so the deadline defaults generous.
     op_deadline_s: float = 1800.0
     op_attempts: int = 3
     op_backoff_s: float = 1.0
-
-    # -- diagnostics ------------------------------------------------------
-    # When set, the cloud starts a cProfile.Profile() at construction
-    # (covering build + boot + everything run afterwards) and
-    # ``write_profile()`` dumps pstats to this path.  The CLI's
-    # ``--profile`` does not use it: it profiles the whole command.
-    profile_out: Optional[str] = None
 
     # -- grouped sub-configs ----------------------------------------------
     budget: SimBudgetConfig = field(default_factory=SimBudgetConfig)
@@ -376,25 +361,25 @@ class PiCloudConfig:
 
     def __post_init__(self) -> None:
         if self.num_racks < 1 or self.pis_per_rack < 1:
-            raise PiCloudError("need at least one rack with one Pi")
+            raise ConfigurationError("need at least one rack with one Pi")
         if self.op_deadline_s <= 0:
-            raise PiCloudError(f"op_deadline_s must be > 0, got {self.op_deadline_s}")
+            raise ConfigurationError(f"op_deadline_s must be > 0, got {self.op_deadline_s}")
         if self.op_attempts < 1:
-            raise PiCloudError(f"op_attempts must be >= 1, got {self.op_attempts}")
+            raise ConfigurationError(f"op_attempts must be >= 1, got {self.op_attempts}")
         if self.op_backoff_s < 0:
-            raise PiCloudError(f"op_backoff_s must be >= 0, got {self.op_backoff_s}")
+            raise ConfigurationError(f"op_backoff_s must be >= 0, got {self.op_backoff_s}")
         if self.topology not in TOPOLOGY_KINDS:
-            raise PiCloudError(
+            raise ConfigurationError(
                 f"unknown topology {self.topology!r}; use one of {TOPOLOGY_KINDS}"
             )
         if self.routing not in ROUTING_MODES:
-            raise PiCloudError(
+            raise ConfigurationError(
                 f"unknown routing {self.routing!r}; use one of {ROUTING_MODES}"
             )
         if self.topology == "fat-tree":
             capacity = self.fat_tree_k ** 3 // 4
             if self.node_count > capacity:
-                raise PiCloudError(
+                raise ConfigurationError(
                     f"fat-tree k={self.fat_tree_k} holds {capacity} hosts; "
                     f"config asks for {self.node_count}"
                 )

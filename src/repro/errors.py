@@ -92,12 +92,13 @@ class ConnectionResetError(NetworkError):
 
 
 class RateModelError(NetworkError, ValueError):
-    """Invalid congestion-control rate-model parameters or misuse.
+    """Congestion-control rate-model misuse.
 
-    Raised by :mod:`repro.netsim.cc` for unknown protocols, out-of-range
-    window/queue knobs, or attaching a rate model to two fabrics.  Also a
-    ``ValueError`` so parameter-validation call sites that historically
-    caught ``ValueError`` keep working.
+    Raised by :mod:`repro.netsim.cc` for a non-positive flow RTT or for
+    attaching a rate model to two fabrics; bad knobs are rejected by
+    :class:`~repro.core.config.RateModelConfig` with
+    :class:`ConfigurationError`.  Also a ``ValueError`` so call sites
+    that historically caught ``ValueError`` keep working.
     """
 
 

@@ -221,8 +221,8 @@ class LoadEngine:
         replica host -> fabric -> client edge: the interesting
         (shared) part of the network, without inventing client hosts.
 
-    Epoch cadence, sampling, backlog shedding and histogram layout
-    default from ``cloud.config.load`` (:class:`repro.core.config.LoadConfig`).
+    Epoch cadence, sampling, backlog shedding and histogram layout come
+    from ``cloud.config.load`` (:class:`repro.core.config.LoadConfig`).
     """
 
     def __init__(
@@ -233,9 +233,6 @@ class LoadEngine:
         *,
         regions: Optional[Mapping[str, Sequence[str]]] = None,
         client_edges: Optional[Sequence[str]] = None,
-        epoch_s: Optional[float] = None,
-        sample_arrivals: Optional[bool] = None,
-        backlog_epochs: Optional[int] = None,
     ) -> None:
         if not services:
             raise ConfigurationError("LoadEngine needs at least one service")
@@ -249,19 +246,9 @@ class LoadEngine:
         self.arrivals = arrivals
 
         knobs = cloud.config.load
-        self.epoch_s = float(epoch_s if epoch_s is not None else knobs.epoch_s)
-        if self.epoch_s <= 0:
-            raise ConfigurationError(f"epoch_s must be > 0, got {self.epoch_s}")
-        self.sample_arrivals = bool(
-            knobs.arrival_sampling if sample_arrivals is None else sample_arrivals
-        )
-        self.backlog_epochs = int(
-            knobs.backlog_epochs if backlog_epochs is None else backlog_epochs
-        )
-        if self.backlog_epochs < 1:
-            raise ConfigurationError(
-                f"backlog_epochs must be >= 1, got {self.backlog_epochs}"
-            )
+        self.epoch_s = float(knobs.epoch_s)
+        self.sample_arrivals = bool(knobs.arrival_sampling)
+        self.backlog_epochs = int(knobs.backlog_epochs)
         self._hist_layout = (knobs.histogram_min_s, knobs.histogram_max_s,
                              knobs.histogram_buckets_per_decade)
 

@@ -26,7 +26,7 @@ This module provides the two mechanisms the pimaster uses to do so:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import trace
 from repro.mgmt.rest import RestClient
@@ -34,9 +34,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import AllOf, Timeout
 from repro.trace.span import SpanContext
 
-DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
-DEFAULT_SUSPECT_MISSES = 2
-DEFAULT_DEAD_MISSES = 4
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import HealthConfig
 
 
 class NodeHealth(enum.Enum):
@@ -160,45 +159,34 @@ class FailureDetector:
     the trace context of the most recent fault instant against a node, so
     ``health.node-suspect`` / ``health.node-dead`` instants descend from
     the fault that caused them.
+
+    The interval, miss thresholds and gen-2 knobs are copied from
+    ``config`` (:class:`~repro.core.config.HealthConfig`, which validates
+    them) at construction.
     """
 
     def __init__(
         self,
         sim: Simulator,
         client: RestClient,
-        interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        suspect_misses: int = DEFAULT_SUSPECT_MISSES,
-        dead_misses: int = DEFAULT_DEAD_MISSES,
+        config: "HealthConfig",
         daemon_port: int = 8600,
         fault_context_provider: Optional[
             Callable[[str], Optional[SpanContext]]] = None,
         breaker_for: Optional[Callable[[str], Optional[CircuitBreaker]]] = None,
-        unreachable_grace_s: float = 0.0,
-        witness_count: int = 2,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if suspect_misses < 1 or dead_misses <= suspect_misses:
-            raise ValueError(
-                "need 1 <= suspect_misses < dead_misses "
-                f"(got {suspect_misses}, {dead_misses})"
-            )
-        if unreachable_grace_s < 0:
-            raise ValueError("unreachable_grace_s must be >= 0")
-        if witness_count < 1:
-            raise ValueError("witness_count must be >= 1")
         self.sim = sim
         self.client = client
-        self.interval_s = interval_s
-        self.suspect_misses = suspect_misses
-        self.dead_misses = dead_misses
+        self.interval_s = config.heartbeat_interval_s
+        self.suspect_misses = config.suspect_after_misses
+        self.dead_misses = config.dead_after_misses
         self.daemon_port = daemon_port
         # Gen-2 (partition-aware) detection: > 0 switches accrued
         # dead_misses to UNREACHABLE and requires witness corroboration
         # plus grace expiry before declaring DEAD.  0.0 = legacy binary
         # detector, byte-identical behaviour.
-        self.unreachable_grace_s = unreachable_grace_s
-        self.witness_count = witness_count
+        self.unreachable_grace_s = config.unreachable_grace_s
+        self.witness_count = config.witness_count
         self.fault_context_provider = fault_context_provider
         self.breaker_for = breaker_for
         self._targets: Dict[str, str] = {}          # node_id -> management IP

@@ -9,7 +9,7 @@ the component behind the paper's Fig. 4 control panel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro import trace
 from repro.errors import (
@@ -36,6 +36,9 @@ from repro.netsim.addresses import Ipv4Pool
 from repro.placement.base import NodeView, PlacementPolicy, PlacementRequest
 from repro.placement.policies import FirstFit
 from repro.sim.process import Signal, Timeout
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import PiCloudConfig
 
 
 @dataclass
@@ -69,53 +72,26 @@ class ContainerRecord:
 class PiMaster:
     """The head node: registry + services + orchestration."""
 
-    def __init__(
-        self,
-        kernel: HostKernel,
-        subnet: str = "10.0.0.0/16",
-        zone: str = "picloud.dcs.gla.ac.uk",
-        placement_policy: Optional[PlacementPolicy] = None,
-        monitoring_interval_s: float = 5.0,
-        monitoring_idle_backoff: float = 2.0,
-        monitoring_max_interval_s: Optional[float] = None,
-        image_service: Optional[ImageService] = None,
-        op_deadline_s: float = 1800.0,
-        op_attempts: int = 3,
-        op_backoff_s: float = 1.0,
-        heartbeat_interval_s: float = 2.0,
-        heartbeat_timeout_s: float = 1.0,
-        suspect_after_misses: int = 2,
-        dead_after_misses: int = 4,
-        evacuation_queue_limit: int = 64,
-        evacuation_retry_budget: int = 2,
-        breaker_failure_threshold: int = 5,
-        breaker_reset_s: float = 60.0,
-        unreachable_grace_s: float = 0.0,
-        fencing: bool = False,
-        witness_count: int = 2,
-    ) -> None:
+    def __init__(self, kernel: HostKernel, config: "PiCloudConfig") -> None:
         self.kernel = kernel
         self.sim = kernel.sim
-        # Management calls can legitimately take minutes (an image push
-        # moves hundreds of MiB across the fabric onto an SD card), so the
-        # per-attempt deadline defaults generous; transport-level failures
-        # (timeout, no route, connection refused) are retried with
-        # exponential backoff before the orchestration gives up.
-        self.op_deadline_s = op_deadline_s
-        self.op_attempts = op_attempts
-        self.op_backoff_s = op_backoff_s
+        # Every pimaster knob -- management addressing, monitoring
+        # cadence, operation guards and the self-healing plane -- is read
+        # from the cloud's config (``config.health`` for the latter).
+        self.config = config
+        health = config.health
         self.op_retries = 0
         self.op_deadline_failures = 0
-        self.client = RestClient(kernel.netstack, timeout_s=op_deadline_s)
-        self.dhcp = DhcpServer(self.sim, Ipv4Pool(subnet))
-        self.dns = DnsServer(zone)
-        self.images = image_service or ImageService(self.sim)
+        self.client = RestClient(kernel.netstack, timeout_s=config.op_deadline_s)
+        self.dhcp = DhcpServer(self.sim, Ipv4Pool(config.subnet))
+        self.dns = DnsServer(config.dns_zone)
+        self.images = ImageService(self.sim)
         self.monitoring = MonitoringService(
-            self.sim, self.client, interval_s=monitoring_interval_s,
-            idle_backoff=monitoring_idle_backoff,
-            max_interval_s=monitoring_max_interval_s,
+            self.sim, self.client, interval_s=config.monitoring_interval_s,
+            idle_backoff=config.monitoring_idle_backoff,
+            max_interval_s=config.monitoring_max_interval_s,
         )
-        self.placement_policy: PlacementPolicy = placement_policy or FirstFit()
+        self.placement_policy: PlacementPolicy = FirstFit()
         self._nodes: Dict[str, NodeRecord] = {}
         self._containers: Dict[str, ContainerRecord] = {}
         # Indexes kept in step with _containers so node_views() does not
@@ -133,35 +109,25 @@ class PiMaster:
         # Self-healing plane: per-node circuit breakers, the heartbeat
         # failure detector (its own short-timeout client so dead nodes
         # cannot stall probing), and the evacuation/recovery worker.
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_reset_s = breaker_reset_s
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.health = FailureDetector(
             self.sim,
-            RestClient(kernel.netstack, timeout_s=heartbeat_timeout_s),
-            interval_s=heartbeat_interval_s,
-            suspect_misses=suspect_after_misses,
-            dead_misses=dead_after_misses,
+            RestClient(kernel.netstack, timeout_s=health.heartbeat_timeout_s),
+            health,
             daemon_port=NODE_DAEMON_PORT,
             breaker_for=self._breakers.get,
-            unreachable_grace_s=unreachable_grace_s,
-            witness_count=witness_count,
         )
         # Split-brain safety: when fencing is on, every spawn carries the
         # next value of this monotone counter, daemons reject stale-epoch
         # ops, and a node coming back from UNREACHABLE/DEAD is reconciled
         # (its stale duplicate containers destroyed -- newest epoch wins).
-        self.fencing = fencing
+        self.fencing = health.fencing
         self.fencing_epoch = 0
         self.reconciles = 0
         self.duplicate_container_epochs = 0
         self.false_dead_evacuations = 0
         self._evacuated_nodes: set[str] = set()
-        self.recovery = RecoveryManager(
-            self,
-            queue_limit=evacuation_queue_limit,
-            retry_budget=evacuation_retry_budget,
-        )
+        self.recovery = RecoveryManager(self)
         self.health.add_listener(self._on_health_transition)
         self.health.add_listener(self.recovery.on_transition)
 
@@ -179,8 +145,8 @@ class PiMaster:
         self.dns.register(node_id, ip)
         self._breakers[node_id] = CircuitBreaker(
             self.sim,
-            failure_threshold=self.breaker_failure_threshold,
-            reset_timeout_s=self.breaker_reset_s,
+            failure_threshold=self.config.health.breaker_failure_threshold,
+            reset_timeout_s=self.config.health.breaker_reset_s,
             node_id=node_id,
         )
         self.health.watch(node_id, ip)
@@ -551,12 +517,13 @@ class PiMaster:
         (and everything server-side) nests under it; each attempt is one
         child span of ``parent``, failed attempts ending in error status.
         """
+        config = self.config
         breaker = self._breakers.get(node_id) if node_id is not None else None
         last_error: Optional[RestError] = None
-        for attempt in range(self.op_attempts):
+        for attempt in range(config.op_attempts):
             if attempt:
                 self.op_retries += 1
-                yield Timeout(self.sim, self.op_backoff_s * (2 ** (attempt - 1)))
+                yield Timeout(self.sim, config.op_backoff_s * (2 ** (attempt - 1)))
             if breaker is not None and not breaker.allow():
                 self.breaker_fast_fails += 1
                 raise CircuitOpenError(
@@ -586,10 +553,10 @@ class PiMaster:
             return response
         self.op_deadline_failures += 1
         raise DeadlineExceeded(
-            f"{what} failed after {self.op_attempts} attempts "
-            f"({self.op_deadline_s}s per-attempt deadline): {last_error}",
-            deadline_s=self.op_deadline_s,
-            attempts=self.op_attempts,
+            f"{what} failed after {config.op_attempts} attempts "
+            f"({config.op_deadline_s}s per-attempt deadline): {last_error}",
+            deadline_s=config.op_deadline_s,
+            attempts=config.op_attempts,
             trace_id=getattr(parent, "trace_id", None),
         )
 

@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = logging.getLogger("repro.recovery")
 
-DEFAULT_QUEUE_LIMIT = 64
-DEFAULT_RETRY_BUDGET = 2
-DEFAULT_RETRY_BACKOFF_S = 5.0
+# A failed respawn waits RETRY_BACKOFF_S x its attempt number before the
+# next try.
+RETRY_BACKOFF_S = 5.0
 
 
 @dataclass
@@ -73,24 +73,19 @@ class _Evacuation:
 
 
 class RecoveryManager:
-    """Respawn containers lost to dead nodes via the placement policy."""
+    """Respawn containers lost to dead nodes via the placement policy.
 
-    def __init__(
-        self,
-        pimaster: "PiMaster",
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-    ) -> None:
-        if queue_limit < 1:
-            raise ValueError("recovery queue_limit must be >= 1")
-        if retry_budget < 0:
-            raise ValueError("recovery retry_budget must be >= 0")
+    The queue limit and per-container retry budget come from the
+    pimaster's ``config.health`` (``evacuation_queue_limit`` and
+    ``evacuation_retry_budget``).
+    """
+
+    def __init__(self, pimaster: "PiMaster") -> None:
+        health = pimaster.config.health
         self.pimaster = pimaster
         self.sim = pimaster.sim
-        self.queue_limit = queue_limit
-        self.retry_budget = retry_budget
-        self.retry_backoff_s = retry_backoff_s
+        self.queue_limit = health.evacuation_queue_limit
+        self.retry_budget = health.evacuation_retry_budget
         self._queue: Deque[_EvacuationItem] = deque()
         self._worker = None
         self._evacuations: Dict[int, _Evacuation] = {}
@@ -226,7 +221,7 @@ class RecoveryManager:
                     return
                 item.attempts += 1
                 self.respawn_retries += 1
-                yield Timeout(self.sim, self.retry_backoff_s * item.attempts)
+                yield Timeout(self.sim, RETRY_BACKOFF_S * item.attempts)
                 continue
             self.containers_respawned += 1
             if evacuation is not None:

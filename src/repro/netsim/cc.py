@@ -50,29 +50,9 @@ from repro.netsim.fairness import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import RateModelConfig
     from repro.netsim.fabric import FlowTransfer, Network
     from repro.netsim.link import LinkDirection
-
-RATE_MODELS = ("maxmin", "cc")
-CC_PROTOCOLS = ("reno", "dctcp", "delay")
-
-# Default knobs, mirrored (and validated) by
-# repro.core.config.RateModelConfig -- tests/test_cc.py pins the two in
-# sync.  Tuned for the paper's fabric: 100 Mb/s links, shallow switch
-# buffers (200 x 1500 B packets), DCTCP-style ECN threshold at 15% of
-# the buffer.
-DEFAULT_EPOCH_S = 0.001
-DEFAULT_QUEUE_LIMIT_BYTES = 300_000.0
-DEFAULT_ECN_THRESHOLD_FRAC = 0.15
-DEFAULT_INIT_CWND_BYTES = 15_000.0
-DEFAULT_MIN_CWND_BYTES = 1_500.0
-DEFAULT_MSS_BYTES = 1_500.0
-DEFAULT_AI_MSS_PER_RTT = 1.0
-DEFAULT_MD_FACTOR = 0.5
-DEFAULT_DCTCP_G = 0.0625
-DEFAULT_DELAY_THRESHOLD = 1.25
-DEFAULT_DELAY_SMOOTHING = 0.1
-
 
 class RateModel:
     """Strategy interface: how the fabric assigns rates to active flows.
@@ -148,8 +128,11 @@ class MaxMinRateModel(RateModel):
 class CcFlowState:
     """Per-flow congestion-control state: the window and its update rule.
 
-    Usable standalone (unit tests drive :meth:`update` with hand-built
-    signal sequences); the :class:`CcRateModel` owns one per active flow.
+    The protocol and its constants come from a
+    :class:`~repro.core.config.RateModelConfig`; ``rtt_base_s`` is the
+    flow's propagation RTT.  Usable standalone (unit tests drive
+    :meth:`update` with hand-built signal sequences); the
+    :class:`CcRateModel` owns one per active flow.
     """
 
     __slots__ = (
@@ -159,35 +142,18 @@ class CcFlowState:
         "ecn_signals", "loss_signals", "decreases",
     )
 
-    def __init__(
-        self,
-        protocol: str,
-        *,
-        rtt_base_s: float,
-        init_cwnd_bytes: float = DEFAULT_INIT_CWND_BYTES,
-        min_cwnd_bytes: float = DEFAULT_MIN_CWND_BYTES,
-        mss_bytes: float = DEFAULT_MSS_BYTES,
-        ai_mss_per_rtt: float = DEFAULT_AI_MSS_PER_RTT,
-        md_factor: float = DEFAULT_MD_FACTOR,
-        dctcp_g: float = DEFAULT_DCTCP_G,
-        delay_threshold: float = DEFAULT_DELAY_THRESHOLD,
-        delay_smoothing: float = DEFAULT_DELAY_SMOOTHING,
-    ) -> None:
-        if protocol not in CC_PROTOCOLS:
-            raise RateModelError(
-                f"unknown cc protocol {protocol!r}; choose from {CC_PROTOCOLS}"
-            )
+    def __init__(self, config: "RateModelConfig", *, rtt_base_s: float) -> None:
         if rtt_base_s <= 0:
             raise RateModelError(f"rtt_base_s must be positive, got {rtt_base_s}")
-        self.protocol = protocol
-        self.cwnd = float(init_cwnd_bytes)
-        self.min_cwnd = float(min_cwnd_bytes)
-        self.mss = float(mss_bytes)
-        self.ai_mss_per_rtt = float(ai_mss_per_rtt)
-        self.md_factor = float(md_factor)
-        self.dctcp_g = float(dctcp_g)
-        self.delay_threshold = float(delay_threshold)
-        self.delay_smoothing = float(delay_smoothing)
+        self.protocol = config.protocol
+        self.cwnd = float(config.init_cwnd_bytes)
+        self.min_cwnd = float(config.min_cwnd_bytes)
+        self.mss = float(config.mss_bytes)
+        self.ai_mss_per_rtt = float(config.ai_mss_per_rtt)
+        self.md_factor = float(config.md_factor)
+        self.dctcp_g = float(config.dctcp_g)
+        self.delay_threshold = float(config.delay_threshold)
+        self.delay_smoothing = float(config.delay_smoothing)
         self.rtt_base = float(rtt_base_s)
         self.alpha = 0.0           # DCTCP ECN-fraction EWMA
         self.srtt: Optional[float] = None  # delay-variant smoothed RTT
@@ -291,78 +257,21 @@ class CcRateModel(RateModel):
     components -- lives in an :class:`_EpochPlan` rebuilt on the first
     tick after churn, so a steady epoch pays for signals, windows and
     the fill alone.
+
+    Every knob comes from ``config``
+    (:class:`~repro.core.config.RateModelConfig`, which validates them);
+    the ones the model reads itself are copied once, here.
     """
 
     name = "cc"
 
-    def __init__(
-        self,
-        *,
-        protocol: str = "reno",
-        epoch_s: float = DEFAULT_EPOCH_S,
-        queue_limit_bytes: float = DEFAULT_QUEUE_LIMIT_BYTES,
-        ecn_threshold_frac: float = DEFAULT_ECN_THRESHOLD_FRAC,
-        init_cwnd_bytes: float = DEFAULT_INIT_CWND_BYTES,
-        min_cwnd_bytes: float = DEFAULT_MIN_CWND_BYTES,
-        mss_bytes: float = DEFAULT_MSS_BYTES,
-        ai_mss_per_rtt: float = DEFAULT_AI_MSS_PER_RTT,
-        md_factor: float = DEFAULT_MD_FACTOR,
-        dctcp_g: float = DEFAULT_DCTCP_G,
-        delay_threshold: float = DEFAULT_DELAY_THRESHOLD,
-        delay_smoothing: float = DEFAULT_DELAY_SMOOTHING,
-    ) -> None:
+    def __init__(self, config: "RateModelConfig") -> None:
         super().__init__()
-        if protocol not in CC_PROTOCOLS:
-            raise RateModelError(
-                f"unknown cc protocol {protocol!r}; choose from {CC_PROTOCOLS}"
-            )
-        if epoch_s <= 0:
-            raise RateModelError(f"epoch_s must be positive, got {epoch_s}")
-        if queue_limit_bytes <= 0:
-            raise RateModelError(
-                f"queue_limit_bytes must be positive, got {queue_limit_bytes}"
-            )
-        if not 0.0 < ecn_threshold_frac <= 1.0:
-            raise RateModelError(
-                f"ecn_threshold_frac must be in (0, 1], got {ecn_threshold_frac}"
-            )
-        if min_cwnd_bytes <= 0 or init_cwnd_bytes < min_cwnd_bytes:
-            raise RateModelError(
-                "need 0 < min_cwnd_bytes <= init_cwnd_bytes, got "
-                f"min={min_cwnd_bytes} init={init_cwnd_bytes}"
-            )
-        if mss_bytes <= 0:
-            raise RateModelError(f"mss_bytes must be positive, got {mss_bytes}")
-        if ai_mss_per_rtt <= 0:
-            raise RateModelError(
-                f"ai_mss_per_rtt must be positive, got {ai_mss_per_rtt}"
-            )
-        if not 0.0 < md_factor < 1.0:
-            raise RateModelError(
-                f"md_factor must be in (0, 1), got {md_factor}"
-            )
-        if not 0.0 < dctcp_g <= 1.0:
-            raise RateModelError(f"dctcp_g must be in (0, 1], got {dctcp_g}")
-        if delay_threshold <= 1.0:
-            raise RateModelError(
-                f"delay_threshold must exceed 1.0, got {delay_threshold}"
-            )
-        if not 0.0 < delay_smoothing <= 1.0:
-            raise RateModelError(
-                f"delay_smoothing must be in (0, 1], got {delay_smoothing}"
-            )
-        self.protocol = protocol
-        self.epoch_s = float(epoch_s)
-        self.queue_limit_bytes = float(queue_limit_bytes)
-        self.ecn_threshold_frac = float(ecn_threshold_frac)
-        self.init_cwnd_bytes = float(init_cwnd_bytes)
-        self.min_cwnd_bytes = float(min_cwnd_bytes)
-        self.mss_bytes = float(mss_bytes)
-        self.ai_mss_per_rtt = float(ai_mss_per_rtt)
-        self.md_factor = float(md_factor)
-        self.dctcp_g = float(dctcp_g)
-        self.delay_threshold = float(delay_threshold)
-        self.delay_smoothing = float(delay_smoothing)
+        self.config = config
+        self.protocol = config.protocol
+        self.epoch_s = float(config.epoch_s)
+        self.queue_limit_bytes = float(config.queue_limit_bytes)
+        self.ecn_threshold_frac = float(config.ecn_threshold_frac)
         self._states: Dict["FlowTransfer", CcFlowState] = {}
         self._plan: Optional[_EpochPlan] = None
         self._tick_event = None
@@ -383,18 +292,7 @@ class CcRateModel(RateModel):
             # Zero-latency path (loopback-ish): fall back to one epoch so
             # the demand stays finite.
             rtt_base = self.epoch_s
-        state = CcFlowState(
-            self.protocol,
-            rtt_base_s=rtt_base,
-            init_cwnd_bytes=self.init_cwnd_bytes,
-            min_cwnd_bytes=self.min_cwnd_bytes,
-            mss_bytes=self.mss_bytes,
-            ai_mss_per_rtt=self.ai_mss_per_rtt,
-            md_factor=self.md_factor,
-            dctcp_g=self.dctcp_g,
-            delay_threshold=self.delay_threshold,
-            delay_smoothing=self.delay_smoothing,
-        )
+        state = CcFlowState(self.config, rtt_base_s=rtt_base)
         self._states[flow] = state
         # Completion-boundary signal plumbing: observers (and the load
         # engine) read the flow's cc state after it finishes.

@@ -48,31 +48,18 @@ def congestion_score(direction) -> float:
     return score
 
 
-def _all_shortest(
-    graph: nx.Graph, src: str, dst: str, controller=None
-) -> List[List[str]]:
-    """All shortest paths, sorted: from the controller's structured path
-    cache when one is attached, else a direct graph search."""
-    if controller is not None:
-        return controller.paths.shortest_paths(src, dst)
-    try:
-        return sorted([list(p) for p in nx.all_shortest_paths(graph, src, dst)])
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        raise NoRouteError(f"no path from {src!r} to {dst!r}") from None
-
-
 class ShortestPathApp:
     """Always the lexicographically-first shortest path (static baseline)."""
 
     def compute_path(self, graph, src, dst, flow_key, controller):
-        return _all_shortest(graph, src, dst, controller)[0]
+        return controller.paths.shortest_paths(src, dst)[0]
 
 
 class EcmpHashApp:
     """Hash the flow key across all equal-cost shortest paths."""
 
     def compute_path(self, graph, src, dst, flow_key, controller):
-        paths = _all_shortest(graph, src, dst, controller)
+        paths = controller.paths.shortest_paths(src, dst)
         digest = hashlib.sha256(repr((src, dst, flow_key)).encode()).digest()
         return paths[int.from_bytes(digest[:4], "big") % len(paths)]
 
@@ -90,7 +77,7 @@ class LeastCongestedPathApp:
         self.extra_paths = extra_paths
 
     def compute_path(self, graph, src, dst, flow_key, controller):
-        candidates = _all_shortest(graph, src, dst, controller)
+        candidates = controller.paths.shortest_paths(src, dst)
         if self.extra_paths > 0:
             try:
                 longer = islice(

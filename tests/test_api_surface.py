@@ -66,7 +66,6 @@ EXPECTED_CONFIG_FIELDS = [
     "subnet", "dns_zone", "monitoring_interval_s", "monitoring_idle_backoff",
     "monitoring_max_interval_s", "start_monitoring", "op_deadline_s",
     "op_attempts", "op_backoff_s",
-    "profile_out",
     "budget", "health", "trace", "load", "rate_model",
     "seed",
 ]

@@ -50,6 +50,8 @@ class TestRunBudgetValidation:
             PiCloudConfig.small(budget=SimBudgetConfig(max_events=0))
         with pytest.raises(PiCloudError):
             PiCloudConfig.small(op_attempts=0)
+        with pytest.raises(ValueError):
+            PiCloudConfig.small(op_attempts=0)
         assert PiCloudConfig.small().run_budget() is None
         budget = PiCloudConfig.small(
             budget=SimBudgetConfig(max_events=100, max_wall_s=5.0)

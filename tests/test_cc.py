@@ -17,6 +17,7 @@ Four layers of assurance:
   ``specs/cc_contrast.yaml`` sweeps the same workload).
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -30,7 +31,6 @@ import repro
 from repro.campaign.scenarios import run_cc_contrast
 from repro.core.config import PiCloudConfig, RateModelConfig
 from repro.errors import ConfigurationError, NetworkError, RateModelError
-from repro.netsim import cc
 from repro.netsim.cc import CcFlowState, CcRateModel, MaxMinRateModel
 from repro.netsim.fabric import Network
 from repro.netsim.routing import EcmpRouting
@@ -41,12 +41,17 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _state(protocol, **overrides):
-    kwargs = dict(
-        rtt_base_s=0.1, init_cwnd_bytes=10_000.0, min_cwnd_bytes=1_000.0,
+    knobs = dict(
+        init_cwnd_bytes=10_000.0, min_cwnd_bytes=1_000.0,
         mss_bytes=1_000.0, ai_mss_per_rtt=1.0, md_factor=0.5,
     )
-    kwargs.update(overrides)
-    return CcFlowState(protocol, **kwargs)
+    knobs.update(overrides)
+    config = RateModelConfig(model="cc", protocol=protocol, **knobs)
+    return CcFlowState(config, rtt_base_s=0.1)
+
+
+def _cc(protocol="reno"):
+    return RateModelConfig(model="cc", protocol=protocol).build()
 
 
 class TestRenoWindow:
@@ -144,10 +149,11 @@ class TestDelayWindow:
 
 class TestValidation:
     def test_unknown_protocol(self):
+        """The config rejects it; a ValueError, as RateModelError was."""
+        with pytest.raises(ValueError):
+            RateModelConfig(model="cc", protocol="cubic")
         with pytest.raises(RateModelError):
-            CcFlowState("cubic", rtt_base_s=0.1)
-        with pytest.raises(RateModelError):
-            CcRateModel(protocol="cubic")
+            CcFlowState(RateModelConfig(model="cc"), rtt_base_s=0.0)
 
     @pytest.mark.parametrize("knobs", [
         {"epoch_s": 0.0},
@@ -164,8 +170,8 @@ class TestValidation:
         {"delay_smoothing": 0.0},
     ])
     def test_bad_knobs_raise(self, knobs):
-        with pytest.raises(RateModelError):
-            CcRateModel(**knobs)
+        with pytest.raises(ConfigurationError):
+            RateModelConfig(model="cc", **knobs)
 
     def test_rate_model_error_is_network_and_value_error(self):
         assert issubclass(RateModelError, NetworkError)
@@ -188,7 +194,7 @@ class TestValidation:
     def test_model_attaches_to_one_network_only(self):
         sim = Simulator()
         topo = fat_tree(4)
-        model = CcRateModel()
+        model = _cc()
         Network(sim, topo, path_service=EcmpRouting(sim, topo),
                 rate_model=model)
         sim2 = Simulator()
@@ -199,37 +205,50 @@ class TestValidation:
 
 
 class TestConfigDefaultsInSync:
-    """RateModelConfig's knob defaults ARE cc.py's constants.
+    """RateModelConfig is the only home of the cc knobs: each one, set
+    away from its default, reaches the model, its queues and every
+    flow's window state."""
 
-    The config layer restates the defaults so ``--help`` and dataclass
-    reprs show real numbers; this pin keeps the two from drifting.
-    """
-
-    PAIRS = [
-        ("epoch_s", cc.DEFAULT_EPOCH_S),
-        ("queue_limit_bytes", cc.DEFAULT_QUEUE_LIMIT_BYTES),
-        ("ecn_threshold_frac", cc.DEFAULT_ECN_THRESHOLD_FRAC),
-        ("init_cwnd_bytes", cc.DEFAULT_INIT_CWND_BYTES),
-        ("min_cwnd_bytes", cc.DEFAULT_MIN_CWND_BYTES),
-        ("mss_bytes", cc.DEFAULT_MSS_BYTES),
-        ("ai_mss_per_rtt", cc.DEFAULT_AI_MSS_PER_RTT),
-        ("md_factor", cc.DEFAULT_MD_FACTOR),
-        ("dctcp_g", cc.DEFAULT_DCTCP_G),
-        ("delay_threshold", cc.DEFAULT_DELAY_THRESHOLD),
-        ("delay_smoothing", cc.DEFAULT_DELAY_SMOOTHING),
-    ]
-
-    def test_config_defaults_match_cc_constants(self):
-        config = RateModelConfig()
-        for name, expected in self.PAIRS:
-            assert getattr(config, name) == expected, name
+    # A non-default value for every RateModelConfig field but ``model``.
+    KNOBS = dict(
+        protocol="delay", epoch_s=0.002, queue_limit_bytes=200_000.0,
+        ecn_threshold_frac=0.25, init_cwnd_bytes=12_000.0,
+        min_cwnd_bytes=3_000.0, mss_bytes=1_000.0, ai_mss_per_rtt=2.0,
+        md_factor=0.7, dctcp_g=0.125, delay_threshold=1.5,
+        delay_smoothing=0.2,
+    )
 
     def test_built_model_carries_config_knobs(self):
-        model = RateModelConfig(model="cc", protocol="delay").build()
+        defaults = RateModelConfig()
+        fields = {f.name for f in dataclasses.fields(RateModelConfig)}
+        assert set(self.KNOBS) == fields - {"model"}
+        for name, value in self.KNOBS.items():
+            assert getattr(defaults, name) != value, name
+
+        model = RateModelConfig(model="cc", **self.KNOBS).build()
         assert isinstance(model, CcRateModel)
-        assert model.protocol == "delay"
-        for name, expected in self.PAIRS:
-            assert getattr(model, name) == expected, name
+        assert model.describe() == {
+            "model": "cc", "protocol": "delay", "epoch_s": 0.002,
+            "queue_limit_bytes": 200_000.0, "ecn_threshold_frac": 0.25,
+        }
+        sim = Simulator()
+        topo = fat_tree(4)
+        net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
+                      rate_model=model)
+        queue = net.direction("p0-edge0", "h0").queue
+        assert queue.limit_bytes == 200_000.0
+        assert queue.ecn_threshold_bytes == 200_000.0 * 0.25
+        flow = net.transfer("h1", "h0", 1e9)
+        sim.run(until=0.0019)
+        state = flow.cc
+        assert (state.protocol, state.cwnd) == ("delay", 12_000.0)
+        assert (state.min_cwnd, state.mss, state.ai_mss_per_rtt) == (
+            3_000.0, 1_000.0, 2.0)
+        assert (state.md_factor, state.dctcp_g) == (0.7, 0.125)
+        assert (state.delay_threshold, state.delay_smoothing) == (1.5, 0.2)
+        assert state.srtt is None          # no epoch tick before 2 ms
+        sim.run(until=0.0021)
+        assert state.srtt is not None
 
     def test_maxmin_builds_to_none(self):
         """None means the fabric installs its zero-cost default."""
@@ -274,7 +293,7 @@ class TestMaxminDefaultPath:
         sim = Simulator()
         topo = fat_tree(4)
         net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
-                      rate_model=CcRateModel(protocol="reno"))
+                      rate_model=_cc("reno"))
         hosts = sorted(topo.hosts())
         flow = net.transfer(hosts[0], hosts[1], 1e9, rate_cap=1e5)
         sim.run(until=2.0)
@@ -285,7 +304,7 @@ class TestMaxminDefaultPath:
         sim = Simulator()
         topo = fat_tree(4)
         net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
-                      rate_model=CcRateModel(protocol="dctcp"))
+                      rate_model=_cc("dctcp"))
         hosts = sorted(topo.hosts())
         flow = net.transfer(hosts[0], hosts[1], 1e9)
         sim.run(until=1.0)
@@ -398,7 +417,8 @@ class TestDctcpVsRenoContrast:
 
     def test_reno_fills_the_buffer(self, arms):
         reno = arms["reno"]
-        assert reno["queue_depth_p99"] >= 0.9 * cc.DEFAULT_QUEUE_LIMIT_BYTES
+        assert reno["queue_depth_p99"] >= (
+            0.9 * RateModelConfig().queue_limit_bytes)
         assert reno["drop_events"] > 0            # loss is Reno's only signal
 
     def test_dctcp_keeps_queues_below_a_third_of_reno(self, arms):
@@ -484,7 +504,7 @@ def _gray_incast(fault_at):
     sim = Simulator()
     topo = fat_tree(4)
     net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
-                  rate_model=CcRateModel(protocol="reno"))
+                  rate_model=_cc("reno"))
     for i in range(1, 9):
         net.transfer(f"h{i}", "h0", 5e6, flow_key=f"h{i}")
     queue = net.direction("p0-edge0", "h0").queue
@@ -746,7 +766,7 @@ def _cc_scenario(protocol, scenario):
     sim = Simulator()
     topo = fat_tree(4)
     net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
-                  rate_model=CcRateModel(protocol=protocol))
+                  rate_model=_cc(protocol))
     flows = []
 
     def start(src, dst, size):

@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service
+from repro import (
+    LoadConfig, LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service,
+)
 from repro.errors import (
     ConfigurationError,
     ConnectionResetError,
@@ -191,7 +193,9 @@ class TestGraySlo:
 
 _GRAY_DETERMINISM_SCRIPT = """
 import json, sys
-from repro import LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service
+from repro import (
+    LoadConfig, LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service,
+)
 
 config = PiCloudConfig.small(racks=2, pis=2, seed=21, routing="shortest",
                              start_monitoring=False)
@@ -233,15 +237,15 @@ class TestGrayCrossProcessDeterminism:
 
 class TestDeferredRetry:
     def _engine(self, backlog_epochs=8):
-        cloud = small_cloud(seed=5)
+        cloud = small_cloud(seed=5,
+                            load=LoadConfig(backlog_epochs=backlog_epochs))
         cloud.spawn_and_wait("webserver", name="web0", node_id="pi-r0-n0",
                              group="web")
         # Gen-2 detector on (grace > 0) without running the heartbeat
         # loop: tests drive the recorded states directly.
         cloud.pimaster.health.unreachable_grace_s = 30.0
         engine = LoadEngine(cloud, [Service("web")],
-                            PoissonArrivals(10.0),
-                            backlog_epochs=backlog_epochs)
+                            PoissonArrivals(10.0))
         return cloud, engine
 
     def test_unreachable_replicas_defer_then_retry(self):

@@ -8,16 +8,18 @@ fault -> detection -> evacuation -> respawn must be reconstructible from
 the trace file alone.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.cloud import PiCloud
 from repro.core.config import HealthConfig, PiCloudConfig, TraceConfig
-from repro.errors import CircuitOpenError
+from repro.errors import CircuitOpenError, DeadlineExceeded, RestError
 from repro.faults import FaultSchedule
 from repro.mgmt.health import BreakerState, CircuitBreaker, NodeHealth
 from repro.sim.kernel import Simulator
+from repro.sim.process import Signal
 from tests.sim_helpers import run_while
 
 HEARTBEAT_INTERVAL_S = 1.0
@@ -383,3 +385,69 @@ def test_retried_spawn_after_dropped_response_does_not_duplicate():
     assert record.node_id == node
     assert cloud.pimaster.container_record("web-x").ip == record.ip
     assert cloud.container("web-x").name == "web-x"
+
+
+class TestKnobsReachTheControlPlane:
+    """Every HealthConfig and op_* knob, set away from its default,
+    reaches the detector, recovery, breakers or pimaster that reads it."""
+
+    HEALTH = dict(
+        enabled=True, heartbeat_interval_s=3.0, heartbeat_timeout_s=0.75,
+        suspect_after_misses=3, dead_after_misses=5,
+        evacuation_queue_limit=9, evacuation_retry_budget=4,
+        breaker_failure_threshold=7, breaker_reset_s=45.0,
+        unreachable_grace_s=12.0, fencing=True, witness_count=3,
+    )
+    OPS = dict(op_deadline_s=600.0, op_attempts=5, op_backoff_s=0.25)
+
+    def test_every_knob_reaches_its_component(self):
+        fields = {f.name for f in dataclasses.fields(HealthConfig)}
+        assert set(self.HEALTH) == fields
+        defaults = (HealthConfig(), PiCloudConfig())
+        for knobs, default in zip((self.HEALTH, self.OPS), defaults):
+            for name, value in knobs.items():
+                assert getattr(default, name) != value, name
+        cloud = PiCloud(PiCloudConfig.small(
+            start_monitoring=False, routing="shortest",
+            health=HealthConfig(**self.HEALTH), **self.OPS,
+        ))
+        cloud.boot()
+        pimaster = cloud.pimaster
+        detector = pimaster.health
+        assert detector._process is not None       # enabled: runs from boot
+        assert detector.client.timeout_s == 0.75
+        assert (detector.interval_s, detector.suspect_misses,
+                detector.dead_misses) == (3.0, 3, 5)
+        assert (detector.unreachable_grace_s, detector.witness_count) == (
+            12.0, 3)
+        assert (pimaster.recovery.queue_limit,
+                pimaster.recovery.retry_budget) == (9, 4)
+        breaker = pimaster.breaker("pi-r0-n0")
+        assert (breaker.failure_threshold, breaker.reset_timeout_s) == (
+            7, 45.0)
+        assert pimaster.fencing is True
+        assert pimaster.client.timeout_s == 600.0
+        assert cloud.daemons["pi-r0-n0"].op_deadline_s == 600.0
+
+        # op_attempts and op_backoff_s shape the retry loop: 5 refused
+        # attempts, 4 backoffs of 0.25 x (1 + 2 + 4 + 8) s in all.
+        def refused(span):
+            signal = Signal(cloud.sim, name="refused")
+            signal.fail(RestError(0, "connection refused"))
+            return signal
+
+        outcome = {}
+
+        def call():
+            try:
+                yield from pimaster._call_with_retry(refused, "probe")
+            except DeadlineExceeded as exc:
+                outcome["error"] = exc
+
+        start = cloud.sim.now
+        cloud.sim.process(call(), name="probe")
+        run_while(cloud, lambda: "error" not in outcome, 60.0)
+        error = outcome["error"]
+        assert (error.attempts, error.deadline_s) == (5, 600.0)
+        assert pimaster.op_retries == 4
+        assert cloud.sim.now - start == pytest.approx(0.25 * 15)

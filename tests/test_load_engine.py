@@ -21,6 +21,7 @@ import pytest
 from repro import (
     ConfigurationError,
     FlashCrowdArrivals,
+    LoadConfig,
     LoadEngine,
     LoadError,
     PiCloud,
@@ -63,14 +64,13 @@ class TestEngineValidation:
             LoadEngine(cloud, [Service("web"), Service("web")],
                        PoissonArrivals(1.0))
 
-    def test_rejects_bad_epoch_and_backlog(self):
-        cloud = small_cloud()
-        with pytest.raises(ConfigurationError):
-            LoadEngine(cloud, [Service("web")], PoissonArrivals(1.0),
-                       epoch_s=0.0)
-        with pytest.raises(ConfigurationError):
-            LoadEngine(cloud, [Service("web")], PoissonArrivals(1.0),
-                       backlog_epochs=0)
+    def test_knobs_come_from_load_config(self):
+        cloud = small_cloud(load=LoadConfig(
+            epoch_s=2.0, backlog_epochs=3, arrival_sampling=False))
+        engine = LoadEngine(cloud, [Service("web")], PoissonArrivals(1.0))
+        assert engine.epoch_s == 2.0
+        assert engine.backlog_epochs == 3
+        assert engine.sample_arrivals is False
 
     def test_rejects_unknown_client_edge(self):
         cloud = small_cloud()
@@ -141,10 +141,10 @@ class TestEventScaling:
         assert events < 10_000
 
     def test_epoch_knob_trades_resolution_for_events(self):
-        cloud = small_cloud(topology="fat-tree", fat_tree_k=4)
+        cloud = small_cloud(topology="fat-tree", fat_tree_k=4,
+                            load=LoadConfig(epoch_s=2.0))
         spawn_pool(cloud)
-        engine = LoadEngine(cloud, [Service("web")], PoissonArrivals(50.0),
-                            epoch_s=2.0)
+        engine = LoadEngine(cloud, [Service("web")], PoissonArrivals(50.0))
         report = engine.run(40.0)
         assert report.epochs == 20
 

@@ -142,10 +142,10 @@ class _StubClient:
 
 def _detector(states, grace=5.0):
     sim = Simulator()
-    detector = FailureDetector(
-        sim, client=None, interval_s=1.0, suspect_misses=1, dead_misses=2,
+    detector = FailureDetector(sim, None, HealthConfig(
+        heartbeat_interval_s=1.0, suspect_after_misses=1, dead_after_misses=2,
         unreachable_grace_s=grace, witness_count=2,
-    )
+    ))
     for index, (node, state) in enumerate(sorted(states.items())):
         detector.watch(node, f"10.0.0.{index + 1}")
         detector._states[node] = state
