@@ -65,7 +65,9 @@ for record in result.records:
 
 
 def _mean(records, metric):
-    values = [r.metrics[metric] for r in records if metric in r.metrics]
+    # Index, do not filter: a metric the scenario stopped reporting
+    # (a rename) fails here instead of printing nan.
+    values = [r.metrics[metric] for r in records]
     return sum(values) / len(values) if values else float("nan")
 
 
@@ -79,7 +81,7 @@ for (mtbf, mttr), bucket in sorted(by_cell.items()):
         records = bucket[healing]
         columns.append(
             f"{_mean(records, 'fleet_availability') * 100:6.2f}%  "
-            f"{_mean(records, 'containers_running'):4.1f} up"
+            f"{_mean(records, 'virt.containers_running'):4.1f} up"
         )
     print(f"  {mtbf:6.0f} {mttr:6.0f}   {columns[0]:>22s}   {columns[1]:>22s}")
 

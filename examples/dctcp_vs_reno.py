@@ -75,13 +75,14 @@ def main(argv=None):
         )
         arms[arm] = out
         print(f"{arm:<14} {out['goodput_bytes_per_s'] / 1e6:>12.2f} "
-              f"{out['queue_depth_p99'] / 1e3:>13.1f} "
-              f"{out['queue_depth_peak'] / 1e3:>8.1f} "
-              f"{out['ecn_mark_frac']:>9.3f} "
-              f"{out['drop_events']:>6d}")
+              f"{out['netsim.queue_depth_p99'] / 1e3:>13.1f} "
+              f"{out['netsim.queue_depth_peak'] / 1e3:>8.1f} "
+              f"{out['netsim.ecn_mark_frac']:>9.3f} "
+              f"{out['netsim.drop_events']:>6d}")
 
     reno, dctcp = arms["cc/reno"], arms["cc/dctcp"]
-    p99_ratio = dctcp["queue_depth_p99"] / max(reno["queue_depth_p99"], 1.0)
+    p99_ratio = (dctcp["netsim.queue_depth_p99"]
+                 / max(reno["netsim.queue_depth_p99"], 1.0))
     goodput_ratio = (dctcp["goodput_bytes_per_s"]
                      / max(reno["goodput_bytes_per_s"], 1.0))
     print(f"\nDCTCP vs Reno: p99 queue ratio {p99_ratio:.2f} "

@@ -21,16 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.store import ResultStore, RunRecord, iter_numeric_metrics
-
-# Direction heuristics for baseline deltas: which way is an improvement.
-_LOWER_BETTER = ("wall", "duration", "missed", "failure", "unschedulable",
-                 "recomputes", "flows_solved",
-                 "p50_ms", "p95_ms", "p99_ms", "p999_ms",
-                 "burn", "error_rate", "shed", "bad_requests",
-                 "duplicate", "unreachable", "false_dead",
-                 "queue_depth", "ecn_mark", "dropped", "drop_events")
-_HIGHER_BETTER = ("availability", "events_per_s", "throughput", "alive",
-                  "running", "rejoin", "good_requests", "goodput")
+from repro.telemetry.metrics import direction
 
 _CSS = """
 .viz-root {
@@ -135,16 +126,6 @@ def _fmt(value) -> str:
     return html.escape(str(value))
 
 
-def _direction(metric: str) -> int:
-    """+1 when up is good, -1 when down is good, 0 when unknown."""
-    name = metric.lower()
-    if any(tag in name for tag in _HIGHER_BETTER):
-        return 1
-    if any(tag in name for tag in _LOWER_BETTER):
-        return -1
-    return 0
-
-
 def _delta_html(metric: str, old: Optional[float],
                 new: Optional[float]) -> str:
     if old is None or new is None or old == new:
@@ -154,10 +135,10 @@ def _delta_html(metric: str, old: Optional[float],
         return f'<span class="delta">{text}</span>'
     pct = (new - old) / abs(old) * 100.0
     arrow = "▲" if pct > 0 else "▼"
-    direction = _direction(metric)
+    better = direction(metric)
     cls = "delta"
-    if direction:
-        good = (pct > 0) == (direction > 0)
+    if better:
+        good = (pct > 0) == (better > 0)
         cls += " good" if good else " bad"
     return (f'<span class="{cls}" title="baseline {_fmt(old)}">'
             f"{arrow} {abs(pct):.1f}%</span>")

@@ -12,7 +12,11 @@ Built-ins:
 
 * ``availability_mtbf`` -- the MTBF node-fault campaign against a
   (optionally self-healing) cloud, measuring fleet availability and the
-  recovery plane's counters.  ``specs/availability_mtbf.yaml`` sweeps
+  recovery plane's counters.
+
+Each built-in returns ``cloud.metrics()`` (the declared ``layer.counter``
+metrics of :mod:`repro.telemetry.metrics`) plus its own few extras,
+each declared there too.  ``specs/availability_mtbf.yaml`` sweeps
   it; CI's ``chaos-smoke`` job runs that spec.
 * ``scale_perf`` -- the consolidation-vs-congestion workload at
   56/224/896/3456 nodes (:func:`measure_scale`, which ``repro scale``
@@ -26,8 +30,8 @@ Built-ins:
 * ``partition_chaos`` -- a network partition isolates one fat-tree pod
   (hosts *and* pod switches) under live session load, sweeping
   partition duration x UNREACHABLE grace x fencing on/off.  Reports
-  split-brain accounting (``duplicate_container_epochs`` must be 0
-  with fencing on), false evacuations, unreachable seconds, and the
+  split-brain accounting (``mgmt.duplicate_container_epochs`` must be
+  0 with fencing on), false evacuations, unreachable seconds, and the
   user-visible SLO burn.  ``specs/partition_chaos.yaml`` sweeps it;
   CI's ``partition-smoke`` job runs that spec.
 
@@ -127,7 +131,7 @@ def availability_mtbf(ctx: RunContext) -> Dict[str, Any]:
     The per-run body of ``examples/availability_experiment.py``: place a
     baseline web workload, run an exponential node-fault/repair process
     for ``duration_s`` simulated seconds, and report measured fleet
-    availability plus every self-healing counter.
+    availability plus ``cloud.metrics()``.
     """
     from repro.core.cloud import PiCloud
     from repro.core.config import HealthConfig, PiCloudConfig, TraceConfig
@@ -168,12 +172,8 @@ def availability_mtbf(ctx: RunContext) -> Dict[str, Any]:
         injector.stop()
         window_end = cloud.sim.now
 
-        health = cloud.pimaster.health
-        recovery = cloud.pimaster.recovery
-        running = sum(
-            d.runtime.running_count() for d in cloud.daemons.values()
-        )
-        return {
+        metrics = cloud.metrics()
+        metrics.update({
             "fleet_availability": injector.fleet_availability(
                 window_start, window_end
             ),
@@ -183,20 +183,13 @@ def availability_mtbf(ctx: RunContext) -> Dict[str, Any]:
             "node_repairs": sum(
                 1 for e in injector.log if e.kind == "node-repair"
             ),
-            "heartbeats_sent": health.heartbeats_sent,
-            "heartbeats_missed": health.heartbeats_missed,
-            "evacuations": recovery.evacuations,
-            "containers_evacuated": recovery.containers_evacuated,
-            "containers_respawned": recovery.containers_respawned,
-            "unschedulable": len(recovery.unschedulable),
-            "rejoins": cloud.pimaster.rejoins,
-            "nodes_alive": len(health.nodes_in(NodeHealth.ALIVE))
+            "nodes_alive": len(cloud.pimaster.health.nodes_in(NodeHealth.ALIVE))
             if self_healing else sum(
                 1 for n in cloud.node_names if cloud.machines[n].is_on
             ),
-            "containers_running": running,
             "sim_time_s": cloud.sim.now,
-        }
+        })
+        return metrics
     finally:
         if ctx.trace and cloud.tracer is not None:
             cloud.write_trace(str(ctx.artifact_path("trace.jsonl")))
@@ -244,9 +237,9 @@ def measure_scale(
     round so its congestion cost can be isolated.  The defaults are the
     exact baseline workload -- byte-identical to every previous release.
     """
-    from repro.apps import OnOffTrafficSource
     from repro.core.cloud import PiCloud
     from repro.core.config import PiCloudConfig, RateModelConfig
+    from repro.core.experiments import chatty_pairs
     from repro.placement import Consolidator, WorstFit
     from repro.units import kib
 
@@ -274,25 +267,13 @@ def measure_scale(
 
     # Setup: spread container pairs wide, wire on/off traffic sources.
     # Untimed in wall_s -- each spawn triggers a fleet-wide placement scan.
-    records = [
+    for i in range(2 * pair_count):
         cloud.spawn_and_wait("base", name=f"c{i}", policy=WorstFit())
-        for i in range(2 * pair_count)
-    ]
-    rng = random.Random(11)
-    for sender, receiver in zip(records[:pair_count], records[pair_count:]):
-        cloud.container(receiver.name).listen(9000)
-        sender_container = cloud.container(sender.name)
-
-        def make_send(src=sender_container, dst_ip=receiver.ip):
-            return lambda: src.send(dst_ip, 9000, "chunk", size=kib(64))
-
-        # 20 sends/s x 64 KiB = 1.3 MB/s offered per pair: high flow
-        # churn, light enough that post-consolidation sharing congests
-        # transiently instead of collapsing into a growing backlog.
-        OnOffTrafficSource(
-            cloud.sim, rng, make_send(), on_mean_s=2.0, off_mean_s=0.5,
-            rate_per_s=20.0,
-        )
+    # 20 sends/s x 64 KiB = 1.3 MB/s offered per pair: high flow churn,
+    # light enough that post-consolidation sharing congests transiently
+    # instead of collapsing into a growing backlog.
+    pair_names = [(f"c{i}", f"c{pair_count + i}") for i in range(pair_count)]
+    chatty_pairs(cloud, pair_names, message_bytes=kib(64), rate_per_s=20.0, seed=11)
     setup_wall_s = time.monotonic() - setup_start
 
     # The timed portion: churn, a consolidation round, more churn.
@@ -309,22 +290,13 @@ def measure_scale(
     cloud.run_for(MEASURE_S)
     wall_s = time.monotonic() - start
     events = cloud.sim.events_executed - start_events
-    result = {
-        "nodes": nodes,
+    result = cloud.metrics()
+    result.update({
         "setup_wall_s": round(setup_wall_s, 3),
         "wall_s": round(wall_s, 3),
-        "events": events,
+        "sim.events": events,
         "events_per_s": round(events / wall_s) if wall_s > 0 else None,
-        "flows_started": int(cloud.network.flows_started.total),
-        "recomputes": cloud.network.recomputes,
-        "flows_solved": cloud.network.flows_solved,
-    }
-    if rate_model == "cc":
-        # The queue/ECN counters only exist on the cc path; reporting
-        # them lets the cc x consolidation sweep read congestion cost
-        # directly off the result store.
-        result["consolidate"] = consolidate
-        result.update(cloud.network.queue_metrics())
+    })
     return result
 
 
@@ -436,10 +408,9 @@ def flashcrowd_slo(ctx: RunContext) -> Dict[str, Any]:
             rerouter.stop()
 
         metrics = report.metrics()
+        metrics.update(cloud.metrics())
         metrics.update({
-            "nodes": nodes,
-            "te_apps": te_apps,
-            "kernel_events": cloud.sim.events_executed - events_before,
+            "sim.events": cloud.sim.events_executed - events_before,
             "reroutes": rerouter.reroutes if rerouter is not None else 0,
             "sim_time_s": cloud.sim.now,
         })
@@ -467,8 +438,9 @@ def partition_chaos(ctx: RunContext) -> Dict[str, Any]:
       UNREACHABLE node may be declared DEAD (grace > partition means no
       evacuation at all);
     * ``fencing`` -- whether spawns carry fencing epochs and the heal
-      reconciles duplicates (``duplicate_container_epochs`` counts the
-      *unresolved* duplicates, so it must be 0 whenever fencing is on).
+      reconciles duplicates (``mgmt.duplicate_container_epochs`` counts
+      the *unresolved* duplicates, so it must be 0 whenever fencing is
+      on).
 
     A Poisson session load runs throughout, so the partition's
     user-visible cost shows up as SLO burn, not just control-plane
@@ -554,31 +526,11 @@ def partition_chaos(ctx: RunContext) -> Dict[str, Any]:
         events_before = cloud.sim.events_executed
         report = engine.run(duration_s)
 
-        pimaster = cloud.pimaster
-        health = pimaster.health
-        recovery = pimaster.recovery
         metrics = report.metrics()
+        metrics.update(cloud.metrics())
         metrics.update({
-            "partition_s": partition_s,
-            "unreachable_grace_s": grace_s,
-            "fencing": fencing,
             "pod_members": len(members),
-            "duplicate_container_epochs": pimaster.duplicate_container_epochs,
-            "false_dead_evacuations": pimaster.false_dead_evacuations,
-            "reconciles": pimaster.reconciles,
-            "fencing_epoch": pimaster.fencing_epoch,
-            "unreachable_s": health.unreachable_seconds(),
-            "witness_probes": health.witness_probes,
-            "witness_confirmations": health.witness_confirmations,
-            "evacuations": recovery.evacuations,
-            "containers_evacuated": recovery.containers_evacuated,
-            "containers_respawned": recovery.containers_respawned,
-            "unschedulable": len(recovery.unschedulable),
-            "stale_epoch_rejections": sum(
-                daemon.stale_epoch_rejections
-                for daemon in cloud.daemons.values()
-            ),
-            "kernel_events": cloud.sim.events_executed - events_before,
+            "sim.events": cloud.sim.events_executed - events_before,
             "sim_time_s": cloud.sim.now,
         })
         return metrics
@@ -656,17 +608,12 @@ def run_cc_contrast(
     net.sync()
 
     delivered = sum(f.size - f.remaining for f in flows)
-    metrics = net.queue_metrics()
     return {
         "completed": sum(1 for f in flows if f.remaining <= 0.0),
         "delivered_bytes": delivered,
         "goodput_bytes_per_s": delivered / float(duration_s),
-        "queue_depth_p99": metrics["queue_depth_p99"],
-        "queue_depth_peak": metrics["queue_depth_peak"],
-        "ecn_mark_frac": metrics["ecn_mark_frac"],
-        "dropped_bytes": metrics["dropped_bytes"],
-        "drop_events": metrics["drop_events"],
-        "recomputes": net.recomputes,
+        **{f"netsim.{key}": value for key, value in net.queue_metrics().items()},
+        "netsim.recomputes": net.recomputes,
         "sim_time_s": sim.now,
     }
 

@@ -39,7 +39,7 @@ from repro.power.meter import CloudPowerMeter
 from repro.sim.kernel import Simulator
 from repro.sim.process import AllOf, Signal
 from repro.sim.rng import RngRegistry
-from repro.telemetry.budget import BudgetTelemetry
+from repro.telemetry import metrics as metrics_plane
 from repro.trace import Tracer
 from repro.virt.container import Container
 
@@ -84,7 +84,6 @@ class PiCloud:
             self.tracer = Tracer(
                 self.sim, kernel_events=self.config.trace.kernel_events
             )
-        self.budget_telemetry = BudgetTelemetry(self.sim)
         self.rng = RngRegistry(self.config.seed)
 
         # -- topology -----------------------------------------------------
@@ -499,6 +498,16 @@ class PiCloud:
         return self.tracer.write(path)
 
     # -- measurements ------------------------------------------------------------------------
+
+    def metrics(self) -> Dict[str, float]:
+        """Every declared cloud metric (:mod:`repro.telemetry.metrics`), now.
+
+        One flat dict of ``layer.counter`` names, sorted by name.  It only
+        reads counters: nothing is scheduled, cancelled, settled or
+        flushed, so taking it mid-run leaves the run unchanged.
+        """
+        self._require_booted()
+        return metrics_plane.snapshot(self)
 
     def total_watts(self) -> float:
         return self.power_meter.current_watts()

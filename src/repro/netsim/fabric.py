@@ -221,10 +221,7 @@ class Network:
         if not link.up:
             return
         link.up = False
-        if hasattr(self.path_service, "mark_link"):
-            self.path_service.mark_link(a, b, up=False)
-        else:
-            self.path_service.invalidate()
+        self.path_service.mark_link(a, b, up=False)
         victims = [
             flow
             for flow in self._active
@@ -241,10 +238,7 @@ class Network:
         if link.up:
             return
         link.up = True
-        if hasattr(self.path_service, "mark_link"):
-            self.path_service.mark_link(a, b, up=True)
-        else:
-            self.path_service.invalidate()
+        self.path_service.mark_link(a, b, up=True)
 
     # -- gray failures ---------------------------------------------------------
 

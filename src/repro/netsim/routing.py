@@ -5,7 +5,7 @@ Two static services live here; the OpenFlow/SDN reactive service (with a
 real control-plane round trip) is in :mod:`repro.netsim.sdn.controller`.
 
 Both static services honour link failures: the fabric calls
-``mark_link`` (or ``invalidate``) when the wiring changes.  On the
+``mark_link`` when the wiring changes.  On the
 paper's regular topologies (fat-tree, multi-root tree, single switch)
 path sets come from the analytic engine in
 :mod:`repro.netsim.structured`, keyed by *attach-switch* pair so every
@@ -43,8 +43,9 @@ class PathService(Protocol):
         with :class:`~repro.errors.NoRouteError`."""
         ...
 
-    def invalidate(self) -> None:
-        """Flush cached state after a topology change (link failure/repair)."""
+    def mark_link(self, a: str, b: str, up: bool) -> None:
+        """Fabric hook: link ``a``-``b`` failed (``up=False``) or was
+        repaired (``up=True``); drop state that depends on it."""
         ...
 
 
@@ -98,12 +99,6 @@ class PathCache:
                 self._work_graph.remove_edge(a, b)
         for key in self._pairs_by_link.pop(edge, ()):
             self._live_groups.pop(key, None)
-        self._nx_cache.clear()
-
-    def invalidate(self) -> None:
-        """Conservative full flush (protocol hook for external callers)."""
-        self._live_groups.clear()
-        self._pairs_by_link.clear()
         self._nx_cache.clear()
 
     @property
@@ -241,9 +236,6 @@ class _StaticBase:
     def mark_link(self, a: str, b: str, up: bool) -> None:
         """Fabric hook: a link changed state."""
         self.paths.mark_link(a, b, up)
-
-    def invalidate(self) -> None:
-        self.paths.invalidate()
 
     def shortest_paths(self, src: str, dst: str) -> List[List[str]]:
         return self.paths.shortest_paths(src, dst)

@@ -202,9 +202,6 @@ class OpenFlowPathService:
         self.sim.process(setup(), name=f"of-setup:{src}->{dst}")
         return signal
 
-    def invalidate(self) -> None:
-        self._installed_paths.clear()
-
     def mark_link(self, a: str, b: str, up: bool) -> None:
         """Fabric hook: propagate link state into the controller's view."""
         self.controller.mark_link(a, b, up)

@@ -120,9 +120,6 @@ class Simulator:
         self.tracer = None
         self.budget_trips = 0
         self.watchdog_trips = 0  # wall-clock trips specifically
-        # Observers called with the BudgetSnapshot when a budget trips
-        # (telemetry wiring; see repro.telemetry.budget).
-        self.budget_hooks: list[Callable[[BudgetSnapshot], None]] = []
         # Recent-event ring: stores (time, callback) pairs raw; callbacks
         # are resolved to human-readable labels only when a snapshot is
         # taken (budget trip / inspection), keeping the dispatch loop free
@@ -297,8 +294,6 @@ class Simulator:
     def _trip(self, budget: SimBudgetConfig, reason: str, wall_elapsed_s: float) -> None:
         self.budget_trips += 1
         snapshot = self.snapshot(reason, wall_elapsed_s=wall_elapsed_s)
-        for hook in self.budget_hooks:
-            hook(snapshot)
         limit = {
             "events": f"{budget.max_events} events",
             "sim_time": f"sim time t={budget.max_sim_time_s}",

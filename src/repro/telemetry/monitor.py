@@ -1,12 +1,12 @@
-"""Periodic samplers and a per-experiment metrics registry."""
+"""Periodic samplers."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Timeout
-from repro.telemetry.series import Counter, Gauge, TimeSeries
+from repro.telemetry.series import TimeSeries
 
 
 class PeriodicSampler:
@@ -45,54 +45,3 @@ class PeriodicSampler:
     def stop(self) -> None:
         self._stopped = True
         self._process.interrupt("sampler stopped")
-
-
-class MetricsRegistry:
-    """A namespace of gauges, counters and series for one component.
-
-    Components create their metrics through the registry so experiments can
-    enumerate everything that was measured::
-
-        metrics = MetricsRegistry(sim, prefix="node1")
-        util = metrics.gauge("cpu.util")
-        reqs = metrics.counter("http.requests")
-    """
-
-    def __init__(self, sim: Simulator, prefix: str = "") -> None:
-        self.sim = sim
-        self.prefix = prefix
-        self._gauges: Dict[str, Gauge] = {}
-        self._counters: Dict[str, Counter] = {}
-        self._series: Dict[str, TimeSeries] = {}
-
-    def _qualify(self, name: str) -> str:
-        return f"{self.prefix}.{name}" if self.prefix else name
-
-    def gauge(self, name: str, initial: float = 0.0) -> Gauge:
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(self.sim, self._qualify(name), initial)
-        return self._gauges[name]
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(self.sim, self._qualify(name))
-        return self._counters[name]
-
-    def series(self, name: str) -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(self._qualify(name))
-        return self._series[name]
-
-    def names(self) -> list[str]:
-        return sorted(
-            list(self._gauges) + list(self._counters) + list(self._series)
-        )
-
-    def snapshot(self) -> dict[str, float]:
-        """Current value of every gauge and counter (series excluded)."""
-        snap: dict[str, float] = {}
-        for name, gauge in self._gauges.items():
-            snap[name] = gauge.value
-        for name, counter in self._counters.items():
-            snap[name] = counter.total
-        return snap

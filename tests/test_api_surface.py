@@ -165,12 +165,7 @@ class TestGroupedConfig:
 _METRICS_TAIL = """
 import json
 cloud.write_trace(sys.argv[1])
-print(json.dumps({
-    "events": cloud.sim.events_executed,
-    "flows_started": cloud.network.flows_started.total,
-    "bytes_delivered": cloud.network.bytes_delivered.total,
-    "recomputes": cloud.network.recomputes,
-}, sort_keys=True))
+print(json.dumps(cloud.metrics()))
 """
 
 _SMALL_SCRIPT = """

@@ -18,7 +18,6 @@ from repro.errors import DeadlineExceeded, PiCloudError, SimBudgetExceeded
 from repro.sim.budget import BudgetSnapshot
 from repro.sim.kernel import Simulator
 from repro.sim.process import Signal, Timeout
-from repro.telemetry.budget import BudgetTelemetry
 
 
 def ticker(sim, period=1.0):
@@ -158,18 +157,18 @@ class TestWallClockWatchdog:
 
 
 class TestBudgetTelemetry:
+    """Budget accounting is the kernel's own counters, read through
+    ``cloud.metrics()``."""
+
     def test_counters_track_trips_and_events(self):
         sim = Simulator(budget=SimBudgetConfig(max_events=20))
-        telemetry = BudgetTelemetry(sim)
         ticker(sim)
-        with pytest.raises(SimBudgetExceeded):
+        with pytest.raises(SimBudgetExceeded) as excinfo:
             sim.run()
-        report = telemetry.report()
-        assert report["budget_trips"] == 1
-        assert report["watchdog_trips"] == 0
-        assert report["events_executed"] == 20
-        assert report["event_budget_consumed"] == 1.0
-        assert telemetry.last_snapshot is not None
+        assert sim.budget_trips == 1
+        assert sim.watchdog_trips == 0
+        assert sim.events_executed == 20
+        assert excinfo.value.snapshot.events_executed == 20
 
     def test_cloud_wires_budget_telemetry(self):
         cloud = PiCloud(PiCloudConfig.small(
@@ -178,10 +177,25 @@ class TestBudgetTelemetry:
         ))
         cloud.boot()
         cloud.run_for(10.0)
-        cloud.budget_telemetry.sample()
-        report = cloud.budget_telemetry.report()
-        assert report["events_executed"] == cloud.sim.events_executed
-        assert 0.0 < report["event_budget_consumed"] < 1.0
+        metrics = cloud.metrics()
+        assert metrics["sim.events_executed"] == cloud.sim.events_executed
+        assert metrics["sim.events_executed"] > 0
+        assert metrics["sim.budget_trips"] == 0
+        assert metrics["sim.watchdog_trips"] == 0
+
+    def test_cloud_metrics_count_a_trip(self):
+        cloud = PiCloud(PiCloudConfig.small(
+            racks=1, pis=2, start_monitoring=False, routing="shortest",
+            budget=SimBudgetConfig(max_events=20),
+        ))
+        cloud.boot()
+        ticker(cloud.sim)
+        with pytest.raises(SimBudgetExceeded):
+            cloud.run_for(1_000.0)
+        metrics = cloud.metrics()
+        assert metrics["sim.budget_trips"] == 1
+        assert metrics["sim.watchdog_trips"] == 0
+        assert metrics["sim.events_executed"] == 20
 
 
 @pytest.fixture

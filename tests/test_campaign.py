@@ -490,15 +490,15 @@ class TestPartitionChaosScenario:
             },
             seed=42,
         ))
-        assert metrics["duplicate_container_epochs"] == 0
-        assert metrics["unreachable_s"] > 0.0
-        assert metrics["fencing"] is True
+        assert metrics["mgmt.duplicate_container_epochs"] == 0
+        assert metrics["mgmt.unreachable_s"] > 0.0
+        assert metrics["mgmt.fencing_epoch"] > 0
         assert metrics["pod_members"] >= 5  # 4 hosts + pod switches
         assert metrics["web_offered_requests"] > 0
         # Grace (8 s) shorter than the partition (20 s): the pod's nodes
         # were falsely declared dead, and that is visible.
-        assert metrics["false_dead_evacuations"] > 0
-        assert metrics["stale_epoch_rejections"] >= 0
+        assert metrics["mgmt.false_dead_evacuations"] > 0
+        assert metrics["mgmt.stale_epoch_rejections"] >= 0
         assert metrics["sim_time_s"] > 30.0
 
     def test_registered_as_builtin(self):
@@ -515,7 +515,7 @@ class TestScalePerfScenario:
         scenario = resolve_scenario("scale_perf")
         ctx = dict(params={"nodes": 56, "pairs": 2}, seed=56)
         first = scenario(RunContext(**ctx))
-        assert first["events"] > 0
+        assert first["sim.events"] > 0
         assert scenario(RunContext(**ctx)) == first
 
 

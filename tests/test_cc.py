@@ -417,13 +417,13 @@ class TestDctcpVsRenoContrast:
 
     def test_reno_fills_the_buffer(self, arms):
         reno = arms["reno"]
-        assert reno["queue_depth_p99"] >= (
+        assert reno["netsim.queue_depth_p99"] >= (
             0.9 * RateModelConfig().queue_limit_bytes)
-        assert reno["drop_events"] > 0            # loss is Reno's only signal
+        assert reno["netsim.drop_events"] > 0     # loss is Reno's only signal
 
     def test_dctcp_keeps_queues_below_a_third_of_reno(self, arms):
-        assert arms["dctcp"]["queue_depth_p99"] < (
-            arms["reno"]["queue_depth_p99"] / 3.0
+        assert arms["dctcp"]["netsim.queue_depth_p99"] < (
+            arms["reno"]["netsim.queue_depth_p99"] / 3.0
         )
 
     def test_dctcp_goodput_within_ten_percent_of_reno(self, arms):
@@ -433,16 +433,17 @@ class TestDctcpVsRenoContrast:
 
     def test_dctcp_marks_instead_of_dropping(self, arms):
         dctcp = arms["dctcp"]
-        assert dctcp["ecn_mark_frac"] > 0.0
-        assert dctcp["dropped_bytes"] <= arms["reno"]["dropped_bytes"]
+        assert dctcp["netsim.ecn_mark_frac"] > 0.0
+        assert (dctcp["netsim.dropped_bytes"]
+                <= arms["reno"]["netsim.dropped_bytes"])
 
     def test_maxmin_arm_reports_no_queue_state(self):
         out = run_cc_contrast(
             rate_model="maxmin", hosts=16, fat_tree_k=4,
             senders=8, flow_bytes=1e6, duration_s=2.0,
         )
-        assert out["queue_depth_p99"] == 0.0
-        assert out["ecn_mark_frac"] == 0.0
+        assert out["netsim.queue_depth_p99"] == 0.0
+        assert out["netsim.ecn_mark_frac"] == 0.0
         assert out["delivered_bytes"] > 0.0
 
 

@@ -8,7 +8,6 @@ from repro.sim import Simulator, Timeout
 from repro.telemetry import (
     Counter,
     Gauge,
-    MetricsRegistry,
     PeriodicSampler,
     TimeSeries,
     summarize,
@@ -248,27 +247,3 @@ class TestPeriodicSampler:
         sampler.stop()
         sim.run(until=10.0)
         assert len(sampler.series) == 3
-
-
-class TestMetricsRegistry:
-    def test_gauge_cached_by_name(self, sim):
-        metrics = MetricsRegistry(sim, prefix="n1")
-        assert metrics.gauge("cpu") is metrics.gauge("cpu")
-
-    def test_prefix_applied(self, sim):
-        metrics = MetricsRegistry(sim, prefix="n1")
-        assert metrics.gauge("cpu").name == "n1.cpu"
-        assert MetricsRegistry(sim).gauge("cpu").name == "cpu"
-
-    def test_snapshot_includes_gauges_and_counters(self, sim):
-        metrics = MetricsRegistry(sim, prefix="x")
-        metrics.gauge("g").set(3.0)
-        metrics.counter("c").add(2)
-        metrics.series("s").record(0.0, 1.0)
-        assert metrics.snapshot() == {"g": 3.0, "c": 2.0}
-
-    def test_names_sorted(self, sim):
-        metrics = MetricsRegistry(sim)
-        metrics.counter("zz")
-        metrics.gauge("aa")
-        assert metrics.names() == ["aa", "zz"]

@@ -15,7 +15,6 @@ from repro.faults import FaultSchedule
 from repro.mgmt.node_daemon import NODE_DAEMON_PORT
 from repro.sim.budget import SimBudgetConfig
 from repro.sim.kernel import Simulator
-from repro.telemetry.budget import BudgetTelemetry
 from repro.trace import Tracer
 
 
@@ -188,7 +187,6 @@ def test_node_daemon_504_body_carries_trace_id():
 def test_budget_snapshot_records_active_trace_id():
     sim = Simulator(budget=SimBudgetConfig(max_events=10))
     tracer = Tracer(sim)
-    telemetry = BudgetTelemetry(sim)
     span = tracer.start_span("experiment.phase", kind="test")
     for i in range(50):
         sim.schedule(0.1 * i, lambda: None)
@@ -198,19 +196,16 @@ def test_budget_snapshot_records_active_trace_id():
     snapshot = excinfo.value.snapshot
     assert snapshot.trace_id == span.trace_id
     assert f"active trace: {span.trace_id}" in snapshot.describe()
-    assert telemetry.last_trip_trace_id == span.trace_id
 
 
 def test_budget_snapshot_trace_id_none_when_untraced():
     sim = Simulator(budget=SimBudgetConfig(max_events=10))
-    telemetry = BudgetTelemetry(sim)
     for i in range(50):
         sim.schedule(0.1 * i, lambda: None)
     with pytest.raises(SimBudgetExceeded) as excinfo:
         sim.run()
     assert excinfo.value.snapshot.trace_id is None
     assert "active trace" not in excinfo.value.snapshot.describe()
-    assert telemetry.last_trip_trace_id is None
 
 
 # -- faults appear as instant spans ---------------------------------------
