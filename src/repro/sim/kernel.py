@@ -149,12 +149,23 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative.  Lower ``priority`` values fire
-        first among events scheduled for the same instant.
+        ``delay`` must be non-negative (NaN is rejected).  Lower
+        ``priority`` values fire first among events scheduled for the same
+        instant.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule with delay {delay}s (must be >= 0)")
+        # Builds the event itself rather than forwarding ``*args`` to
+        # schedule_at: this is the hottest call in the simulator.
+        time = self._now + delay
+        seq = self._seq
+        event = Event(time, priority, seq, callback, args)
+        heapq.heappush(self._queue, (time, priority, seq, event))
+        seq += 1
+        self._seq = seq
+        if (seq & self.COMPACT_CHECK_MASK) == 0:
+            self._maybe_compact()
+        return event
 
     def schedule_at(
         self,
@@ -164,7 +175,7 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )

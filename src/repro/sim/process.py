@@ -146,13 +146,17 @@ class Timeout(Signal):
         self._event = sim.schedule(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
+        # Drop the event first: it holds this bound method, so keeping it
+        # would leave an Event<->Timeout cycle for the collector.
+        self._event = None
         if not self._triggered:
             self.succeed(value)
 
     def cancel(self) -> None:
-        """Cancel the pending timeout; no-op once triggered."""
-        if not self._triggered:
+        """Cancel the pending timeout; no-op once triggered or cancelled."""
+        if self._event is not None and not self._triggered:
             self._event.cancel()
+            self._event = None
 
 
 class AllOf(Signal):
@@ -175,12 +179,16 @@ class AllOf(Signal):
     def _on_child(self, child: Signal) -> None:
         if self._triggered:
             return
+        # Once triggered, drop the children: a child still pending holds
+        # this combinator in its callbacks, which would close a cycle.
         if child.exception is not None:
+            self._children = ()
             self.fail(child.exception)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
+            children, self._children = self._children, ()
+            self.succeed([c.value for c in children])
 
 
 class AnyOf(Signal):
@@ -202,6 +210,9 @@ class AnyOf(Signal):
         def on_child(child: Signal) -> None:
             if self._triggered:
                 return
+            # The losing children keep this callback; drop the references
+            # back to them so nothing cyclic outlives the race.
+            self._children = ()
             if child.exception is not None:
                 self.fail(child.exception)
             else:
@@ -225,7 +236,6 @@ class Process(Signal):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Optional[Signal] = None
-        self._wait_epoch = 0
         self._started = False
         # Registered for budget snapshots: the kernel reports live
         # processes when a run budget trips.
@@ -247,7 +257,7 @@ class Process(Signal):
     def _start(self) -> None:
         if not self._started:
             self._started = True
-            self._advance(lambda: self._generator.send(None))
+            self._advance(None, None)
 
     def interrupt(self, cause: Any = None) -> None:
         """Raise :class:`Interrupt` inside the generator at its yield point.
@@ -259,22 +269,28 @@ class Process(Signal):
             return
         self._detach_wait()
         self._started = True
-        self.sim.schedule(
-            0.0, self._advance, lambda: self._generator.throw(Interrupt(cause))
-        )
+        self.sim.schedule(0.0, self._advance, None, Interrupt(cause))
 
     # -- engine -------------------------------------------------------------
 
     def _detach_wait(self) -> None:
-        if self._waiting_on is not None:
-            self._wait_epoch += 1
+        signal = self._waiting_on
+        if signal is not None:
             self._waiting_on = None
+            # A triggered signal's wakeup is already queued; _resume
+            # ignores it because the signal is no longer _waiting_on.
+            if not signal._triggered:
+                signal.discard_callback(self._resume)
 
-    def _advance(self, resume: Callable[[], Any]) -> None:
-        if self.triggered:
+    def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Resume the generator with ``value``, or throw ``exc`` into it."""
+        if self._triggered:
             return
         try:
-            yielded = resume()
+            if exc is None:
+                yielded = self._generator.send(value)
+            else:
+                yielded = self._generator.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -282,43 +298,33 @@ class Process(Signal):
             # The generator let the interrupt escape: treat as termination.
             self.succeed(None)
             return
-        except BaseException as exc:  # noqa: BLE001 - process body failed
-            self.fail(exc)
+        except BaseException as error:  # noqa: BLE001 - process body failed
+            self.fail(error)
             return
-        try:
-            waitable = self._coerce(yielded)
-        except SimulationError as exc:
-            self._generator.close()
-            self.fail(exc)
-            return
-        self._wait_on(waitable)
-
-    def _coerce(self, yielded: Any) -> Signal:
         if isinstance(yielded, Signal):
-            return yielded
-        if isinstance(yielded, (int, float)):
-            return Timeout(self.sim, float(yielded))
-        raise SimulationError(
-            f"process {self.name!r} yielded unsupported value {yielded!r}"
-        )
-
-    def _wait_on(self, signal: Signal) -> None:
-        self._waiting_on = signal
-        self._wait_epoch += 1
-        epoch = self._wait_epoch
-
-        def on_done(sig: Signal) -> None:
-            # Stale wakeup after an interrupt detached us: ignore.
-            if epoch != self._wait_epoch or self.triggered:
+            signal = yielded
+        else:
+            try:
+                if not isinstance(yielded, (int, float)):
+                    raise SimulationError(
+                        f"process {self.name!r} yielded unsupported value {yielded!r}"
+                    )
+                signal = Timeout(self.sim, float(yielded))
+            except SimulationError as error:
+                self._generator.close()
+                self.fail(error)
                 return
-            self._waiting_on = None
-            exc = sig.exception
-            if exc is not None:
-                self._advance(lambda: self._generator.throw(exc))
-            else:
-                self._advance(lambda: self._generator.send(sig._value))
+        # A bound method, so a wait allocates no function or cell.
+        self._waiting_on = signal
+        signal.add_done_callback(self._resume)
 
-        signal.add_done_callback(on_done)
+    def _resume(self, signal: Signal) -> None:
+        # A wakeup from a signal we stopped waiting on (an interrupt
+        # detached us before its queued wakeup ran) is stale: ignore it.
+        if signal is not self._waiting_on:
+            return
+        self._waiting_on = None
+        self._advance(signal._value, signal._exc)
 
 
 def _spawn(self: Simulator, generator: ProcessGenerator, name: str = "") -> Process:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 
 class TestClock:
@@ -64,6 +64,26 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events() == 0
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events() == 0
+
+    def test_nan_timeout_rejected_and_clock_stays_finite(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            Timeout(sim, float("nan"))
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.now == 1.0
 
     def test_args_passed_to_callback(self):
         sim = Simulator()

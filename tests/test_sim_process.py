@@ -1,9 +1,24 @@
 """Unit tests for processes, signals and combinators (repro.sim.process)."""
 
+import gc
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 
+from repro.core import PiCloud, PiCloudConfig
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Interrupt, Signal, Simulator, Timeout
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    Event,
+    Interrupt,
+    Process,
+    Signal,
+    Simulator,
+    Timeout,
+)
+from repro.trace import Tracer
 
 
 @pytest.fixture
@@ -243,6 +258,67 @@ class TestInterrupt:
         sim.run()
         assert proc.triggered and proc.ok
 
+    def test_interrupt_before_first_run_cancels_the_body(self, sim):
+        ran = []
+
+        def worker():
+            ran.append(sim.now)
+            yield Timeout(sim, 1.0)
+
+        proc = sim.process(worker())
+        proc.interrupt("early")
+        sim.run()
+        assert ran == []
+        assert proc.ok and proc.value is None
+
+    def test_interrupt_while_deferred_wakeup_is_queued(self, sim):
+        """Waiting on a triggered signal queues a wakeup; an interrupt wins."""
+        sig = Signal(sim).succeed("v")
+        trace = []
+
+        def worker():
+            for _ in range(2):
+                try:
+                    value = yield sig
+                    trace.append(("value", sim.now, value))
+                except Interrupt as intr:
+                    trace.append(("interrupted", sim.now, intr.cause))
+
+        proc = sim.process(worker())
+        sim.run(max_events=1)  # the start: yields ``sig``, wakeup queued
+        assert trace == [] and sim.pending_events() == 1
+        proc.interrupt("stop")
+        sim.run()
+        assert trace == [("interrupted", 0.0, "stop"), ("value", 0.0, "v")]
+        assert proc.ok
+
+    def test_reyielding_pending_signal_after_interrupt_resumes_once(self, sim):
+        sig = Signal(sim)
+        order = []
+
+        def first():
+            try:
+                yield sig
+            except Interrupt:
+                order.append(("interrupted", sim.now))
+                yield sig
+            order.append(("first", sim.now))
+
+        def second():
+            # Registers on ``sig`` after first's interrupted wait but
+            # before its re-wait, so it must be woken before first.
+            yield Timeout(sim, 0.5)
+            yield sig
+            order.append(("second", sim.now))
+
+        proc = sim.process(first())
+        sim.process(second())
+        sim.schedule(1.0, proc.interrupt)
+        sim.schedule(3.0, sig.succeed)
+        sim.run()
+        assert order == [("interrupted", 1.0), ("second", 3.0), ("first", 3.0)]
+        assert proc.ok
+
 
 class TestCombinators:
     def test_all_of_waits_for_every_signal(self, sim):
@@ -304,3 +380,111 @@ class TestCombinators:
         sim.schedule(10.0, slow.succeed)
         sim.run()
         assert proc.value == "timed-out"
+
+    @pytest.mark.parametrize("late", ["succeed", "fail"])
+    def test_any_of_ignores_children_after_it_triggered(self, sim, late):
+        sigs = [Signal(sim), Signal(sim)]
+        combo = AnyOf(sim, sigs)
+        resumed = []
+
+        def worker():
+            resumed.append((yield combo))
+
+        sim.process(worker())
+        sim.schedule(1.0, sigs[1].succeed, "winner")
+        if late == "succeed":
+            sim.schedule(2.0, sigs[0].succeed, "late")
+        else:
+            sim.schedule(2.0, sigs[0].fail, ValueError("late"))
+        sim.run()
+        assert combo.value == (1, "winner")
+        assert resumed == [(1, "winner")]
+
+    @pytest.mark.parametrize("late", ["succeed", "fail"])
+    def test_all_of_ignores_children_after_it_failed(self, sim, late):
+        sigs = [Signal(sim), Signal(sim)]
+        combo = AllOf(sim, sigs)
+        first = ValueError("first")
+        sim.schedule(1.0, sigs[0].fail, first)
+        if late == "succeed":
+            sim.schedule(2.0, sigs[1].succeed, "late")
+        else:
+            sim.schedule(2.0, sigs[1].fail, ValueError("late"))
+        sim.run()
+        assert combo.exception is first
+
+
+class TestResumeLabels:
+    def test_deferred_resume_is_labelled_with_the_process_name(self, sim):
+        """Waiting on a triggered signal queues ``Process._resume[name]``."""
+        tracer = Tracer(sim, kernel_events=True)
+        ready = Signal(sim).succeed("v")
+
+        def worker():
+            yield ready
+
+        sim.process(worker(), name="poller")
+        sim.run()
+        expected = [(0.0, "Process._start[poller]"),
+                    (0.0, "Process._resume[poller]")]
+        assert sim.snapshot().recent_events == expected
+        assert list(tracer.kernel_event_log) == expected
+
+
+KERNEL_TYPES = (Timeout, Event, AnyOf, AllOf, Process)
+
+
+@contextmanager
+def cyclic_kernel_garbage():
+    """Count, on exit, the kernel objects only the cycle collector frees."""
+    leaked = Counter()
+    was_enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield leaked
+        gc.collect()
+        leaked.update(type(obj).__name__ for obj in gc.garbage[start:]
+                      if isinstance(obj, KERNEL_TYPES))
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[start:]
+        if was_enabled:
+            gc.enable()
+
+
+class TestRefcountReclamation:
+    """Kernel objects are freed by reference counting, not the collector."""
+
+    def test_lost_races_leave_no_cycles(self, sim):
+        with cyclic_kernel_garbage() as leaked:
+            for _ in range(3):
+                # The timeout wins; the pending loser keeps the callback.
+                AnyOf(sim, [Timeout(sim, 1.0), Signal(sim)])
+                # One child fails fast; its pending sibling keeps the callback.
+                failing = Signal(sim)
+                AllOf(sim, [failing, Signal(sim)])
+                sim.schedule(0.5, failing.fail, ValueError("x"))
+            # A cancelled timeout's queue entry is popped unexecuted.
+            timeout = Timeout(sim, 5.0)
+            timeout.cancel()
+            del timeout
+            sim.run()
+        assert leaked == Counter()
+
+    def test_cloud_leaves_no_cyclic_kernel_garbage(self):
+        # A short REST deadline lets the guards' queue entries pop within
+        # the run, so a lost race's objects become unreachable.
+        cloud = PiCloud(PiCloudConfig.small(op_deadline_s=120.0))
+        with cyclic_kernel_garbage() as leaked:
+            cloud.boot()  # AllOf over the node boots
+            # REST calls race their replies against AnyOf timeout guards.
+            cloud.spawn_and_wait("webserver", name="web-1")
+            cloud.run_until_signal(
+                cloud.pimaster.set_limits("web-1", cpu_quota=0.5))
+            cloud.run_until_signal(cloud.pimaster.destroy_container("web-1"))
+            cloud.run_for(150.0)  # monitoring polls; every guard pops
+        assert cloud.pimaster.monitoring.polls > 0
+        assert leaked == Counter()
