@@ -3,8 +3,9 @@
 Each benchmark reproduces one table/figure of the paper (see DESIGN.md's
 per-experiment index).  Benchmarks both *assert* the paper's qualitative
 shape (who wins, by roughly what factor) and *print* the regenerated
-table so ``pytest benchmarks/ --benchmark-only -s`` shows the artefacts.
-Timing numbers from pytest-benchmark measure the simulator itself.
+table so ``pytest benchmarks/ -s`` shows the artefacts.  They are plain
+pytest tests: the simulator's own timing lives in ``bench/``.  The
+per-test hang guard comes from the repository's root ``conftest.py``.
 """
 
 import pytest
@@ -27,13 +28,6 @@ def build_paper_cloud(**overrides) -> PiCloud:
     cloud = PiCloud(config)
     cloud.boot()
     return cloud
-
-
-def spawn_and_wait(cloud, image, **kwargs):
-    signal = cloud.spawn(image, **kwargs)
-    cloud.run_until_signal(signal)
-    assert signal.triggered, "spawn did not complete"
-    return signal.value
 
 
 @pytest.fixture

@@ -40,10 +40,8 @@ def interactive_latency(scheduler_cls):
     return summarize(latencies)
 
 
-def test_ablation_gps_vs_fifo_scheduler(benchmark):
-    gps = benchmark.pedantic(
-        lambda: interactive_latency(FairShareScheduler), rounds=1, iterations=1
-    )
+def test_ablation_gps_vs_fifo_scheduler():
+    gps = interactive_latency(FairShareScheduler)
     fifo = interactive_latency(FifoScheduler)
 
     print("\nAblation -- 10 short requests behind a 10s batch task\n")
@@ -100,10 +98,8 @@ def run_flow_burst(proactive: bool):
     }
 
 
-def test_ablation_reactive_vs_proactive_openflow(benchmark):
-    reactive = benchmark.pedantic(
-        lambda: run_flow_burst(proactive=False), rounds=1, iterations=1
-    )
+def test_ablation_reactive_vs_proactive_openflow():
+    reactive = run_flow_burst(proactive=False)
     proactive = run_flow_burst(proactive=True)
 
     print("\nAblation -- OpenFlow reactive vs proactive rule install\n")

@@ -35,10 +35,8 @@ def fill_node(spec_name):
     return cloud, started
 
 
-def test_density_three_containers_on_256mb(benchmark):
-    cloud, started = benchmark.pedantic(
-        lambda: fill_node("raspberry-pi-model-b"), rounds=1, iterations=1
-    )
+def test_density_three_containers_on_256mb():
+    cloud, started = fill_node("raspberry-pi-model-b")
     # The paper's number, exactly.
     assert started == 3
     # Each idle container holds ~30 MB.
@@ -48,11 +46,9 @@ def test_density_three_containers_on_256mb(benchmark):
             assert container.memory_bytes == mib(30)
 
 
-def test_density_doubles_with_512mb(benchmark):
+def test_density_doubles_with_512mb():
     cloud_256, started_256 = fill_node("raspberry-pi-model-b")
-    cloud_512, started_512 = benchmark.pedantic(
-        lambda: fill_node("raspberry-pi-model-b-512"), rounds=1, iterations=1
-    )
+    cloud_512, started_512 = fill_node("raspberry-pi-model-b-512")
     assert started_256 == 3
     # The doubled RAM all goes to guests: +256 MB => +8 x 30 MB containers.
     assert started_512 >= 2 * started_256
@@ -64,7 +60,7 @@ def test_density_doubles_with_512mb(benchmark):
     ))
 
 
-def test_density_failure_is_oom(benchmark):
+def test_density_failure_is_oom():
     """The fourth start fails with OOM specifically (not a generic error)."""
     cloud, started = fill_node("raspberry-pi-model-b")
     daemon = cloud.daemons["pi-r0-n0"]
@@ -76,5 +72,5 @@ def test_density_failure_is_oom(benchmark):
         cloud.sim.run(until=cloud.sim.now + 600.0)
         return start.exception
 
-    exc = benchmark.pedantic(overflow, rounds=1, iterations=1)
+    exc = overflow()
     assert isinstance(exc, OutOfMemoryError)

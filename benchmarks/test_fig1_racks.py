@@ -26,9 +26,9 @@ def render_racks(cloud) -> str:
     return "\n".join(lines)
 
 
-def test_fig1_rack_inventory(benchmark):
+def test_fig1_rack_inventory():
     cloud = build_paper_cloud()
-    racks = benchmark(cloud.rack_inventory)
+    racks = cloud.rack_inventory()
 
     # 4 racks x 14 Pis = 56 boards.
     assert len(racks) == 4
@@ -48,12 +48,12 @@ def test_fig1_rack_inventory(benchmark):
     print("\n" + "\n".join(diagram.splitlines()[:12]) + "\n    ...")
 
 
-def test_fig1_all_booted_and_inventoried(benchmark):
+def test_fig1_all_booted_and_inventoried():
     cloud = build_paper_cloud()
 
     def inventory():
         return [m.describe() for m in cloud.machines.values()]
 
-    rows = benchmark(inventory)
+    rows = inventory()
     assert len(rows) == 57  # 56 Pis + pimaster
     assert sum(1 for r in rows if r["state"] == "on") == 57

@@ -15,9 +15,9 @@ from repro.netsim.topology import fat_tree, rack_host_names
 from conftest import build_paper_cloud
 
 
-def test_fig2_multi_root_tree_architecture(benchmark):
+def test_fig2_multi_root_tree_architecture():
     cloud = build_paper_cloud()
-    shape = benchmark(cloud.describe)
+    shape = cloud.describe()
 
     assert shape["pis"] == 56
     assert shape["net_tor"] == 4            # one ToR per rack
@@ -44,7 +44,7 @@ def test_fig2_multi_root_tree_architecture(benchmark):
           f"{shape['net_links']} cables")
 
 
-def test_fig2_redundancy_multi_root(benchmark):
+def test_fig2_redundancy_multi_root():
     """Two roots => losing one aggregation switch never partitions Pis."""
     cloud = build_paper_cloud()
 
@@ -56,14 +56,14 @@ def test_fig2_redundancy_multi_root(benchmark):
             n for n in graph if n.startswith("tor")
         ]).copy())
 
-    assert benchmark(survives_root_loss)
+    assert survives_root_loss()
 
 
-def test_fig2_recable_to_fat_tree(benchmark):
+def test_fig2_recable_to_fat_tree():
     """The same 56 Pis re-cabled as a k=8 fat-tree (capacity 128)."""
     hosts = [name for rack in rack_host_names(4, 14) for name in rack]
 
-    topo = benchmark(fat_tree, 8, hosts)
+    topo = fat_tree(8, hosts)
     shape = topo.describe()
     assert shape["host"] == 56
     assert shape["core"] == 16          # (k/2)^2

@@ -8,7 +8,7 @@ on one simulated Pi and verify each layer is present and doing its job.
 
 from repro.virt import ContainerState, LibvirtConnection
 
-from conftest import build_small_cloud, spawn_and_wait
+from conftest import build_small_cloud
 
 
 def render_stack(cloud, node_id) -> str:
@@ -30,16 +30,16 @@ def render_stack(cloud, node_id) -> str:
     ])
 
 
-def test_fig3_full_stack_on_one_pi(benchmark):
+def test_fig3_full_stack_on_one_pi():
     """One Pi running the paper's three app containers concurrently."""
     cloud = build_small_cloud()
     node = "pi-r0-n0"
     for image, name in (("webserver", "web"), ("database", "db"),
                         ("hadoop-worker", "hadoop")):
-        spawn_and_wait(cloud, image, name=name, node_id=node)
+        cloud.spawn_and_wait(image, name=name, node_id=node)
 
     daemon = cloud.daemons[node]
-    running = benchmark(daemon.runtime.containers, ContainerState.RUNNING)
+    running = daemon.runtime.containers(ContainerState.RUNNING)
     # The Fig. 3 payload: web server + database + hadoop containers.
     assert {c.image.app_class for c in running} == {"http", "kvstore", "mapreduce"}
     assert len(running) == 3  # the paper's density, live
@@ -61,14 +61,14 @@ def test_fig3_full_stack_on_one_pi(benchmark):
     print("\n" + render_stack(cloud, node))
 
 
-def test_fig3_libvirt_api_layer(benchmark):
+def test_fig3_libvirt_api_layer():
     """The 'Libvirt RESTful APIs' box: the libvirt facade drives LXC."""
     cloud = build_small_cloud()
     node = "pi-r0-n1"
-    spawn_and_wait(cloud, "webserver", name="w0", node_id=node)
+    cloud.spawn_and_wait("webserver", name="w0", node_id=node)
     conn = LibvirtConnection(cloud.daemons[node].runtime)
 
-    domains = benchmark(conn.listAllDomains)
+    domains = conn.listAllDomains()
     assert [d.name() for d in domains] == ["w0"]
     info = domains[0].info()
     assert info["state"] == 1  # VIR_DOMAIN_RUNNING

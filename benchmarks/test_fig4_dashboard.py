@@ -8,16 +8,16 @@ VM instances and specifying (soft) per-VM resource utilisation limits")
 and render the panel.
 """
 
-from conftest import build_small_cloud, spawn_and_wait
+from conftest import build_small_cloud
 
 
-def test_fig4_panel_renders_cloud_state(benchmark):
+def test_fig4_panel_renders_cloud_state():
     cloud = build_small_cloud()
-    spawn_and_wait(cloud, "webserver", name="web-1")
-    spawn_and_wait(cloud, "database", name="db-1")
+    cloud.spawn_and_wait("webserver", name="web-1")
+    cloud.spawn_and_wait("database", name="db-1")
 
     dashboard = cloud.dashboard()
-    panel = benchmark(dashboard.render)
+    panel = dashboard.render()
 
     # The panel carries the screenshot's content: nodes, loads, VM table.
     assert "PiCloud control panel" in panel
@@ -34,16 +34,16 @@ def test_fig4_panel_renders_cloud_state(benchmark):
     print("\n" + panel)
 
 
-def test_fig4_remote_cpu_monitoring(benchmark):
+def test_fig4_remote_cpu_monitoring():
     """Use case 1: remote monitoring of CPU load on all nodes."""
     cloud = build_small_cloud(start_monitoring=True, monitoring_interval_s=2.0)
-    record = spawn_and_wait(cloud, "webserver", name="busy")
+    record = cloud.spawn_and_wait("webserver", name="busy")
     # Make the hosting node busy so the poller sees real load.
     cloud.container("busy").execute(700e6 * 300, name="burn")
     cloud.run_for(30.0)
 
     monitoring = cloud.pimaster.monitoring
-    series = benchmark(lambda: monitoring.cpu_series[record.node_id])
+    series = monitoring.cpu_series[record.node_id]
     assert len(series) >= 5                      # polled repeatedly
     assert max(series.values) > 0.5              # the burn shows up
     quiet = [n for n in cloud.node_names if n != record.node_id][0]
@@ -52,10 +52,10 @@ def test_fig4_remote_cpu_monitoring(benchmark):
           f"{[f'{v:.2f}' for v in series.values[-5:]]}")
 
 
-def test_fig4_soft_resource_limits(benchmark):
+def test_fig4_soft_resource_limits():
     """Use case 3: set per-VM soft limits through the control plane."""
     cloud = build_small_cloud()
-    spawn_and_wait(cloud, "webserver", name="limited")
+    cloud.spawn_and_wait("webserver", name="limited")
 
     def set_limits():
         signal = cloud.pimaster.set_limits(
@@ -64,7 +64,7 @@ def test_fig4_soft_resource_limits(benchmark):
         cloud.sim.run(until=cloud.sim.now + 600.0)
         return signal.value
 
-    body = benchmark.pedantic(set_limits, rounds=1, iterations=1)
+    body = set_limits()
     assert body["cpu_shares"] == 512
     container = cloud.container("limited")
     assert container.cgroup.cpu_quota == 0.25

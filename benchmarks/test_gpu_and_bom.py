@@ -24,7 +24,7 @@ from repro.sim import Simulator
 from repro.telemetry.stats import format_table
 
 
-def test_gpu_offload_speedup_curve(benchmark):
+def test_gpu_offload_speedup_curve():
     """Crossover: small kernels belong on the CPU, big ones on the GPU."""
     sim = Simulator()
     machine = Machine(sim, RASPBERRY_PI_MODEL_B, "pi")
@@ -43,7 +43,6 @@ def test_gpu_offload_speedup_curve(benchmark):
         rows.append([f"{ops:.0e}", f"{cpu_s * 1e3:.3f}", f"{gpu_s * 1e3:.3f}",
                      f"{speedup:.1f}x"])
 
-    benchmark(machine.gpu.kernel_time, 1e8, 1e6)
     print("\nC11 -- CPU vs GPU on one Pi (VideoCore IV)\n")
     print(format_table(["ops", "CPU ms", "GPU ms", "speedup"], rows))
     assert crossover_seen
@@ -53,7 +52,7 @@ def test_gpu_offload_speedup_curve(benchmark):
     assert (1e10 / cpu_rate) / machine.gpu.kernel_time(1e10, 1e8) > 20
 
 
-def test_gpu_offload_runs_for_real(benchmark):
+def test_gpu_offload_runs_for_real():
     """Actually execute an offload and check the timing and energy."""
     sim = Simulator()
     machine = Machine(sim, RASPBERRY_PI_MODEL_B, "pi")
@@ -64,14 +63,14 @@ def test_gpu_offload_runs_for_real(benchmark):
         sim.run()
         return done
 
-    done = benchmark.pedantic(offload, rounds=1, iterations=1)
+    done = offload()
     assert done.triggered
     assert machine.gpu.busy_seconds() == pytest.approx(1.0, rel=0.01)
     assert machine.gpu.energy_joules() == pytest.approx(0.5, rel=0.01)
 
 
-def test_bom_reproduces_paper_argument(benchmark):
-    estimate = benchmark(dc_tuned_variant)
+def test_bom_reproduces_paper_argument():
+    estimate = dc_tuned_variant()
 
     print("\nC11b -- Model B BoM estimate (paper §IV ordering)\n")
     print(format_table(

@@ -32,10 +32,8 @@ def run_scheme(scheme):
     return report
 
 
-def test_peer_assisted_beats_unicast(benchmark):
-    unicast = benchmark.pedantic(
-        lambda: run_scheme("unicast"), rounds=1, iterations=1
-    )
+def test_peer_assisted_beats_unicast():
+    unicast = run_scheme("unicast")
     peer = run_scheme("peer")
 
     print("\nC12 -- distribute a 220 MiB image to 6 nodes (2 racks)\n")
@@ -55,7 +53,7 @@ def test_peer_assisted_beats_unicast(benchmark):
     assert peer.duration_s <= unicast.duration_s * 1.2
 
 
-def test_distribution_traffic_stays_rack_local(benchmark):
+def test_distribution_traffic_stays_rack_local():
     """Peer pulls prefer rack-local seeders: ToR links carry the load."""
     cloud = build_small_cloud(racks=2, pis=3)
     distributor = ImageDistributor(cloud.pimaster)
@@ -65,7 +63,7 @@ def test_distribution_traffic_stays_rack_local(benchmark):
         cloud.run_until_signal(signal, max_seconds=86_400.0)
         return signal.value
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     assert report.failed == []
     # Count bytes that crossed the aggregation layer vs stayed on ToRs.
     agg_bytes = 0.0

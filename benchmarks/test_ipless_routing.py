@@ -19,13 +19,13 @@ import pytest
 from repro.apps.naming import CachedIpSender, FlatNameSender
 from repro.telemetry.stats import format_table
 
-from conftest import build_small_cloud, spawn_and_wait
+from conftest import build_small_cloud
 
 SERVICE_PORT = 9100
 
 
 def deploy(cloud, name="svc", node="pi-r0-n0"):
-    spawn_and_wait(cloud, "base", name=name, node_id=node)
+    cloud.spawn_and_wait("base", name=name, node_id=node)
     cloud.container(name).listen(SERVICE_PORT)
 
 
@@ -48,14 +48,12 @@ def drive(cloud, sender, name, sends_per_phase=5, migrations=4,
     return sender
 
 
-def test_ipless_vs_cached_over_readdressing_migrations(benchmark):
+def test_ipless_vs_cached_over_readdressing_migrations():
     cloud = build_small_cloud(racks=2, pis=2)
     deploy(cloud)
     cached = CachedIpSender(cloud.kernels["pi-r1-n1"].netstack,
                             cloud.pimaster.dns, cache_ttl_s=1e6)
-    cached = benchmark.pedantic(
-        lambda: drive(cloud, cached, "svc"), rounds=1, iterations=1
-    )
+    cached = drive(cloud, cached, "svc")
 
     cloud2 = build_small_cloud(racks=2, pis=2)
     deploy(cloud2)
@@ -80,7 +78,7 @@ def test_ipless_vs_cached_over_readdressing_migrations(benchmark):
     assert flat.failure_rate == 0.0
 
 
-def test_keep_ip_migration_needs_no_resolution_at_all(benchmark):
+def test_keep_ip_migration_needs_no_resolution_at_all():
     """The IP-less end-state: location transparency via IP mobility."""
     cloud = build_small_cloud(racks=2, pis=2)
     deploy(cloud)
@@ -90,7 +88,7 @@ def test_keep_ip_migration_needs_no_resolution_at_all(benchmark):
     def run():
         return drive(cloud, sender, "svc", reassign_ip=False)
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     assert result.failed.total == 0
     assert result.resolutions == 1  # one lookup, ever
     print(f"\nkeep-IP migrations: {result.sent.total:.0f} sends, "

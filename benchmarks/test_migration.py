@@ -11,7 +11,7 @@ from repro.telemetry.stats import format_table
 from repro.units import mib
 from repro.virt.migration import live_migrate
 
-from conftest import build_small_cloud, spawn_and_wait
+from conftest import build_small_cloud
 
 
 def migrate_once(cloud, container, destination_runtime):
@@ -20,9 +20,9 @@ def migrate_once(cloud, container, destination_runtime):
     return done.value
 
 
-def test_dirty_rate_sweep(benchmark):
+def test_dirty_rate_sweep():
     cloud = build_small_cloud(racks=2, pis=2)
-    spawn_and_wait(cloud, "webserver", name="mover", node_id="pi-r0-n0")
+    cloud.spawn_and_wait("webserver", name="mover", node_id="pi-r0-n0")
     container = cloud.container("mover")
     runtimes = {n: d.runtime for n, d in cloud.daemons.items()}
     destinations = ["pi-r1-n0", "pi-r0-n0"]
@@ -32,13 +32,7 @@ def test_dirty_rate_sweep(benchmark):
     for index, dirty in enumerate([0.0, 1e5, 1e6, 5e6, 20e6]):
         container.dirty_rate = dirty
         dst = runtimes[destinations[index % 2]]
-        if index == 0:
-            report = benchmark.pedantic(
-                lambda d=dst: migrate_once(cloud, container, d),
-                rounds=1, iterations=1,
-            )
-        else:
-            report = migrate_once(cloud, container, dst)
+        report = migrate_once(cloud, container, dst)
         reports.append((dirty, report))
         rows.append([
             f"{dirty / 1e6:.2f}",
@@ -69,10 +63,10 @@ def test_dirty_rate_sweep(benchmark):
     assert runaway.downtime_s > clean.downtime_s * 10
 
 
-def test_migration_contends_with_traffic(benchmark):
+def test_migration_contends_with_traffic():
     """Cross-layer: background elephants slow the migration stream."""
     cloud = build_small_cloud(racks=2, pis=2)
-    spawn_and_wait(cloud, "webserver", name="mover", node_id="pi-r0-n0")
+    cloud.spawn_and_wait("webserver", name="mover", node_id="pi-r0-n0")
     container = cloud.container("mover")
     runtimes = {n: d.runtime for n, d in cloud.daemons.items()}
 
@@ -81,28 +75,22 @@ def test_migration_contends_with_traffic(benchmark):
     # Saturate the same path with a long transfer, migrate back through it.
     cloud.network.transfer("pi-r1-n0", "pi-r0-n0", mib(200), tag="background")
     container.dirty_rate = 0.0
-    loaded = benchmark.pedantic(
-        lambda: migrate_once(cloud, container, runtimes["pi-r0-n0"]),
-        rounds=1, iterations=1,
-    )
+    loaded = migrate_once(cloud, container, runtimes["pi-r0-n0"])
 
     print(f"\nmigration: quiet fabric {quiet.duration_s:.2f}s vs "
           f"contended {loaded.duration_s:.2f}s")
     assert loaded.duration_s > 1.5 * quiet.duration_s
 
 
-def test_migration_preserves_service(benchmark):
+def test_migration_preserves_service():
     """The moved container keeps its IP and resumes work (paper's goal of
     'more flexible and efficient migration')."""
     cloud = build_small_cloud(racks=2, pis=2)
-    record = spawn_and_wait(cloud, "webserver", name="svc", node_id="pi-r0-n0")
+    record = cloud.spawn_and_wait("webserver", name="svc", node_id="pi-r0-n0")
     container = cloud.container("svc")
     runtimes = {n: d.runtime for n, d in cloud.daemons.items()}
 
-    report = benchmark.pedantic(
-        lambda: migrate_once(cloud, container, runtimes["pi-r1-n1"]),
-        rounds=1, iterations=1,
-    )
+    report = migrate_once(cloud, container, runtimes["pi-r1-n1"])
     assert container.ip == record.ip  # IP travelled with the container
     assert cloud.ip_fabric.locate(record.ip).node_id == "pi-r1-n1"
     done = container.run(700e6)

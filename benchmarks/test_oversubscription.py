@@ -13,7 +13,7 @@ import pytest
 from repro.telemetry.stats import format_table
 from repro.units import mib
 
-from conftest import build_small_cloud, spawn_and_wait
+from conftest import build_small_cloud
 
 
 def tenant_service_time(cloud, container, cycles=700e6 * 0.2):
@@ -31,8 +31,8 @@ def run_colocated(cloud, tenants, quota_each):
     """
     containers = []
     for index in range(tenants):
-        spawn_and_wait(
-            cloud, "base", name=f"tenant{index}", node_id="pi-r0-n0",
+        cloud.spawn_and_wait(
+            "base", name=f"tenant{index}", node_id="pi-r0-n0",
             cpu_quota=quota_each,
         )
         containers.append(cloud.container(f"tenant{index}"))
@@ -47,19 +47,13 @@ def run_colocated(cloud, tenants, quota_each):
     return probe_time
 
 
-def test_oversubscription_latency_curve(benchmark):
+def test_oversubscription_latency_curve():
     """Quota sum 0.5 -> 1.5: requests stretch once the host oversubscribes."""
     rows = []
     results = {}
     for tenants, quota in ((1, 0.5), (2, 0.5), (3, 0.5)):
         cloud = build_small_cloud(racks=1, pis=1)
-        if tenants == 1:
-            probe = benchmark.pedantic(
-                lambda c=cloud, t=tenants, q=quota: run_colocated(c, t, q),
-                rounds=1, iterations=1,
-            )
-        else:
-            probe = run_colocated(cloud, tenants, quota)
+        probe = run_colocated(cloud, tenants, quota)
         oversub = tenants * quota
         results[tenants] = probe
         rows.append([tenants, f"{oversub:.1f}x", f"{probe * 1e3:.0f} ms"])
@@ -81,25 +75,25 @@ def test_oversubscription_latency_curve(benchmark):
     assert results[3] > results[2] * 1.3
 
 
-def test_oversubscription_buys_density(benchmark):
+def test_oversubscription_buys_density():
     """The upside: 3 tenants on one Pi instead of 3 Pis = 1/3 the watts."""
     packed = build_small_cloud(racks=1, pis=3)
 
     def pack():
         for index in range(3):
-            spawn_and_wait(packed, "base", name=f"t{index}",
-                           node_id="pi-r0-n0", cpu_quota=0.5)
+            packed.spawn_and_wait("base", name=f"t{index}",
+                                  node_id="pi-r0-n0", cpu_quota=0.5)
         # The two empty Pis can be powered off.
         for node in ("pi-r0-n1", "pi-r0-n2"):
             packed.machines[node].shutdown()
         return packed.total_watts()
 
-    packed_watts = benchmark.pedantic(pack, rounds=1, iterations=1)
+    packed_watts = pack()
 
     spread = build_small_cloud(racks=1, pis=3)
     for index, node in enumerate(["pi-r0-n0", "pi-r0-n1", "pi-r0-n2"]):
-        spawn_and_wait(spread, "base", name=f"t{index}", node_id=node,
-                       cpu_quota=0.5)
+        spread.spawn_and_wait("base", name=f"t{index}", node_id=node,
+                              cpu_quota=0.5)
     spread_watts = spread.total_watts()
 
     print(f"\npacked (1 Pi + pimaster): {packed_watts:.1f} W vs "

@@ -51,7 +51,7 @@ def p2p_spawn(cloud, agents, entry, name):
     return call.value if call.ok else None
 
 
-def test_p2p_survives_management_node_loss(benchmark):
+def test_p2p_survives_management_node_loss():
     cloud = build_small_cloud(racks=2, pis=3)
     agents = p2p_world(cloud)
     cloud.run_for(40.0)  # gossip convergence
@@ -70,7 +70,7 @@ def test_p2p_survives_management_node_loss(benchmark):
         entry = next(n for n in agents if n != victim)
         return p2p_spawn(cloud, agents, entry, "svc-after")
 
-    response = benchmark.pedantic(spawn_after_failure, rounds=1, iterations=1)
+    response = spawn_after_failure()
     assert response is not None and response.status == 201
     assert response.body["node"] != victim
 
@@ -78,7 +78,7 @@ def test_p2p_survives_management_node_loss(benchmark):
           f"{response.body['node']} and spawned fine")
 
 
-def test_pimaster_is_a_single_point_of_failure(benchmark):
+def test_pimaster_is_a_single_point_of_failure():
     """The architectural contrast: kill pimaster, spawns stop working."""
     cloud = build_small_cloud(racks=2, pis=2)
     record = None
@@ -88,7 +88,7 @@ def test_pimaster_is_a_single_point_of_failure(benchmark):
         cloud.run_until_signal(signal)
         return signal
 
-    signal = benchmark.pedantic(healthy_spawn, rounds=1, iterations=1)
+    signal = healthy_spawn()
     assert signal.ok
 
     # The head node dies: its services (and client) die with it.
@@ -101,7 +101,7 @@ def test_pimaster_is_a_single_point_of_failure(benchmark):
           "a centralised control plane")
 
 
-def test_gossip_convergence_time(benchmark):
+def test_gossip_convergence_time():
     """How long until every agent knows every member, from one seed."""
     cloud = build_small_cloud(racks=2, pis=3)
     agents = p2p_world(cloud)
@@ -117,13 +117,13 @@ def test_gossip_convergence_time(benchmark):
                 raise AssertionError("gossip did not converge")
             cloud.run_for(2.0)
 
-    converged_at = benchmark.pedantic(converge, rounds=1, iterations=1)
+    converged_at = converge()
     print(f"\n6-node membership converged from 1 seed in "
           f"{converged_at:.0f}s of gossip (2s rounds, fanout 2)")
     assert converged_at < 60.0
 
 
-def test_ring_balances_names(benchmark):
+def test_ring_balances_names():
     """Consistent hashing spreads many names across the live ring."""
     cloud = build_small_cloud(racks=2, pis=3)
     agents = p2p_world(cloud)
@@ -137,7 +137,7 @@ def test_ring_balances_names(benchmark):
             counts[owner] += 1
         return counts
 
-    counts = benchmark.pedantic(histogram, rounds=1, iterations=1)
+    counts = histogram()
     print("\nring balance over 600 names:\n")
     print(format_table(["node", "names owned"],
                        [[n, c] for n, c in sorted(counts.items())]))

@@ -20,14 +20,14 @@ from repro.placement import (
 )
 from repro.telemetry.stats import format_table
 
-from conftest import build_small_cloud, spawn_and_wait
+from conftest import build_small_cloud
 
 
 def drive_policy(policy, spawns=6):
     cloud = build_small_cloud()
     cloud.pimaster.placement_policy = policy
     records = [
-        spawn_and_wait(cloud, "base", name=f"c{i}") for i in range(spawns)
+        cloud.spawn_and_wait("base", name=f"c{i}") for i in range(spawns)
     ]
     nodes_used = {r.node_id for r in records}
     racks_used = {cloud.machines[r.node_id].rack for r in records}
@@ -42,7 +42,7 @@ def drive_policy(policy, spawns=6):
     }
 
 
-def test_policy_sweep_shapes(benchmark):
+def test_policy_sweep_shapes():
     policies = {
         "FirstFit": FirstFit(),
         "BestFit": BestFit(),
@@ -54,12 +54,7 @@ def test_policy_sweep_shapes(benchmark):
     }
     results = {}
     for name, policy in policies.items():
-        if name == "FirstFit":
-            results[name] = benchmark.pedantic(
-                lambda p=policy: drive_policy(p), rounds=1, iterations=1
-            )
-        else:
-            results[name] = drive_policy(policy)
+        results[name] = drive_policy(policy)
 
     print("\nC6 -- 6 spawns under each placement policy (6 nodes, 2 racks)\n")
     print(format_table(
@@ -80,25 +75,25 @@ def test_policy_sweep_shapes(benchmark):
         assert max(result["by_node"]) <= 3
 
 
-def test_rack_affinity_keeps_pairs_local(benchmark):
+def test_rack_affinity_keeps_pairs_local():
     """same_rack_as keeps a web/db pair on one ToR (traffic stays local)."""
     cloud = build_small_cloud()
-    web = spawn_and_wait(cloud, "webserver", name="web")
+    web = cloud.spawn_and_wait("webserver", name="web")
     web_rack = cloud.machines[web.node_id].rack
 
     def spawn_db():
-        return spawn_and_wait(cloud, "database", name="db",
-                              same_rack_as=web_rack)
+        return cloud.spawn_and_wait("database", name="db",
+                                    same_rack_as=web_rack)
 
-    db = benchmark.pedantic(spawn_db, rounds=1, iterations=1)
+    db = spawn_db()
     assert cloud.machines[db.node_id].rack == web_rack
 
 
-def test_anti_affinity_survives_node_failure(benchmark):
+def test_anti_affinity_survives_node_failure():
     """Spread replicas keep serving when a node dies."""
     cloud = build_small_cloud()
     replicas = [
-        spawn_and_wait(cloud, "webserver", name=f"replica{i}", group="web")
+        cloud.spawn_and_wait("webserver", name=f"replica{i}", group="web")
         for i in range(3)
     ]
     nodes = [r.node_id for r in replicas]
@@ -113,11 +108,11 @@ def test_anti_affinity_survives_node_failure(benchmark):
             and cloud.daemons[r.node_id].runtime.container(r.name).is_running
         ]
 
-    alive = benchmark(survivors)
+    alive = survivors()
     assert len(alive) == 2
 
 
-def test_network_aware_avoids_hot_rack(benchmark):
+def test_network_aware_avoids_hot_rack():
     """Congestion-aware placement dodges the rack with a hot uplink."""
     cloud = build_small_cloud()
     # Saturate rack0's uplink with a long inter-rack elephant from r0-n0.
@@ -127,7 +122,7 @@ def test_network_aware_avoids_hot_rack(benchmark):
     policy = NetworkAwarePlacement(congestion_weight=5.0)
 
     def place():
-        return spawn_and_wait(cloud, "base", name="careful", policy=policy)
+        return cloud.spawn_and_wait("base", name="careful", policy=policy)
 
-    record = benchmark.pedantic(place, rounds=1, iterations=1)
+    record = place()
     assert record.node_id != "pi-r0-n0"  # not behind the saturated link

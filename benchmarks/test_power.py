@@ -11,10 +11,10 @@ import pytest
 from repro.power import CloudPowerMeter, CoolingModel
 from repro.telemetry.stats import format_table
 
-from conftest import build_paper_cloud, build_small_cloud, spawn_and_wait
+from conftest import build_paper_cloud, build_small_cloud
 
 
-def test_whole_cloud_single_socket(benchmark):
+def test_whole_cloud_single_socket():
     """The full 56-Pi cloud under load stays under one socket's budget."""
     cloud = build_paper_cloud()
     # Load every Pi flat out.
@@ -23,7 +23,7 @@ def test_whole_cloud_single_socket(benchmark):
     cloud.run_for(10.0)
 
     meter = cloud.power_meter
-    watts = benchmark(meter.current_watts)
+    watts = meter.current_watts()
     # 56 Pis at 3.5 W + the pimaster: well under a 2.3 kW socket board.
     assert watts <= 56 * 3.5 + 10.0
     assert meter.fits_single_socket()
@@ -31,14 +31,14 @@ def test_whole_cloud_single_socket(benchmark):
           f"(nameplate {meter.peak_possible_watts():.1f} W)")
 
 
-def test_component_isolation(benchmark):
+def test_component_isolation():
     """Per-machine metering isolates exactly the loaded components."""
     cloud = build_small_cloud()
-    spawn_and_wait(cloud, "base", name="burner", node_id="pi-r0-n0")
+    cloud.spawn_and_wait("base", name="burner", node_id="pi-r0-n0")
     cloud.container("burner").execute(700e6 * 600, name="burn")
     cloud.run_for(5.0)
 
-    per_machine = benchmark(cloud.power_meter.per_machine_watts)
+    per_machine = cloud.power_meter.per_machine_watts()
     assert per_machine["pi-r0-n0"] == pytest.approx(3.5)      # busy
     assert per_machine["pi-r0-n1"] == pytest.approx(2.5)      # idle
     rows = sorted(per_machine.items())
@@ -47,7 +47,7 @@ def test_component_isolation(benchmark):
                        [[n, f"{w:.2f}"] for n, w in rows]))
 
 
-def test_energy_tracks_utilization_exactly(benchmark):
+def test_energy_tracks_utilization_exactly():
     """Energy is the exact integral of the utilisation-driven draw."""
     cloud = build_small_cloud(racks=1, pis=1)
     kernel = cloud.kernels["pi-r0-n0"]
@@ -59,19 +59,19 @@ def test_energy_tracks_utilization_exactly(benchmark):
     def measured():
         return cloud.energy_joules() - start_energy
 
-    joules = benchmark(measured)
+    joules = measured()
     # Pi: 10 s at 3.5 W + 10 s at 2.5 W; pimaster idle 2.5 W for 20 s.
     expected = 10 * 3.5 + 10 * 2.5 + 20 * 2.5
     assert joules == pytest.approx(expected, rel=1e-6)
     print(f"\nmeasured {joules:.1f} J == expected {expected:.1f} J (exact)")
 
 
-def test_cooling_is_third_of_total(benchmark):
+def test_cooling_is_third_of_total():
     """§IV: cooling 'accounts for 33% of the total power consumption'."""
     cooling = CoolingModel(fraction_of_total=1.0 / 3.0)
     it_watts = 10_080.0  # the Table I x86 testbed
 
-    total = benchmark(cooling.total_watts, it_watts, True)
+    total = cooling.total_watts(it_watts, True)
     assert cooling.cooling_watts(it_watts, True) / total == pytest.approx(1 / 3)
     assert cooling.effective_pue(True) == pytest.approx(1.5)
     # And the PiCloud pays none of it.
@@ -81,7 +81,7 @@ def test_cooling_is_third_of_total(benchmark):
           f"= {total:,.0f} W total; PiCloud: 196 W total")
 
 
-def test_poweroff_reduces_draw(benchmark):
+def test_poweroff_reduces_draw():
     """Powering off emptied Pis shows up immediately at the socket."""
     cloud = build_small_cloud(racks=1, pis=4)
     before = cloud.total_watts()
@@ -91,5 +91,5 @@ def test_poweroff_reduces_draw(benchmark):
             cloud.machines[node].shutdown()
         return cloud.total_watts()
 
-    after = benchmark.pedantic(power_down_two, rounds=1, iterations=1)
+    after = power_down_two()
     assert after == pytest.approx(before - 2 * 2.5)

@@ -49,14 +49,11 @@ def run_storm(routing, with_rerouter=False):
     return completion, roots
 
 
-def test_sdn_policies_beat_static_baseline(benchmark):
+def test_sdn_policies_beat_static_baseline():
     results = {}
     for mode in ("sdn-shortest", "sdn-ecmp", "sdn-least-congested"):
         results[mode] = run_storm(mode)
-    results["sdn-shortest+rerouter"] = benchmark.pedantic(
-        lambda: run_storm("sdn-shortest", with_rerouter=True),
-        rounds=1, iterations=1,
-    )
+    results["sdn-shortest+rerouter"] = run_storm("sdn-shortest", with_rerouter=True)
 
     print("\nC3 -- 6 x 10 MiB inter-rack elephants, 2-root tree\n")
     print(format_table(
@@ -75,7 +72,7 @@ def test_sdn_policies_beat_static_baseline(benchmark):
     assert results["sdn-shortest+rerouter"][0] < static
 
 
-def test_reactive_setup_cost_visible(benchmark):
+def test_reactive_setup_cost_visible():
     """OpenFlow's control-plane round trip is a measurable, bounded cost."""
     config = PiCloudConfig.small(
         racks=2, pis=1, routing="sdn-shortest", start_monitoring=False,
@@ -89,7 +86,7 @@ def test_reactive_setup_cost_visible(benchmark):
         cloud.sim.run(until=cloud.sim.now + 60.0)
         return flow
 
-    cold = benchmark.pedantic(one_flow, rounds=1, iterations=1)
+    cold = one_flow()
     warm = one_flow()
     # Cold start pays PacketIn + FlowMod (2 x 5 ms); warm start does not.
     assert cold.duration - warm.duration == pytest.approx(0.01, rel=0.2)
@@ -97,7 +94,7 @@ def test_reactive_setup_cost_visible(benchmark):
           f"warm {warm.duration * 1e3:.2f} ms")
 
 
-def test_ablation_maxmin_vs_equal_split(benchmark):
+def test_ablation_maxmin_vs_equal_split():
     """DESIGN.md ablation: max-min fairness vs naive equal split.
 
     Naive equal split under-uses capacity whenever flows have unequal
@@ -107,7 +104,7 @@ def test_ablation_maxmin_vs_equal_split(benchmark):
     flow_paths = {"f1": ["thin", "fat"], "f2": ["fat"]}
     capacities = {"thin": 2.0, "fat": 10.0}
 
-    maxmin = benchmark(max_min_rates, flow_paths, capacities)
+    maxmin = max_min_rates(flow_paths, capacities)
 
     def equal_split():
         # Each link divided equally among its flows; a flow gets its

@@ -13,8 +13,8 @@ from repro.power import table1_rows
 from repro.telemetry.stats import format_table
 
 
-def test_table1_exact_reproduction(benchmark):
-    rows = benchmark(table1_rows, 56)
+def test_table1_exact_reproduction():
+    rows = table1_rows(56)
     x86, pi = rows
 
     # The paper's cells, verbatim.
@@ -39,8 +39,8 @@ def test_table1_exact_reproduction(benchmark):
     ))
 
 
-def test_table1_derived_claims(benchmark):
-    comparison = benchmark(testbed_comparison, 56)
+def test_table1_derived_claims():
+    comparison = testbed_comparison(56)
     # "The cost of the PiCloud is several orders of magnitude smaller":
     # 57x on capex; with cooling and power opex the gap widens further.
     assert comparison.cost_ratio == pytest.approx(112_000 / 1_960)

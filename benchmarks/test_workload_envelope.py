@@ -18,13 +18,13 @@ from repro.hardware import COMMODITY_X86_SERVER
 from repro.telemetry.stats import format_table
 from repro.units import kib, mib
 
-from conftest import build_small_cloud, spawn_and_wait
+from conftest import build_small_cloud
 
 
-def test_lightweight_httpd_works_on_pi(benchmark):
+def test_lightweight_httpd_works_on_pi():
     """The Pi sustains a lightweight HTTP load with sane tail latency."""
     cloud = build_small_cloud()
-    record = spawn_and_wait(cloud, "webserver", name="web", node_id="pi-r0-n0")
+    record = cloud.spawn_and_wait("webserver", name="web", node_id="pi-r0-n0")
     server = HttpServerApp(cloud.container("web"),
                            default_response_bytes=kib(8))
     client = HttpClientApp(
@@ -38,7 +38,7 @@ def test_lightweight_httpd_works_on_pi(benchmark):
         cloud.sim.run(until=cloud.sim.now + 600.0)
         return run.value
 
-    summary = benchmark.pedantic(load, rounds=1, iterations=1)
+    summary = load()
     throughput = summary["completed"] / 30.0
     print(f"\nPi httpd: {throughput:.0f} req/s, "
           f"p50 {summary['latency_p50'] * 1e3:.1f} ms, "
@@ -48,14 +48,14 @@ def test_lightweight_httpd_works_on_pi(benchmark):
     server.stop()
 
 
-def test_mapreduce_is_compute_bound_on_pi(benchmark):
+def test_mapreduce_is_compute_bound_on_pi():
     """On 700 MHz cores, map+reduce dominates the job (the Pi's limit)."""
     cloud = build_small_cloud()
     workers = []
     for index, node in enumerate(["pi-r0-n0", "pi-r0-n1", "pi-r1-n0",
                                   "pi-r1-n1"]):
-        record = spawn_and_wait(cloud, "hadoop-worker", name=f"w{index}",
-                                node_id=node)
+        record = cloud.spawn_and_wait("hadoop-worker", name=f"w{index}",
+                                      node_id=node)
         workers.append(cloud.container(record.name))
 
     def job():
@@ -64,7 +64,7 @@ def test_mapreduce_is_compute_bound_on_pi(benchmark):
         cloud.sim.run(until=cloud.sim.now + 7200.0)
         return run.value
 
-    report = benchmark.pedantic(job, rounds=1, iterations=1)
+    report = job()
     compute = report.map_s + report.reduce_s
     io = report.read_s + report.shuffle_s
     print(f"\nPi MapReduce 32 MiB: compute {compute:.1f}s vs I/O {io:.1f}s "
@@ -72,7 +72,7 @@ def test_mapreduce_is_compute_bound_on_pi(benchmark):
     assert compute > io  # the ARM core, not the fabric, is the bottleneck
 
 
-def test_hardware_scaling_pi_vs_x86(benchmark):
+def test_hardware_scaling_pi_vs_x86():
     """The same CPU-bound work, Pi spec vs x86 spec: the capacity ratio
     matches the hardware catalog (scale-model linearity)."""
     work_cycles = 700e6 * 20  # 20 s on one Pi core
@@ -88,13 +88,12 @@ def test_hardware_scaling_pi_vs_x86(benchmark):
         )
         cloud = PiCloud(config)
         cloud.boot()
-        t0 = cloud.sim.now
-        done = cloud.kernels["pi-r0-n0"].submit(work_cycles)
+        task = cloud.kernels["pi-r0-n0"].submit(work_cycles)
         cloud.run_for(3600.0)
-        assert done.finished
-        return cloud.sim.now - t0
+        assert task.finished
+        return task.duration
 
-    pi_time = benchmark.pedantic(lambda: run_on("pi"), rounds=1, iterations=1)
+    pi_time = run_on("pi")
     x86_time = run_on("x86")
 
     ratio = pi_time / x86_time
@@ -104,7 +103,7 @@ def test_hardware_scaling_pi_vs_x86(benchmark):
     assert ratio == pytest.approx(expected, rel=1e-6)
 
 
-def test_pi_saturates_before_x86(benchmark):
+def test_pi_saturates_before_x86():
     """Open-loop overload: the Pi's httpd saturates at a rate the x86
     spec absorbs -- quantifying 'limited to a subset of software'."""
     def saturation_latency(machine_spec_name, rate):
@@ -112,8 +111,8 @@ def test_pi_saturates_before_x86(benchmark):
         if machine_spec_name == "x86":
             overrides["machine_spec"] = COMMODITY_X86_SERVER
         cloud = build_small_cloud(racks=1, pis=2, **overrides)
-        record = spawn_and_wait(cloud, "webserver", name="web",
-                                node_id="pi-r0-n0")
+        record = cloud.spawn_and_wait("webserver", name="web",
+                                      node_id="pi-r0-n0")
         HttpServerApp(cloud.container("web"), default_response_bytes=kib(4))
         client = HttpClientApp(
             cloud.kernels["pi-r0-n1"].netstack, record.ip,
@@ -124,9 +123,7 @@ def test_pi_saturates_before_x86(benchmark):
         return run.value["latency_p99"]
 
     rate = 60.0  # beyond one 700 MHz core's service capacity
-    pi_p99 = benchmark.pedantic(
-        lambda: saturation_latency("pi", rate), rounds=1, iterations=1
-    )
+    pi_p99 = saturation_latency("pi", rate)
     x86_p99 = saturation_latency("x86", rate)
     print(f"\nopen-loop {rate:.0f} req/s: Pi p99 {pi_p99:.3f}s vs "
           f"x86 p99 {x86_p99:.3f}s")

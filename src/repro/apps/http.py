@@ -129,11 +129,9 @@ class HttpClientApp:
 
     def fetch(self, path: str = "/") -> Signal:
         """Issue a single GET; Signal -> latency seconds."""
-        done = Signal(self.sim, name="http.fetch")
-        self.sim.process(self._fetch(path, done), name="http.fetch")
-        return done
+        return self.sim.process(self._fetch(path), name="http.fetch")
 
-    def _fetch(self, path: str, done: Signal):
+    def _fetch(self, path: str):
         start = self.sim.now
         reply_ip = self.src_ip or self.netstack.primary_ip
         port = self.netstack.ephemeral_port()
@@ -149,13 +147,13 @@ class HttpClientApp:
                 yield inbox.get()
             except Exception as exc:
                 self.errors.add()
-                done.fail(exc if isinstance(exc, PiCloudError) else
-                          PiCloudError(str(exc)))
-                return
+                if isinstance(exc, PiCloudError):
+                    raise
+                raise PiCloudError(str(exc)) from exc
             latency = self.sim.now - start
             self.latencies.record(self.sim.now, latency)
             self.completed.add()
-            done.succeed(latency)
+            return latency
         finally:
             self.netstack.close(port, ip=reply_ip)
 
@@ -170,7 +168,6 @@ class HttpClientApp:
         """N users: request -> wait -> think, for ``duration_s``."""
         if workers < 1:
             raise ValueError("need at least one worker")
-        done = Signal(self.sim, name="http.closed-loop")
         deadline = self.sim.now + duration_s
 
         def worker(index: int):
@@ -191,10 +188,9 @@ class HttpClientApp:
 
         def waiter():
             yield AllOf(self.sim, processes)
-            done.succeed(self.summary())
+            return self.summary()
 
-        self.sim.process(waiter(), name="http.closed-loop")
-        return done
+        return self.sim.process(waiter(), name="http.closed-loop")
 
     # -- open loop ------------------------------------------------------------------
 
@@ -202,7 +198,6 @@ class HttpClientApp:
         """Poisson arrivals at ``rate_per_s`` for ``duration_s``."""
         if rate_per_s <= 0:
             raise ValueError("rate must be positive")
-        done = Signal(self.sim, name="http.open-loop")
         deadline = self.sim.now + duration_s
 
         def generator():
@@ -217,10 +212,9 @@ class HttpClientApp:
                         yield signal
                     except Exception:
                         pass
-            done.succeed(self.summary())
+            return self.summary()
 
-        self.sim.process(generator(), name="http.open-loop")
-        return done
+        return self.sim.process(generator(), name="http.open-loop")
 
     def summary(self) -> dict[str, float]:
         from repro.telemetry.stats import summarize

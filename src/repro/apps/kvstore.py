@@ -167,11 +167,9 @@ class KvClientApp:
 
     def op(self) -> Signal:
         """One randomly-chosen operation; Signal -> response payload."""
-        done = Signal(self.sim, name="kv.op")
-        self.sim.process(self._op(done), name="kv.op")
-        return done
+        return self.sim.process(self._op(), name="kv.op")
 
-    def _op(self, done: Signal):
+    def _op(self):
         start = self.sim.now
         key = f"k{self.rng.randrange(self.keyspace)}"
         if self.rng.random() < self.get_fraction:
@@ -192,17 +190,15 @@ class KvClientApp:
                 response = yield inbox.get()
             except Exception as exc:
                 self.errors.add()
-                done.fail(PiCloudError(str(exc)))
-                return
+                raise PiCloudError(str(exc)) from exc
             self.latencies.record(self.sim.now, self.sim.now - start)
             self.completed.add()
-            done.succeed(response.payload)
+            return response.payload
         finally:
             self.netstack.close(port, ip=reply_ip)
 
     def run_closed_loop(self, workers: int, duration_s: float,
                         think_time_s: float = 0.05) -> Signal:
-        done = Signal(self.sim, name="kv.closed-loop")
         deadline = self.sim.now + duration_s
 
         def worker():
@@ -218,7 +214,6 @@ class KvClientApp:
 
         def waiter():
             yield AllOf(self.sim, processes)
-            done.succeed({"completed": self.completed.total, "errors": self.errors.total})
+            return {"completed": self.completed.total, "errors": self.errors.total}
 
-        self.sim.process(waiter(), name="kv.closed-loop")
-        return done
+        return self.sim.process(waiter(), name="kv.closed-loop")

@@ -90,9 +90,7 @@ class MapReduceJob:
 
     def run(self) -> Signal:
         """Execute the job; Signal -> :class:`MapReduceReport`."""
-        done = Signal(self.sim, name="mapreduce.job")
-        self.sim.process(self._run(done), name="mapreduce.job")
-        return done
+        return self.sim.process(self._run(), name="mapreduce.job")
 
     # -- the job pipeline ---------------------------------------------------------
 
@@ -103,7 +101,7 @@ class MapReduceJob:
             sizes.append(int(rest))
         return sizes
 
-    def _run(self, done: Signal):
+    def _run(self):
         start = self.sim.now
         report = MapReduceReport(
             input_bytes=self.input_bytes,
@@ -180,9 +178,9 @@ class MapReduceJob:
             report.reduce_s = self.sim.now - phase_start
 
             report.total_s = self.sim.now - start
-            done.succeed(report)
+            return report
         except Exception as exc:  # noqa: BLE001 - job failure surfaces
-            done.fail(PiCloudError(f"MapReduce job failed: {exc}"))
+            raise PiCloudError(f"MapReduce job failed: {exc}") from exc
         finally:
             for reducer in reducers:
                 if reducer.is_running and reducer.ip is not None:

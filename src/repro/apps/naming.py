@@ -41,16 +41,15 @@ class _SenderBase:
         self.delivered = Counter(self.sim, "named.delivered")
         self.failed = Counter(self.sim, "named.failed")
 
-    def _transmit(self, done: Signal, ip: str, port: int, payload: Any,
-                  size: int):
+    def _transmit(self, ip: str, port: int, payload: Any, size: int):
         try:
             message = yield self.netstack.send(ip, port, payload, size)
         except Exception as exc:
             self.failed.add()
-            done.fail(exc if isinstance(exc, PiCloudError) else PiCloudError(str(exc)))
-            return None
+            if isinstance(exc, PiCloudError):
+                raise
+            raise PiCloudError(str(exc)) from exc
         self.delivered.add()
-        done.succeed(message)
         return message
 
     @property
@@ -82,24 +81,23 @@ class CachedIpSender(_SenderBase):
         return ip
 
     def send(self, name: str, port: int, payload: Any, size: int) -> Signal:
-        done = Signal(self.sim, name=f"cached-send:{name}")
         self.sent.add()
 
         def run():
             try:
                 ip = self._resolve(name)
-            except NameError_ as exc:
+            except NameError_:
                 self.failed.add()
-                done.fail(exc)
-                return
-            result = yield from self._transmit(done, ip, port, payload, size)
-            if result is None:
+                raise
+            try:
+                return (yield from self._transmit(ip, port, payload, size))
+            except PiCloudError:
                 # Delivery failed: drop the (likely stale) cache entry so
                 # the *next* send re-resolves -- standard client behaviour.
                 self._cache.pop(name, None)
+                raise
 
-        self.sim.process(run(), name=f"cached-send:{name}")
-        return done
+        return self.sim.process(run(), name=f"cached-send:{name}")
 
 
 class FlatNameSender(_SenderBase):
@@ -114,7 +112,6 @@ class FlatNameSender(_SenderBase):
         self.resolutions = 0
 
     def send(self, name: str, port: int, payload: Any, size: int) -> Signal:
-        done = Signal(self.sim, name=f"flat-send:{name}")
         self.sent.add()
 
         def run():
@@ -122,12 +119,10 @@ class FlatNameSender(_SenderBase):
                 yield Timeout(self.sim, self.resolve_latency_s)
             try:
                 ip = self.dns.resolve(name)
-            except NameError_ as exc:
+            except NameError_:
                 self.failed.add()
-                done.fail(exc)
-                return
+                raise
             self.resolutions += 1
-            yield from self._transmit(done, ip, port, payload, size)
+            return (yield from self._transmit(ip, port, payload, size))
 
-        self.sim.process(run(), name=f"flat-send:{name}")
-        return done
+        return self.sim.process(run(), name=f"flat-send:{name}")

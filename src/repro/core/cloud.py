@@ -203,15 +203,13 @@ class PiCloud:
         if self._booted:
             raise PiCloudError("cloud already booted")
         signals = [machine.boot() for machine in self.machines.values()]
-        done = Signal(self.sim, name="cloud.boot")
 
         def run():
             yield AllOf(self.sim, signals)
             self._bring_up_management()
-            done.succeed(self)
+            return self
 
-        self.sim.process(run(), name="cloud.boot")
-        return done
+        return self.sim.process(run(), name="cloud.boot")
 
     def _bring_up_management(self) -> None:
         # Host kernels everywhere.

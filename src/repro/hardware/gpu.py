@@ -67,8 +67,7 @@ class Gpu:
             + ops / self.spec.flops
         )
 
-    def offload(self, ops: float, transfer_bytes: float = 0.0,
-                name: str = "") -> Signal:
+    def offload(self, ops: float, transfer_bytes: float = 0.0) -> Signal:
         """Queue a kernel; the Signal fires when its results are back.
 
         ``transfer_bytes`` covers input + output movement over the bus.
@@ -76,7 +75,6 @@ class Gpu:
         """
         if ops < 0 or transfer_bytes < 0:
             raise ValueError("ops and transfer_bytes must be >= 0")
-        done = Signal(self.sim, name=f"{self.owner}.gpu.{name or 'kernel'}")
         service_time = self.kernel_time(ops, transfer_bytes)
 
         def run():
@@ -87,10 +85,9 @@ class Gpu:
             if self._queue.in_use == 0:
                 self.busy.set(0.0)
             self.kernels_run.add()
-            done.succeed(ops)
+            return ops
 
-        self.sim.process(run(), name=f"{self.owner}.gpu")
-        return done
+        return self.sim.process(run(), name=f"{self.owner}.gpu")
 
     def busy_seconds(self, start: Optional[float] = None,
                      end: Optional[float] = None) -> float:

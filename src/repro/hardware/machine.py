@@ -90,19 +90,16 @@ class Machine:
             )
         self.state = PowerState.BOOTING
         self.power.on_power_on()
-        done = Signal(self.sim, name=f"{self.machine_id}.boot")
 
         def run():
             yield Timeout(self.sim, self.spec.boot_time_s)
-            if self.state is PowerState.BOOTING:  # not failed mid-boot
-                self.state = PowerState.ON
-                self.boot_count += 1
-                done.succeed(self)
-            else:
-                done.fail(PowerStateError(f"{self.machine_id}: failed during boot"))
+            if self.state is not PowerState.BOOTING:
+                raise PowerStateError(f"{self.machine_id}: failed during boot")
+            self.state = PowerState.ON
+            self.boot_count += 1
+            return self
 
-        self.sim.process(run(), name=f"{self.machine_id}.boot")
-        return done
+        return self.sim.process(run(), name=f"{self.machine_id}.boot")
 
     def boot_immediately(self) -> None:
         """Skip the boot delay (used when assembling pre-warmed testbeds)."""

@@ -74,7 +74,6 @@ class StorageDevice:
     def _io(self, nbytes: int, bandwidth: float, counter: Counter) -> Signal:
         if nbytes < 0:
             raise ValueError("negative I/O size")
-        done = Signal(self.sim, name=f"{self.owner}.storage.io")
         service_time = self.spec.access_latency_s + nbytes / bandwidth
 
         def run():
@@ -82,10 +81,9 @@ class StorageDevice:
             yield Timeout(self.sim, service_time)
             self._queue.release()
             counter.add(nbytes)
-            done.succeed(nbytes)
+            return nbytes
 
-        self.sim.process(run(), name=f"{self.owner}.storage.io")
-        return done
+        return self.sim.process(run(), name=f"{self.owner}.storage.io")
 
     def io_time(self, nbytes: int, write: bool = False) -> float:
         """Uncontended service time for an I/O of ``nbytes`` (for planning)."""

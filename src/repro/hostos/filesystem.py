@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import StorageFullError
 from repro.hardware.storage import StorageDevice
 from repro.sim.kernel import Simulator
 from repro.sim.process import Signal
@@ -128,30 +127,22 @@ class FileSystem:
     def write(self, path: str, size: int, metadata: Optional[dict] = None) -> Signal:
         """Create+write a file; the Signal fires after the device write."""
         self.create(path, size, metadata)  # reserve space up-front
-        done = Signal(self.sim, name=f"{self.owner}.fs.write")
 
         def run():
-            try:
-                yield self.device.write(size)
-            except StorageFullError as exc:  # pragma: no cover - reserve caught it
-                done.fail(exc)
-                return
-            done.succeed(self.stat(path))
+            yield self.device.write(size)
+            return self.stat(path)
 
-        self.sim.process(run(), name=f"{self.owner}.fs.write")
-        return done
+        return self.sim.process(run(), name=f"{self.owner}.fs.write")
 
     def read(self, path: str) -> Signal:
         """Timed full-file read; the Signal fires with the FileEntry."""
         entry = self.stat(path)
-        done = Signal(self.sim, name=f"{self.owner}.fs.read")
 
         def run():
             yield self.device.read(entry.size)
-            done.succeed(entry)
+            return entry
 
-        self.sim.process(run(), name=f"{self.owner}.fs.read")
-        return done
+        return self.sim.process(run(), name=f"{self.owner}.fs.read")
 
     def copy(self, src: str, dst: str) -> Signal:
         """Timed copy (read + write) within this filesystem.
@@ -160,12 +151,10 @@ class FileSystem:
         """
         entry = self.stat(src)
         self.create(dst, entry.size, dict(entry.metadata))
-        done = Signal(self.sim, name=f"{self.owner}.fs.copy")
 
         def run():
             yield self.device.read(entry.size)
             yield self.device.write(entry.size)
-            done.succeed(self.stat(dst))
+            return self.stat(dst)
 
-        self.sim.process(run(), name=f"{self.owner}.fs.copy")
-        return done
+        return self.sim.process(run(), name=f"{self.owner}.fs.copy")

@@ -65,7 +65,6 @@ class ImageDistributor:
               image: ContainerImage) -> Signal:
         """One image push over REST (used by both schemes)."""
         ip = self.pimaster.node_ip(node_id)
-        done = Signal(self.sim, name=f"dist-push:{node_id}")
 
         def run():
             try:
@@ -82,13 +81,11 @@ class ImageDistributor:
                 )
                 response.raise_for_status()
             except Exception as exc:  # noqa: BLE001
-                done.fail(ImageError(f"push to {node_id} failed: {exc}"))
-                return
+                raise ImageError(f"push to {node_id} failed: {exc}") from exc
             self.pimaster.images.mark_cached(node_id, image)
-            done.succeed(node_id)
+            return node_id
 
-        self.sim.process(run(), name=f"dist-push:{node_id}")
-        return done
+        return self.sim.process(run(), name=f"dist-push:{node_id}")
 
     def _rack_of(self, node_id: str) -> Optional[str]:
         return self.pimaster.daemon(node_id).kernel.machine.rack
@@ -104,7 +101,6 @@ class ImageDistributor:
             image=image.qualified_name, scheme="unicast",
             nodes=len(targets), started_at=self.sim.now,
         )
-        done = Signal(self.sim, name="dist:unicast")
 
         def run():
             pushes = [
@@ -124,10 +120,9 @@ class ImageDistributor:
                 report.succeeded.append(node)
                 report.pimaster_bytes_sent += image.rootfs_bytes
             report.finished_at = self.sim.now
-            done.succeed(report)
+            return report
 
-        self.sim.process(run(), name="dist:unicast")
-        return done
+        return self.sim.process(run(), name="dist:unicast")
 
     # -- scheme 2: peer-assisted swarm ----------------------------------------------
 
@@ -140,7 +135,6 @@ class ImageDistributor:
             image=image.qualified_name, scheme="peer-assisted",
             nodes=len(targets), started_at=self.sim.now,
         )
-        done = Signal(self.sim, name="dist:peer")
 
         by_rack: Dict[Optional[str], List[str]] = {}
         for node in targets:
@@ -203,10 +197,9 @@ class ImageDistributor:
                     seeded.append(node)
                     report.succeeded.append(node)
             report.finished_at = self.sim.now
-            done.succeed(report)
+            return report
 
-        self.sim.process(run(), name="dist:peer")
-        return done
+        return self.sim.process(run(), name="dist:peer")
 
     def _pick_seeder(self, node: str, seeded: List[str],
                      slots: Dict[str, int]) -> Optional[str]:

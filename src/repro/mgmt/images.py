@@ -76,10 +76,8 @@ class ImageService:
         any transport/daemon error.  ``parent`` threads the caller's span
         so the push (a large flow on the fabric) is causally attributed.
         """
-        done = Signal(self.sim, name=f"image-push:{image.qualified_name}:{node_id}")
         if self.node_has(node_id, image):
-            done.succeed(False)
-            return done
+            return Signal(self.sim).succeed(False)
         span = trace.start_span(
             self.sim, "mgmt.image_push", parent=parent, kind="mgmt",
             attributes={"image": image.qualified_name, "node": node_id,
@@ -104,15 +102,13 @@ class ImageService:
                 response.raise_for_status()
             except Exception as exc:  # noqa: BLE001 - wrap for the caller
                 span.end("error", str(exc))
-                done.fail(ImageError(
+                raise ImageError(
                     f"push of {image.qualified_name} to {node_id} failed: {exc}"
-                ))
-                return
+                ) from exc
             self.mark_cached(node_id, image)
             self.pushes += 1
             self.push_bytes += image.rootfs_bytes
             span.end("ok")
-            done.succeed(True)
+            return True
 
-        self.sim.process(run(), name=f"image-push:{node_id}")
-        return done
+        return self.sim.process(run(), name=f"image-push:{node_id}")

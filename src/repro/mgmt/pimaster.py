@@ -313,7 +313,6 @@ class PiMaster:
         resurrection gap in :class:`~repro.faults.MtbfFaultInjector`.
         """
         node_id = daemon.node_id
-        done = Signal(self.sim, name=f"rejoin:{node_id}")
         span = trace.start_span(
             self.sim, "mgmt.rejoin", parent=parent, kind="mgmt",
             attributes={"node": node_id, "ip": ip},
@@ -340,8 +339,7 @@ class PiMaster:
                 response.raise_for_status()
             except Exception as exc:  # noqa: BLE001 - node still unreachable
                 span.end("error", str(exc))
-                done.fail(ManagementError(f"rejoin of {node_id!r} failed: {exc}"))
-                return
+                raise ManagementError(f"rejoin of {node_id!r} failed: {exc}") from exc
             record = self._nodes.get(node_id)
             if record is None:
                 record = NodeRecord(node_id=node_id, ip=ip, daemon=daemon)
@@ -359,10 +357,9 @@ class PiMaster:
             self.health.mark(node_id, NodeHealth.ALIVE, parent=span.context)
             self.rejoins += 1
             span.end("ok")
-            done.succeed(record)
+            return record
 
-        self.sim.process(run(), name=f"rejoin:{node_id}")
-        return done
+        return self.sim.process(run(), name=f"rejoin:{node_id}")
 
     def forget_container(self, name: str) -> None:
         """Drop a container's registry state without contacting its node.
@@ -582,7 +579,6 @@ class PiMaster:
         spawn's trace (the recovery plane parents respawns on the
         evacuation span).
         """
-        done = Signal(self.sim, name=f"spawn:{image}")
         container_image = self.images.get(image)
         self._spawn_seq += 1
         container_name = name or f"{container_image.name}-{self._spawn_seq}"
@@ -604,8 +600,9 @@ class PiMaster:
         )
         if container_name in self._containers:
             span.end("error", "name in use")
-            done.fail(ManagementError(f"container name {container_name!r} in use"))
-            return done
+            return Signal(self.sim).fail(
+                ManagementError(f"container name {container_name!r} in use")
+            )
 
         request = PlacementRequest(
             image=container_image.name,
@@ -627,8 +624,7 @@ class PiMaster:
             except PlacementError as exc:
                 self.spawn_failures += 1
                 span.end("error", str(exc))
-                done.fail(exc)
-                return
+                raise
             span.set_attribute("node", target)
             record = self._nodes[target]
             try:
@@ -664,8 +660,9 @@ class PiMaster:
             except Exception as exc:  # noqa: BLE001 - spawn failed downstream
                 self.spawn_failures += 1
                 span.end("error", str(exc))
-                done.fail(ManagementError(f"spawn of {container_name!r} failed: {exc}"))
-                return
+                raise ManagementError(
+                    f"spawn of {container_name!r} failed: {exc}"
+                ) from exc
             fqdn = self.dns.register(container_name, lease.ip)
             container_record = ContainerRecord(
                 name=container_name,
@@ -680,14 +677,12 @@ class PiMaster:
             self._track_group(container_record)
             self.spawns += 1
             span.end("ok")
-            done.succeed(container_record)
+            return container_record
 
-        self.sim.process(run(), name=f"spawn:{container_name}")
-        return done
+        return self.sim.process(run(), name=f"spawn:{container_name}")
 
     def destroy_container(self, name: str) -> Signal:
         """Stop + destroy a container and release its lease and DNS record."""
-        done = Signal(self.sim, name=f"destroy:{name}")
         record = self.container_record(name)
         node = self._nodes[record.node_id]
         self._destroy_seq += 1
@@ -710,21 +705,18 @@ class PiMaster:
                 response.raise_for_status()
             except Exception as exc:  # noqa: BLE001
                 span.end("error", str(exc))
-                done.fail(ManagementError(f"destroy of {name!r} failed: {exc}"))
-                return
+                raise ManagementError(f"destroy of {name!r} failed: {exc}") from exc
             self.dns.unregister(name)
             self.dhcp.release(name)
             self._untrack_group(record)
             del self._containers[name]
             span.end("ok")
-            done.succeed(name)
+            return name
 
-        self.sim.process(run(), name=f"destroy:{name}")
-        return done
+        return self.sim.process(run(), name=f"destroy:{name}")
 
     def set_limits(self, name: str, **limits) -> Signal:
         """Adjust a container's soft resource limits (Fig. 4 use case)."""
-        done = Signal(self.sim, name=f"limits:{name}")
         record = self.container_record(name)
         node = self._nodes[record.node_id]
         span = trace.start_span(self.sim, "mgmt.set_limits", kind="mgmt",
@@ -744,13 +736,11 @@ class PiMaster:
                 response.raise_for_status()
             except Exception as exc:  # noqa: BLE001
                 span.end("error", str(exc))
-                done.fail(ManagementError(f"set_limits on {name!r} failed: {exc}"))
-                return
+                raise ManagementError(f"set_limits on {name!r} failed: {exc}") from exc
             span.end("ok")
-            done.succeed(response.body)
+            return response.body
 
-        self.sim.process(run(), name=f"limits:{name}")
-        return done
+        return self.sim.process(run(), name=f"limits:{name}")
 
     def migrate_container(self, name: str, destination: str,
                           reassign_ip: bool = False) -> Signal:
@@ -762,11 +752,11 @@ class PiMaster:
         address break until they re-resolve.  The default keeps the IP
         (the paper's IP-less-routing goal of seamless migration).
         """
-        done = Signal(self.sim, name=f"migrate:{name}")
         record = self.container_record(name)
         if destination not in self._nodes:
-            done.fail(ManagementError(f"unknown destination node {destination!r}"))
-            return done
+            return Signal(self.sim).fail(
+                ManagementError(f"unknown destination node {destination!r}")
+            )
         source = self._nodes[record.node_id]
         span = trace.start_span(
             self.sim, "mgmt.migrate", kind="mgmt",
@@ -788,8 +778,7 @@ class PiMaster:
                 response.raise_for_status()
             except Exception as exc:  # noqa: BLE001
                 span.end("error", str(exc))
-                done.fail(ManagementError(f"migration of {name!r} failed: {exc}"))
-                return
+                raise ManagementError(f"migration of {name!r} failed: {exc}") from exc
             self._untrack_group(record)
             record.node_id = destination
             self._track_group(record)
@@ -808,15 +797,13 @@ class PiMaster:
                     self.dns.update(name, lease.ip)
                 except Exception as exc:  # noqa: BLE001
                     span.end("error", str(exc))
-                    done.fail(ManagementError(
+                    raise ManagementError(
                         f"IP reassignment for {name!r} failed: {exc}"
-                    ))
-                    return
+                    ) from exc
             span.end("ok")
-            done.succeed(response.body)
+            return response.body
 
-        self.sim.process(run(), name=f"migrate:{name}")
-        return done
+        return self.sim.process(run(), name=f"migrate:{name}")
 
     # -- panel ------------------------------------------------------------------------
 

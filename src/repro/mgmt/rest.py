@@ -226,7 +226,6 @@ class RestClient:
         the request carries this client span's context so the serving
         side's spans nest under it.
         """
-        done = Signal(self.sim, name=f"rest-call:{method}:{path}")
         span = trace.start_span(
             self.sim, f"rest.client {method.upper()} {path}",
             parent=parent, kind="rest.client",
@@ -248,23 +247,20 @@ class RestClient:
                     )
                 except Exception as exc:  # network-level failure
                     span.end("error", f"send failed: {exc}")
-                    done.fail(RestError(0, f"send failed: {exc}"))
-                    return
+                    raise RestError(0, f"send failed: {exc}") from exc
                 guard = Timeout(self.sim, self.timeout_s)
                 winner, value = yield AnyOf(self.sim, [inbox.get(), guard])
                 if winner == 1:
                     span.end("error", f"timeout after {self.timeout_s}s")
-                    done.fail(RestError(0, f"timeout after {self.timeout_s}s"))
-                    return
+                    raise RestError(0, f"timeout after {self.timeout_s}s")
                 guard.cancel()
                 span.set_attribute("status", value.payload.status)
                 span.end("ok")
-                done.succeed(value.payload)
+                return value.payload
             finally:
                 self.netstack.close(reply_port, ip=reply_ip)
 
-        self.sim.process(run(), name=f"rest-call:{method}:{path}")
-        return done
+        return self.sim.process(run(), name=f"rest-call:{method}:{path}")
 
     def get(self, dst_ip: str, dst_port: int, path: str, parent=None) -> Signal:
         return self.request("GET", dst_ip, dst_port, path, parent=parent)

@@ -61,7 +61,6 @@ class RollingUpgrade:
 
     def run(self) -> Signal:
         """Execute the upgrade; Signal -> :class:`UpgradeReport`."""
-        done = Signal(self.sim, name=f"rolling:{self.image_name}")
         latest = self.pimaster.images.get(self.image_name)
         report = UpgradeReport(
             image=self.image_name,
@@ -95,10 +94,9 @@ class RollingUpgrade:
             if batch:
                 yield from self._run_batch(batch, upgrade_one, report)
             report.finished_at = self.sim.now
-            done.succeed(report)
+            return report
 
-        self.sim.process(run(), name=f"rolling:{self.image_name}")
-        return done
+        return self.sim.process(run(), name=f"rolling:{self.image_name}")
 
     def _run_batch(self, batch, upgrade_one, report):
         from repro.sim.process import AllOf

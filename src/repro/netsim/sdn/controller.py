@@ -167,10 +167,8 @@ class OpenFlowPathService:
     # -- PathService protocol ----------------------------------------------------
 
     def resolve(self, src: str, dst: str, flow_key: Hashable = None) -> Signal:
-        signal = Signal(self.sim, name=f"of-route:{src}->{dst}")
         if src == dst:
-            signal.succeed([src])
-            return signal
+            return Signal(self.sim).succeed([src])
 
         match = self._match_key(src, dst, flow_key)
         cached = self._installed_paths.get(match)
@@ -178,29 +176,23 @@ class OpenFlowPathService:
             cached, key=match[2]
         ):
             self.cache_hits += 1
-            signal.succeed(list(cached))
-            return signal
+            return Signal(self.sim).succeed(list(cached))
 
         def setup():
             # PacketIn: first OpenFlow switch -> controller.
             yield Timeout(self.sim, self.control_latency)
             try:
                 path = self.controller.handle_packet_in(src, dst, flow_key)
-            except NoRouteError as exc:
-                signal.fail(exc)
-                return
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                signal.fail(NoRouteError(f"no path from {src!r} to {dst!r}"))
-                return
+            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+                raise NoRouteError(f"no path from {src!r} to {dst!r}") from exc
             # FlowMods: controller -> switches (parallel, one latency).
             yield Timeout(self.sim, self.control_latency)
             self.controller.install_path(path, self.idle_timeout, key=match[2])
             self._installed_paths[match] = list(path)
             self.setups += 1
-            signal.succeed(list(path))
+            return list(path)
 
-        self.sim.process(setup(), name=f"of-setup:{src}->{dst}")
-        return signal
+        return self.sim.process(setup(), name=f"of-setup:{src}->{dst}")
 
     def mark_link(self, a: str, b: str, up: bool) -> None:
         """Fabric hook: propagate link state into the controller's view."""

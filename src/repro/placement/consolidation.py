@@ -135,7 +135,6 @@ class Consolidator:
         ]
         moves = moves[: self.aggressiveness]
         report.planned_migrations = len(moves)
-        done = Signal(self.sim, name="consolidation.round")
         span = trace.start_span(
             self.sim, "consolidation.round", kind="mgmt",
             attributes={"round": self.rounds_run, "planned": len(moves)},
@@ -175,7 +174,6 @@ class Consolidator:
             span.set_attribute("executed", report.executed_migrations)
             span.set_attribute("failed", report.failed_migrations)
             span.end("ok" if report.failed_migrations == 0 else "error")
-            done.succeed(report)
+            return report
 
-        self.sim.process(run(), name="consolidation.round")
-        return done
+        return self.sim.process(run(), name="consolidation.round")

@@ -22,6 +22,13 @@ Accepted yield values:
 
 Processes may be interrupted: :meth:`Process.interrupt` raises
 :class:`Interrupt` at the current yield point.
+
+An asynchronous operation returns the :class:`Process` that runs it: the
+process is the operation's completion signal.  ``return value`` in the
+body is success and ``raise exc`` is failure; callers yield the process
+and resume with the value or the exception.  A failure detected before
+any process exists is returned as an already-failed ``Signal``
+(``return Signal(sim).fail(exc)``).
 """
 
 from __future__ import annotations
@@ -299,7 +306,9 @@ class Process(Signal):
             self.succeed(None)
             return
         except BaseException as error:  # noqa: BLE001 - process body failed
-            self.fail(error)
+            # Drop this frame from the traceback: it holds ``self``, which
+            # would put a failed process in a cycle with its exception.
+            self.fail(error.with_traceback(error.__traceback__.tb_next))
             return
         if isinstance(yielded, Signal):
             signal = yielded

@@ -78,7 +78,6 @@ class LxcRuntime:
         card.  ``provision_rootfs=False`` skips the timed write (used by
         migration, which streams state instead).
         """
-        done = Signal(self.sim, name=f"{self.host_id}.lxc-create.{name}")
         span = trace.start_span(
             self.sim, "virt.create", parent=parent, kind="virt",
             attributes={"host": self.host_id, "container": name,
@@ -86,8 +85,9 @@ class LxcRuntime:
         )
         if name in self._containers:
             span.end("error", "name exists")
-            done.fail(VirtualisationError(f"{self.host_id}: container {name!r} exists"))
-            return done
+            return Signal(self.sim).fail(
+                VirtualisationError(f"{self.host_id}: container {name!r} exists")
+            )
         rootfs = f"{LXC_ROOT}/{name}/rootfs"
         try:
             cgroup = self.kernel.create_cgroup(
@@ -98,8 +98,7 @@ class LxcRuntime:
             )
         except Exception as exc:  # duplicate cgroup
             span.end("error", str(exc))
-            done.fail(VirtualisationError(str(exc)))
-            return done
+            return Signal(self.sim).fail(VirtualisationError(str(exc)))
 
         container = Container(name, image, self, cgroup, rootfs)
         self._containers[name] = container
@@ -120,14 +119,12 @@ class LxcRuntime:
                 self._containers.pop(name, None)
                 self.kernel.remove_cgroup(cgroup.name)
                 span.end("error", str(exc))
-                done.fail(VirtualisationError(f"lxc-create {name!r}: {exc}"))
-                return
+                raise VirtualisationError(f"lxc-create {name!r}: {exc}") from exc
             self.containers_created += 1
             span.end("ok")
-            done.succeed(container)
+            return container
 
-        self.sim.process(run(), name=f"{self.host_id}.lxc-create.{name}")
-        return done
+        return self.sim.process(run(), name=f"{self.host_id}.lxc-create.{name}")
 
     def lxc_start(self, container: Container, ip: Optional[str] = None,
                   parent=None) -> Signal:
@@ -136,7 +133,6 @@ class LxcRuntime:
         Fails with :class:`OutOfMemoryError` if the idle footprint does not
         fit -- the mechanism behind the paper's 3-containers-per-Pi limit.
         """
-        done = Signal(self.sim, name=f"{self.host_id}.lxc-start.{container.name}")
         span = trace.start_span(
             self.sim, "virt.start", parent=parent, kind="virt",
             attributes={"host": self.host_id, "container": container.name},
@@ -145,24 +141,21 @@ class LxcRuntime:
             container.require_state(ContainerState.DEFINED)
         except ContainerStateError as exc:
             span.end("error", str(exc))
-            done.fail(exc)
-            return done
+            return Signal(self.sim).fail(exc)
         try:
             container.cgroup.charge_memory(container.image.idle_memory_bytes)
         except OutOfMemoryError as exc:
             span.end("error", str(exc))
-            done.fail(exc)
-            return done
+            return Signal(self.sim).fail(exc)
         container.memory_bytes = container.image.idle_memory_bytes
 
         def run():
             yield Timeout(self.sim, self.start_delay_s)
             if container.state is not ContainerState.DEFINED:
                 span.end("error", "state changed during start")
-                done.fail(ContainerStateError(
+                raise ContainerStateError(
                     f"container {container.name!r} changed state during start"
-                ))
-                return
+                )
             if ip is not None:
                 self.kernel.netstack.bind_address(ip)
                 container.ip = ip
@@ -172,10 +165,9 @@ class LxcRuntime:
             container.started_at = self.sim.now
             self.containers_started += 1
             span.end("ok")
-            done.succeed(container)
+            return container
 
-        self.sim.process(run(), name=f"{self.host_id}.lxc-start.{container.name}")
-        return done
+        return self.sim.process(run(), name=f"{self.host_id}.lxc-start.{container.name}")
 
     def lxc_freeze(self, container: Container) -> None:
         """Suspend: new work is rejected until unfreeze (cgroup freezer)."""

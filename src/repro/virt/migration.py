@@ -68,7 +68,6 @@ def live_migrate(
     """
     source = container.runtime
     sim = source.sim
-    done = Signal(sim, name=f"migrate.{container.name}")
     span = trace.start_span(
         sim, "virt.migrate", parent=parent, kind="virt",
         attributes={"container": container.name, "source": source.host_id,
@@ -77,20 +76,17 @@ def live_migrate(
 
     if container.state is not ContainerState.RUNNING:
         span.end("error", "not running")
-        done.fail(MigrationError(
+        return Signal(sim).fail(MigrationError(
             f"container {container.name!r} is {container.state.value}, not running"
         ))
-        return done
     if destination is source:
         span.end("error", "same host")
-        done.fail(MigrationError(
+        return Signal(sim).fail(MigrationError(
             f"container {container.name!r} is already on {destination.host_id}"
         ))
-        return done
     if max_rounds < 1:
         span.end("error", "max_rounds must be >= 1")
-        done.fail(MigrationError("max_rounds must be >= 1"))
-        return done
+        return Signal(sim).fail(MigrationError("max_rounds must be >= 1"))
 
     network = source.kernel.netstack.fabric.network
     src_node = source.kernel.netstack.node_id
@@ -118,11 +114,10 @@ def live_migrate(
             dst_container.cgroup.charge_memory(container.memory_bytes)
         except Exception as exc:
             span.end("error", str(exc))
-            done.fail(MigrationError(
+            raise MigrationError(
                 f"destination {destination.host_id} cannot host "
                 f"{container.name!r}: {exc}"
-            ))
-            return
+            ) from exc
 
         try:
             # --- iterative pre-copy -------------------------------------
@@ -200,12 +195,11 @@ def live_migrate(
             span.set_attribute("downtime_s", report.downtime_s)
             span.set_attribute("converged", report.converged)
             span.end("ok")
-            done.succeed(report)
+            return report
         except Exception as exc:  # noqa: BLE001 - report migration failure
             if container.state is ContainerState.FROZEN:
                 source.lxc_unfreeze(container)
             span.end("error", str(exc))
-            done.fail(MigrationError(f"migration of {container.name!r} failed: {exc}"))
+            raise MigrationError(f"migration of {container.name!r} failed: {exc}") from exc
 
-    sim.process(run(), name=f"migrate.{container.name}")
-    return done
+    return sim.process(run(), name=f"migrate.{container.name}")

@@ -7,7 +7,7 @@ import pytest
 pytestmark = pytest.mark.timeout(30)
 
 from repro.core import PiCloud, PiCloudConfig
-from repro.errors import ManagementError
+from repro.errors import ManagementError, NameError_
 from repro.placement import BestFit, PackingPlacement
 from repro.units import mib
 from repro.virt.container import ContainerState
@@ -139,6 +139,17 @@ class TestLifecycleViaPimaster:
         bad = cloud.pimaster.migrate_container("w", "pi-r9-n9")
         cloud.run_for(1.0)
         assert isinstance(bad.exception, ManagementError)
+
+    def test_destroy_of_forgotten_container_fails_instead_of_hanging(self, cloud):
+        # The registry row vanishes while the REST destroy is in flight:
+        # the unexpected failure must reach the caller, not a lost process.
+        run_until(cloud, cloud.spawn("webserver", name="c0"))
+        start = cloud.sim.now
+        destroy = cloud.pimaster.destroy_container("c0")
+        cloud.pimaster.forget_container("c0")
+        cloud.run_until_signal(destroy)
+        assert isinstance(destroy.exception, NameError_)
+        assert cloud.sim.now - start < 60.0
 
 
 class TestMonitoring:

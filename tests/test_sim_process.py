@@ -474,6 +474,21 @@ class TestRefcountReclamation:
             sim.run()
         assert leaked == Counter()
 
+    def test_failed_processes_leave_no_cycles(self, sim):
+        def body():
+            yield Timeout(sim, 1.0)
+            raise ValueError("unwatched failure")
+
+        with cyclic_kernel_garbage() as leaked:
+            for _ in range(3):
+                sim.process(body())  # nobody waits on it
+            # No-op events after the failures push their callbacks out of
+            # the kernel's recent-event trace, so only a cycle keeps them.
+            for _ in range(200):
+                sim.schedule(2.0, lambda: None)
+            sim.run()
+        assert leaked == Counter()
+
     def test_cloud_leaves_no_cyclic_kernel_garbage(self):
         # A short REST deadline lets the guards' queue entries pop within
         # the run, so a lost race's objects become unreachable.
