@@ -11,8 +11,6 @@
 aggressiveness in test_consolidation_congestion.py.)
 """
 
-import pytest
-
 from repro.hardware import Cpu, CpuSpec
 from repro.hostos.scheduler import FairShareScheduler, FifoScheduler
 from repro.netsim import Network
@@ -32,8 +30,8 @@ def interactive_latency(scheduler_cls):
     for index in range(10):
         def submit(i=index):
             task = scheduler.submit(1.0, name=f"req{i}")
-            task.done.add_done_callback(
-                lambda sig: latencies.append(sig.value.duration)
+            task.add_done_callback(
+                lambda done: latencies.append(done.duration)
             )
         sim.schedule(0.5 * index, submit)
     sim.run()
@@ -89,7 +87,7 @@ def run_flow_burst(proactive: bool):
         dst = hosts[(index + 2) % len(hosts)]
         flows.append(network.transfer(src, dst, 1000.0, flow_key=index))
     sim.run(until=600.0)
-    assert all(f.done.ok for f in flows)
+    assert all(f.ok for f in flows)
     return {
         "packet_ins": controller.packet_in_count,
         "flow_mods": controller.flow_mod_count,

@@ -10,8 +10,6 @@ power and lose on congestion -- the ripple effect VM-only simulators
 
 import random
 
-import pytest
-
 from repro.apps import OnOffTrafficSource
 from repro.placement import Consolidator, WorstFit
 from repro.telemetry.stats import format_table

@@ -6,8 +6,6 @@ at the same price.  Density must be *emergent* from the memory model --
 we start containers until OOM and count.
 """
 
-import pytest
-
 from repro.core import PiCloud, PiCloudConfig
 from repro.errors import OutOfMemoryError
 from repro.hardware import RASPBERRY_PI_MODEL_B, RASPBERRY_PI_MODEL_B_512

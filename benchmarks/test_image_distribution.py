@@ -8,8 +8,6 @@ here, all 6) against the peer-assisted swarm, measuring wall time and
 who carried the bytes.
 """
 
-import pytest
-
 from repro.mgmt.distribution import ImageDistributor
 from repro.telemetry.stats import format_table
 from repro.units import mib

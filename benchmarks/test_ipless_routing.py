@@ -14,8 +14,6 @@ transparency* (our default keep-the-IP migration), even caches never go
 stale.
 """
 
-import pytest
-
 from repro.apps.naming import CachedIpSender, FlatNameSender
 from repro.telemetry.stats import format_table
 

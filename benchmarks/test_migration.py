@@ -5,8 +5,6 @@ dirty rate, the convergence cliff when dirtying beats the link, and the
 cross-layer effect of background traffic on migration time.
 """
 
-import pytest
-
 from repro.telemetry.stats import format_table
 from repro.units import mib
 from repro.virt.migration import live_migrate
@@ -93,7 +91,7 @@ def test_migration_preserves_service():
     report = migrate_once(cloud, container, runtimes["pi-r1-n1"])
     assert container.ip == record.ip  # IP travelled with the container
     assert cloud.ip_fabric.locate(record.ip).node_id == "pi-r1-n1"
-    done = container.run(700e6)
+    done = container.execute(700e6)
     cloud.run_for(120.0)
     assert done.triggered
     assert report.downtime_s < 0.1

@@ -11,7 +11,6 @@ latency price.
 import pytest
 
 from repro.telemetry.stats import format_table
-from repro.units import mib
 
 from conftest import build_small_cloud
 
@@ -19,7 +18,7 @@ from conftest import build_small_cloud
 def tenant_service_time(cloud, container, cycles=700e6 * 0.2):
     """Run one 0.2 s-of-CPU 'request' in the container; return duration."""
     task = container.execute(cycles, name="probe")
-    cloud.run_until_signal(task.done)
+    cloud.run_until_signal(task)
     return task.duration
 
 

@@ -14,8 +14,6 @@ Plus the operational basics: gossip convergence time and the ring's
 placement balance.
 """
 
-import pytest
-
 from repro.mgmt.p2p import P2P_PORT, P2pAgent
 from repro.mgmt.rest import RestClient
 from repro.telemetry.stats import format_table

@@ -7,8 +7,6 @@ policy and observe layer-crossing metrics: machines used (power),
 spread (balance), and rack locality (network).
 """
 
-import pytest
-
 from repro.placement import (
     BestFit,
     FirstFit,

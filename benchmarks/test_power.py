@@ -8,7 +8,7 @@ socket board."  Plus the §IV cooling claim (33% of total DC power).
 
 import pytest
 
-from repro.power import CloudPowerMeter, CoolingModel
+from repro.power import CoolingModel
 from repro.telemetry.stats import format_table
 
 from conftest import build_paper_cloud, build_small_cloud

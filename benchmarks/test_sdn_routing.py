@@ -43,7 +43,7 @@ def run_storm(routing, with_rerouter=False):
     if rerouter is not None:
         rerouter.stop()
         cloud.run_for(1.0)
-    assert all(t.done.ok for t in transfers)
+    assert all(t.ok for t in transfers)
     completion = max(t.completed_at for t in transfers)
     roots = {t.path[2] for t in transfers if len(t.path) > 2}
     return completion, roots

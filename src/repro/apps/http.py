@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.errors import PiCloudError
 from repro.hostos.netstack import Message, NetStack
-from repro.sim.kernel import Simulator
 from repro.sim.process import AllOf, Signal, Timeout
 from repro.telemetry.series import Counter, TimeSeries
 from repro.units import kib, mcycles
@@ -84,7 +83,7 @@ class HttpServerApp:
         cycles = self.base_cycles + self.cycles_per_kib * (response_bytes / kib(1))
         # CPU work inside the container (frozen/stopped container drops it).
         try:
-            yield self.container.run(cycles, name="http-request")
+            yield self.container.execute(cycles, name="http-request")
         except Exception:
             return
         try:

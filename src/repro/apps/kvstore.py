@@ -92,7 +92,7 @@ class KeyValueStoreApp:
         if kind == "put":
             value_bytes = int(op.get("value_bytes", kib(1)))
             try:
-                yield self.container.run(PUT_CYCLES, name="kv-put")
+                yield self.container.execute(PUT_CYCLES, name="kv-put")
             except Exception:
                 return
             if self.persist:
@@ -115,7 +115,7 @@ class KeyValueStoreApp:
             yield kernel.netstack.reply(message, {"status": "ok"}, size=128)
         elif kind == "get":
             try:
-                yield self.container.run(GET_CYCLES, name="kv-get")
+                yield self.container.execute(GET_CYCLES, name="kv-get")
             except Exception:
                 return
             size = self._store.get(key)

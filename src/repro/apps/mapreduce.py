@@ -13,7 +13,7 @@ aggregation layer -- experiment C7's knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import PiCloudError
@@ -132,7 +132,7 @@ class MapReduceJob:
             for worker, sizes in zip(self.workers, assignments):
                 volume = sum(sizes)
                 if volume > 0:
-                    maps.append(worker.run(
+                    maps.append(worker.execute(
                         volume * self.map_cycles_per_byte, name="map-task"
                     ))
             if maps:
@@ -169,7 +169,7 @@ class MapReduceJob:
                 self.input_bytes * self.intermediate_ratio / self.reducer_count
             )
             reduces = [
-                reducer.run(
+                reducer.execute(
                     reduce_volume * self.reduce_cycles_per_byte, name="reduce-task"
                 )
                 for reducer in reducers

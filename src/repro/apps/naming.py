@@ -20,7 +20,7 @@ window each scheme suffers across migrations.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.errors import NameError_, PiCloudError
 from repro.hostos.netstack import NetStack

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.errors import PiCloudError
 from repro.hostos.netstack import Message
-from repro.sim.process import Signal
 from repro.telemetry.series import Counter, TimeSeries
 from repro.units import kib, mcycles
 from repro.virt.container import Container, ContainerState
@@ -66,7 +65,7 @@ class _TierServer:
         start = self.sim.now
         kernel = self.container.runtime.kernel
         try:
-            yield self.container.run(self.cycles, name=f"tier-{self.port}")
+            yield self.container.execute(self.cycles, name=f"tier-{self.port}")
         except Exception:
             return
         if self.downstream is not None:

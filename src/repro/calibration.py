@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.netsim.fabric import FlowState, FlowTransfer, Network

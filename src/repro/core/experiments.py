@@ -167,11 +167,11 @@ def elephant_storm(
             settled.succeed()
 
     for t in transfers:
-        t.done.add_done_callback(on_flow_done)
+        t.add_done_callback(on_flow_done)
     run_phase(cloud, "elephant-storm", signal=settled,
               sim_seconds=sim_deadline_s, wall_s=wall_s)
-    failed = [t for t in transfers if not t.done.ok]
-    completed = [t for t in transfers if t.done.ok]
+    failed = [t for t in transfers if not t.ok]
+    completed = [t for t in transfers if t.ok]
     return {
         "completion_s": max((t.completed_at for t in completed), default=0.0),
         "failed": len(failed),

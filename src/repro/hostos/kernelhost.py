@@ -17,7 +17,6 @@ from repro.hostos.filesystem import FileSystem
 from repro.hostos.netstack import IpFabric, NetStack
 from repro.hostos.scheduler import FairShareScheduler, Task
 from repro.sim.kernel import Simulator
-from repro.sim.process import Signal
 
 
 class HostKernel:
@@ -83,11 +82,6 @@ class HostKernel:
         return sorted(self._cgroups)
 
     # -- convenience passthroughs ---------------------------------------------
-
-    def run_cycles(self, cycles: float, cgroup: Optional[CGroup] = None,
-                   name: str = "") -> Signal:
-        """Execute CPU work under an optional cgroup; Signal on completion."""
-        return self.scheduler.run(cycles, cgroup, name)
 
     def submit(self, cycles: float, cgroup: Optional[CGroup] = None,
                name: str = "") -> Task:

@@ -16,7 +16,7 @@ are all built from these messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import AddressError, ConnectionRefusedError, NetworkError
@@ -278,7 +278,7 @@ class NetStack:
             live_inbox.put(message)
             done.succeed(message)
 
-        flow.done.add_done_callback(on_flow)
+        flow.add_done_callback(on_flow)
         return done
 
     def reply(self, request: Message, payload: Any, size: int, tag: str = "",

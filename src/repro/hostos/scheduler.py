@@ -25,11 +25,13 @@ from repro.sim.kernel import Event, Simulator
 from repro.sim.process import Signal
 
 
-class Task:
+class Task(Signal):
     """A finite piece of CPU work (``cycles``) charged to a cgroup.
 
-    The ``done`` Signal succeeds with the task when the last cycle
-    executes.  Tasks can be cancelled (e.g. their container was stopped).
+    A Task is its own completion signal: it succeeds (``yield task``
+    resumes with ``None``) when the last cycle executes.  Tasks can be
+    cancelled (e.g. their container was stopped), which fails them with
+    :class:`~repro.errors.SchedulingError`.
     """
 
     _next_id = 0
@@ -38,21 +40,16 @@ class Task:
                  cgroup: Optional[CGroup], name: str) -> None:
         Task._next_id += 1
         self.task_id = Task._next_id
+        super().__init__(scheduler.sim, name=name or f"task{self.task_id}")
         self.scheduler = scheduler
         self.cycles = float(cycles)
         self.remaining = float(cycles)
         self.cgroup = cgroup
-        self.name = name or f"task{self.task_id}"
-        self.done = Signal(scheduler.sim, name=f"{self.name}.done")
         self.submitted_at = scheduler.sim.now
         self.completed_at: Optional[float] = None
         self.rate = 0.0
         self._last_update = scheduler.sim.now
         self._completion_event: Optional[Event] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.done.triggered
 
     @property
     def duration(self) -> Optional[float]:
@@ -61,7 +58,7 @@ class Task:
         return self.completed_at - self.submitted_at
 
     def cancel(self) -> None:
-        """Abort the task; its ``done`` signal fails."""
+        """Abort the task; it fails with SchedulingError."""
         self.scheduler._cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -91,22 +88,17 @@ class FairShareScheduler:
 
     def submit(self, cycles: float, cgroup: Optional[CGroup] = None,
                name: str = "") -> Task:
-        """Queue ``cycles`` of work; returns the Task (wait on ``task.done``)."""
+        """Queue ``cycles`` of work; returns the Task (yield it to wait)."""
         if cycles < 0:
             raise SchedulingError(f"{self.owner}: cannot submit {cycles} cycles")
         task = Task(self, cycles, cgroup, name)
         if cycles == 0:
             task.completed_at = self.sim.now
-            task.done.succeed(task)
+            task.succeed()
             return task
         self._tasks[task] = None
         self._recompute()
         return task
-
-    def run(self, cycles: float, cgroup: Optional[CGroup] = None,
-            name: str = "") -> Signal:
-        """Convenience: submit and return just the completion Signal."""
-        return self.submit(cycles, cgroup, name).done
 
     # -- knob changes ---------------------------------------------------------
 
@@ -117,12 +109,12 @@ class FairShareScheduler:
     # -- internals --------------------------------------------------------------
 
     def _cancel(self, task: Task) -> None:
-        if task.finished:
+        if task.triggered:
             return
         self._settle(task)
         self._detach(task)
         self.tasks_cancelled += 1
-        task.done.fail(SchedulingError(f"task {task.name} cancelled"))
+        task.fail(SchedulingError(f"task {task.name} cancelled"))
         self._recompute()
 
     def _settle(self, task: Task) -> None:
@@ -205,17 +197,24 @@ class FairShareScheduler:
         self.cpu.set_utilization(demand / self.cpu.capacity if self.cpu.capacity else 0.0)
 
     def _complete(self, task: Task) -> None:
-        if task.finished:
+        if task.triggered:
             return
         self._settle(task)
         if task.remaining > max(1e-6, task.cycles * 1e-9):
             # Stale wakeup or floating-point residue: re-arm completion so
             # the task always finishes (a zero rate waits for recompute).
-            if task.rate > 0:
+            if task.rate <= 0:
+                return
+            eta = task.remaining / task.rate
+            if self.sim.now + eta > self.sim.now:
                 task._completion_event = self.sim.schedule(
-                    task.remaining / task.rate, self._complete, task
+                    eta, self._complete, task
                 )
-            return
+                return
+            # The residue drains in less than one representable clock
+            # tick at the current timestamp: a re-armed event would fire
+            # at this same instant, settle nothing and re-arm forever.
+            # Deliver the sub-resolution residue now instead.
         task.remaining = 0.0
         task.completed_at = self.sim.now
         self._detach(task)
@@ -224,7 +223,7 @@ class FairShareScheduler:
         # completion (e.g. a REST handler reading CPU load) must observe
         # the post-completion utilisation, not its own finished work.
         self._recompute()
-        task.done.succeed(task)
+        task.succeed()
 
     # -- reporting -----------------------------------------------------------------
 

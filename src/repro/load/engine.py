@@ -575,11 +575,10 @@ class LoadEngine:
         aggregate.outstanding += 1
         report.flows_started += 1
 
-        def finished(signal, aggregate=aggregate, requests=requests,
-                     offered_rate=offered_rate, demand_bytes=demand_bytes,
-                     flow=flow):
+        def finished(flow, aggregate=aggregate, requests=requests,
+                     offered_rate=offered_rate, demand_bytes=demand_bytes):
             aggregate.outstanding -= 1
-            if signal.exception is not None:
+            if flow.exception is not None:
                 self._reports[aggregate.service.name].flows_failed += 1
                 self._record(aggregate.service, self.sim.now, requests,
                              math.inf)
@@ -588,7 +587,7 @@ class LoadEngine:
             self._settle(aggregate, flow, requests, offered_rate,
                          demand_bytes)
 
-        flow.done.add_done_callback(finished)
+        flow.add_done_callback(finished)
 
     def _settle(self, aggregate: Aggregate, flow: "FlowTransfer",
                 requests: float, offered_rate: float,

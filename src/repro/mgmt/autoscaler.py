@@ -13,7 +13,7 @@ scale-in removes the newest replica first.  A cooldown prevents flapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigurationError

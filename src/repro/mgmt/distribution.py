@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ImageError
+from repro.mgmt.images import image_descriptor
 from repro.mgmt.node_daemon import NODE_DAEMON_PORT
 from repro.mgmt.pimaster import PiMaster
 from repro.mgmt.rest import RestClient
-from repro.sim.process import AllOf, Signal
+from repro.sim.process import Signal
 from repro.virt.image import ContainerImage
 
 
@@ -70,13 +71,7 @@ class ImageDistributor:
             try:
                 response = yield client.post(
                     ip, NODE_DAEMON_PORT, "/images",
-                    body={
-                        "name": image.name,
-                        "version": image.version,
-                        "size": image.rootfs_bytes,
-                        "idle_memory": image.idle_memory_bytes,
-                        "app_class": image.app_class,
-                    },
+                    body=image_descriptor(image),
                     wire_size=image.rootfs_bytes,
                 )
                 response.raise_for_status()

@@ -22,7 +22,19 @@ IMAGE_CACHE_DIR = "/var/cache/picloud/images"
 
 
 def cache_path(image: ContainerImage) -> str:
+    """Where a node keeps ``image``'s rootfs on its SD card."""
     return f"{IMAGE_CACHE_DIR}/{image.name}-v{image.version}.rootfs"
+
+
+def image_descriptor(image: ContainerImage) -> dict:
+    """The ``POST /images`` body a node daemon rebuilds ``image`` from."""
+    return {
+        "name": image.name,
+        "version": image.version,
+        "size": image.rootfs_bytes,
+        "idle_memory": image.idle_memory_bytes,
+        "app_class": image.app_class,
+    }
 
 
 class ImageService:
@@ -88,13 +100,7 @@ class ImageService:
             try:
                 response = yield client.post(
                     node_ip, node_port, "/images",
-                    body={
-                        "name": image.name,
-                        "version": image.version,
-                        "size": image.rootfs_bytes,
-                        "idle_memory": image.idle_memory_bytes,
-                        "app_class": image.app_class,
-                    },
+                    body=image_descriptor(image),
                     # The POST body *is* the rootfs: size it accordingly.
                     wire_size=image.rootfs_bytes,
                     parent=span,

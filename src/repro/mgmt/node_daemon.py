@@ -30,6 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import DeadlineExceeded, PiCloudError, RestError
 from repro.hostos.kernelhost import HostKernel
+from repro.mgmt.images import cache_path
 from repro.mgmt.rest import RestClient, RestRequest, RestServer
 from repro.sim.process import AnyOf, Signal, Timeout
 from repro.virt.container import ContainerState
@@ -38,7 +39,6 @@ from repro.virt.lxc import LxcRuntime
 from repro.virt.migration import live_migrate
 
 NODE_DAEMON_PORT = 8600
-IMAGE_CACHE_DIR = "/var/cache/picloud/images"
 
 
 class NodeDaemon:
@@ -251,7 +251,7 @@ class NodeDaemon:
             )
         except (KeyError, PiCloudError) as exc:
             raise RestError(400, f"bad image descriptor: {exc}") from exc
-        path = f"{IMAGE_CACHE_DIR}/{image.name}-v{image.version}.rootfs"
+        path = cache_path(image)
         if self.kernel.filesystem.exists(path):
             self._images[image.qualified_name] = image
             return 200, {"cached": True}

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RestError
 from repro.hostos.kernelhost import HostKernel
+from repro.mgmt.images import cache_path
 from repro.mgmt.rest import RestClient, RestRequest, RestServer
 from repro.netsim.addresses import Ipv4Pool
 from repro.sim.process import Timeout
@@ -103,13 +104,10 @@ class P2pAgent:
 
     def seed_image(self, image: ContainerImage) -> None:
         """Install an image into the local cache (metadata only)."""
-        if not self.kernel.filesystem.exists(self._cache_path(image)):
-            self.kernel.filesystem.create(self._cache_path(image), image.rootfs_bytes)
+        path = cache_path(image)
+        if not self.kernel.filesystem.exists(path):
+            self.kernel.filesystem.create(path, image.rootfs_bytes)
         self._images[image.qualified_name] = image
-
-    @staticmethod
-    def _cache_path(image: ContainerImage) -> str:
-        return f"/var/cache/picloud/images/{image.name}-v{image.version}.rootfs"
 
     # -- membership -----------------------------------------------------------------
 

@@ -170,7 +170,7 @@ class RestServer:
         )
         request.server_trace = span.context
         if self.request_cpu_cycles > 0:
-            yield self.kernel.run_cycles(
+            yield self.kernel.submit(
                 self.request_cpu_cycles, name=f"rest:{self.name}"
             )
         matched = self._match(request.method, request.path)

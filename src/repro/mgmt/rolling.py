@@ -13,7 +13,7 @@ the fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.mgmt.pimaster import PiMaster
 from repro.sim.process import Signal

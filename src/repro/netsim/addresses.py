@@ -8,7 +8,7 @@ The pimaster's DHCP service (:mod:`repro.mgmt.dhcp`) allocates from an
 from __future__ import annotations
 
 import ipaddress
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 from repro.errors import AddressError
 

@@ -69,11 +69,12 @@ class FlowState(enum.Enum):
     FAILED = "failed"
 
 
-class FlowTransfer:
+class FlowTransfer(Signal):
     """One data transfer (think: a TCP flow) through the fabric.
 
-    The ``done`` Signal succeeds with the flow when the last byte arrives,
-    or fails with a :class:`~repro.errors.NetworkError`.
+    A flow is its own completion signal: it succeeds (``yield flow``
+    resumes with ``None``) when the last byte arrives, or fails with a
+    :class:`~repro.errors.NetworkError`.
     """
 
     _next_id = 0
@@ -90,6 +91,7 @@ class FlowTransfer:
     ) -> None:
         FlowTransfer._next_id += 1
         self.flow_id = FlowTransfer._next_id
+        super().__init__(network.sim, name=f"flow{self.flow_id}")
         self.network = network
         self.src = src
         self.dst = dst
@@ -98,7 +100,6 @@ class FlowTransfer:
         self.rate_cap = rate_cap
         self.tag = tag
         self.state = FlowState.PENDING
-        self.done = Signal(network.sim, name=f"flow{self.flow_id}.done")
         # Causal trace span covering request -> last byte (repro.trace).
         self.span = NULL_SPAN
 
@@ -347,8 +348,8 @@ class Network:
     ) -> FlowTransfer:
         """Start a transfer of ``nbytes`` from ``src`` to ``dst``.
 
-        Returns immediately with a :class:`FlowTransfer`; wait on its
-        ``done`` signal for completion.  A zero-byte transfer still pays
+        Returns immediately with a :class:`FlowTransfer`; yield it to wait
+        for completion.  A zero-byte transfer still pays
         the path's propagation latency (it models a control message).
         ``parent`` (a span or span context) attributes the flow to its
         causal trace.
@@ -678,7 +679,7 @@ class Network:
         flow.span.end("ok")
         for observer in self.flow_observers:
             observer(flow)
-        flow.done.succeed(flow)
+        flow.succeed()
 
     def _fail_flow(self, flow: FlowTransfer, exc: NetworkError) -> None:
         if flow.state in (FlowState.DONE, FlowState.FAILED):
@@ -690,7 +691,7 @@ class Network:
         flow.span.end("error", str(exc))
         for observer in self.flow_observers:
             observer(flow)
-        flow.done.fail(exc)
+        flow.fail(exc)
         if was_active:
             self._request_solve()
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import islice
-from typing import Hashable, List, Optional
+from typing import List, Optional
 
 import networkx as nx
 

@@ -16,7 +16,7 @@ Builders construct the paper's shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import networkx as nx
 

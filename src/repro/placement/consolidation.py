@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import trace
 from repro.sim.kernel import Simulator
-from repro.sim.process import AllOf, Signal
+from repro.sim.process import Signal
 from repro.virt.container import Container
 from repro.virt.lxc import LxcRuntime
 from repro.virt.migration import MigrationReport, live_migrate

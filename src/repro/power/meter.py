@@ -8,7 +8,7 @@ a physical testbed gives real power data where simulators guess.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.hardware.machine import Machine
 

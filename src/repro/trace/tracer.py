@@ -26,7 +26,7 @@ import weakref
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.trace.span import Span, SpanContext, context_of
+from repro.trace.span import Span, context_of
 
 DEFAULT_KERNEL_EVENT_CAP = 100_000
 

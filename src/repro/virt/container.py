@@ -89,9 +89,6 @@ class Container:
             cycles, cgroup=self.cgroup, name=name or f"{self.name}.work"
         )
 
-    def run(self, cycles: float, name: str = "") -> Signal:
-        return self.execute(cycles, name).done
-
     def grow_memory(self, nbytes: int) -> None:
         """Increase RSS (application allocated memory)."""
         self.require_state(ContainerState.RUNNING, ContainerState.FROZEN)

@@ -21,11 +21,11 @@ cross-layer coupling the paper argues simulators miss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro import trace
 from repro.errors import MigrationError
-from repro.sim.process import Process, Signal, Timeout
+from repro.sim.process import Signal
 from repro.virt.container import Container, ContainerState
 from repro.virt.lxc import LxcRuntime
 
@@ -130,7 +130,7 @@ def live_migrate(
                     tag=f"migrate:{container.name}:round{report.rounds}",
                     parent=span,
                 )
-                yield flow.done
+                yield flow
                 report.bytes_per_round.append(to_copy)
                 report.total_bytes += to_copy
                 round_time = sim.now - round_start
@@ -159,7 +159,7 @@ def live_migrate(
                     tag=f"migrate:{container.name}:final",
                     parent=span,
                 )
-                yield flow.done
+                yield flow
                 report.total_bytes += to_copy
             # Switch over: move the IP (and its open server sockets),
             # re-home the container object.

@@ -7,8 +7,6 @@ formerly-hanging fabric pathology (a sub-clock-resolution residue
 rescheduling itself forever) now terminates.
 """
 
-import math
-
 import pytest
 
 from repro.core import PiCloud, PiCloudConfig
@@ -344,15 +342,15 @@ class TestFabricResidueRegression:
         # residue's drain time, then plant the pathological state the
         # seed's hang exhibited.
         sim.run(until=3660.0)
-        assert flow.state is FlowState.ACTIVE or flow.done.triggered
-        if not flow.done.triggered:
+        assert flow.state is FlowState.ACTIVE or flow.triggered
+        if not flow.triggered:
             flow.remaining = 2.59e-6
             flow.rate = 12_500_000.0
             eta = flow.remaining / flow.rate
             assert sim.now + eta == sim.now, "residue must be sub-resolution"
             net._complete(flow)
             assert flow.state is FlowState.DONE
-        assert flow.done.triggered and flow.done.ok
+        assert flow.triggered and flow.ok
 
     def test_tiny_transfer_terminates_under_budget(self):
         cloud = PiCloud(PiCloudConfig.small(
@@ -363,4 +361,4 @@ class TestFabricResidueRegression:
         cloud.run_for(3600.0)
         flow = cloud.network.transfer("pi-r0-n0", "pi-r1-n1", 441.0)
         cloud.run_for(3600.0)
-        assert flow.done.triggered and flow.done.ok
+        assert flow.triggered and flow.ok

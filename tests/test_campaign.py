@@ -13,7 +13,6 @@ fork-preferred start method means worker processes inherit the
 registry, so specs here can reference them by name.
 """
 
-import json
 import os
 import time
 
@@ -32,7 +31,7 @@ from repro.campaign.scenarios import (register_scenario,
                                       registered_scenarios,
                                       resolve_scenario)
 from repro.core.config import SimBudgetConfig
-from repro.errors import CampaignError, SimBudgetExceeded
+from repro.errors import CampaignError
 
 
 # -- test scenarios ----------------------------------------------------------

@@ -19,7 +19,6 @@ Four layers of assurance:
 
 import dataclasses
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path

@@ -193,7 +193,7 @@ class TestPowerAndFailure:
         cloud.fail_link("tor0", "agg0")
         flow = cloud.network.transfer("pi-r0-n0", "pi-r1-n0", 1000.0)
         cloud.run_for(60.0)
-        assert flow.done.ok
+        assert flow.ok
         assert "agg0" not in flow.path
         cloud.repair_link("tor0", "agg0")
 

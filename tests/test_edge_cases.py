@@ -7,7 +7,6 @@ checks, and cross-layer corner interactions.
 
 import pytest
 
-from repro.errors import NetworkError, SimulationError
 from repro.netsim import Network
 from repro.netsim.fabric import FlowState
 from repro.netsim.topology import single_switch
@@ -145,7 +144,7 @@ class TestSchedulerEdgeCases:
         sched = FairShareScheduler(sim, Cpu(sim, CpuSpec(clock_hz=1e6)))
         tasks = [sched.submit(100.0) for _ in range(300)]
         sim.run()
-        assert all(t.finished for t in tasks)
+        assert all(t.triggered for t in tasks)
         # 300 * 100 cycles at 1e6/s.
         assert sim.now == pytest.approx(0.03)
 
@@ -159,7 +158,7 @@ class TestSchedulerEdgeCases:
             task.cancel()
         survivor = sched.submit(1e6)
         sim.run()
-        assert survivor.finished
+        assert survivor.triggered
         assert sim.now == pytest.approx(1.0)
 
 

@@ -131,7 +131,7 @@ class TestFaultSchedule:
         cloud.run_for(1.0)
         flow = cloud.network.transfer("pi-r0-n0", "pi-r1-n0", 1000.0)
         cloud.run_for(60.0)
-        assert flow.done.ok
+        assert flow.ok
         assert "agg0" not in flow.path
 
 
@@ -223,12 +223,12 @@ class TestPartitionSchedule:
         assert cloud.machines["pi-r0-n0"].is_on
         blocked = cloud.network.transfer("pi-r0-n0", "pi-r1-n0", 1000.0)
         cloud.run_for(5.0)
-        assert blocked.done.triggered and not blocked.done.ok
+        assert blocked.triggered and not blocked.ok
         cloud.run_for(25.0)
         assert not cloud.network.partitioned
         healed = cloud.network.transfer("pi-r0-n0", "pi-r1-n0", 1000.0)
         cloud.run_for(30.0)
-        assert healed.done.ok
+        assert healed.ok
         assert [e.kind for e in schedule.log] == ["partition",
                                                   "partition-heal"]
 
@@ -248,7 +248,7 @@ class TestCorrelatedDomains:
         # The rack behind tor0 is unreachable from the rest.
         flow = cloud.network.transfer("pi-r0-n0", "pi-r1-n0", 1000.0)
         cloud.run_for(5.0)
-        assert flow.done.triggered and not flow.done.ok
+        assert flow.triggered and not flow.ok
 
     def test_fail_tor_unknown_switch(self, cloud):
         with pytest.raises(ValueError):

@@ -99,13 +99,13 @@ class TestLinkDegrade:
 
         healthy = cloud.network.transfer(src, dst, size)
         cloud.run_for(600.0)
-        assert healthy.done.ok
+        assert healthy.ok
         healthy_s = healthy.completed_at - healthy.started_at
 
         cloud.network.degrade_link(src, "tor0", bandwidth_frac=0.1)
         degraded = cloud.network.transfer(src, dst, size)
         cloud.run_for(6000.0)
-        assert degraded.done.ok
+        assert degraded.ok
         degraded_s = degraded.completed_at - degraded.started_at
         # 10% of the access-link capacity -> ~10x the transfer time.
         assert degraded_s > 5.0 * healthy_s
@@ -120,8 +120,8 @@ class TestFabricPartition:
         flow = cloud.network.transfer("pi-r0-n0", "pi-r1-n0", 500e6)
         cloud.run_for(1.0)
         cloud.network.set_partition([["pi-r0-n0", "pi-r0-n1", "tor0"]])
-        assert flow.done.triggered and not flow.done.ok
-        assert isinstance(flow.done.exception, ConnectionResetError)
+        assert flow.triggered and not flow.ok
+        assert isinstance(flow.exception, ConnectionResetError)
 
     def test_new_crossing_flow_refused_intra_group_unaffected(self):
         cloud = small_cloud()
@@ -130,11 +130,11 @@ class TestFabricPartition:
         within = cloud.network.transfer("pi-r0-n0", "pi-r0-n1", 1000.0)
         rest = cloud.network.transfer("pi-r1-n0", "pi-r1-n1", 1000.0)
         cloud.run_for(30.0)
-        assert not crossing.done.ok
-        assert isinstance(crossing.done.exception, NoRouteError)
+        assert not crossing.ok
+        assert isinstance(crossing.exception, NoRouteError)
         # Both sides keep working internally: nothing is dead.
-        assert within.done.ok
-        assert rest.done.ok
+        assert within.ok
+        assert rest.ok
 
     def test_unknown_member_rejected(self):
         cloud = small_cloud()
@@ -149,7 +149,7 @@ class TestFabricPartition:
         assert not cloud.network.partitioned
         flow = cloud.network.transfer("pi-r0-n0", "pi-r1-n0", 1000.0)
         cloud.run_for(30.0)
-        assert flow.done.ok
+        assert flow.ok
 
 
 # -- user-visible impact through the load engine ----------------------------

@@ -12,7 +12,7 @@ from repro.hardware import Machine, RASPBERRY_PI_MODEL_B, StorageDevice, Storage
 from repro.hostos import FileSystem, HostKernel, IpFabric, NetStack
 from repro.netsim import Network
 from repro.netsim.topology import single_switch
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -262,9 +262,9 @@ class TestHostKernel:
         kernel.remove_cgroup("c1")
         assert kernel.machine.memory.used == used_before - 1000
 
-    def test_run_cycles_executes(self, sim):
+    def test_submit_executes(self, sim):
         kernel = self._kernel(sim)
-        done = kernel.run_cycles(700e6)  # 1 second at 700 MHz
+        done = kernel.submit(700e6)  # 1 second at 700 MHz
         sim.run()
         assert done.triggered
         assert sim.now == pytest.approx(1.0)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core import PiCloud, PiCloudConfig
 from repro.errors import OutOfMemoryError, SchedulingError
-from repro.hardware import Cpu, CpuSpec, Memory, MemorySpec
+from repro.hardware import RASPBERRY_PI_MODEL_B, Cpu, CpuSpec, Memory, MemorySpec
 from repro.hostos import CGroup, FairShareScheduler
 from repro.sim import Simulator
+from repro.sim.budget import SimBudgetConfig
 from repro.units import mib
 
 
@@ -97,12 +99,12 @@ class TestSchedulerSingleTask:
     def test_lone_task_runs_at_full_speed(self, sim, sched):
         task = sched.submit(200.0)
         sim.run()
-        assert task.finished
+        assert task.triggered
         assert task.completed_at == pytest.approx(2.0)
 
     def test_zero_cycle_task_completes_immediately(self, sim, sched):
         task = sched.submit(0.0)
-        assert task.finished
+        assert task.triggered
         assert task.duration == 0.0
 
     def test_negative_cycles_rejected(self, sched):
@@ -210,7 +212,7 @@ class TestCancellation:
         task = sched.submit(1000.0)
         sim.schedule(1.0, task.cancel)
         sim.run()
-        assert task.done.triggered and not task.done.ok
+        assert task.triggered and not task.ok
         assert sched.tasks_cancelled == 1
 
     def test_cancel_releases_capacity(self, sim, sched):
@@ -225,7 +227,7 @@ class TestCancellation:
         task = sched.submit(10.0)
         sim.run()
         task.cancel()
-        assert task.done.ok
+        assert task.ok
 
 
 class TestSchedulerReporting:
@@ -244,3 +246,35 @@ class TestSchedulerReporting:
         assert sched.tasks_completed == 1
         assert sched.tasks_cancelled == 1
         assert sched.runnable_count == 0
+
+
+class TestSubTickResidue:
+    """A residue that drains in under half a clock tick completes now.
+
+    At large ``sim.now`` the gap to the next representable timestamp can
+    exceed a task's leftover ``remaining / rate``: re-arming completion
+    would fire at the same instant, settle nothing and re-arm forever.
+    The event budget turns such a spin into a failure.
+    """
+
+    def test_lone_task_late_in_the_run(self, sim):
+        sched = FairShareScheduler(sim, Cpu(sim, RASPBERRY_PI_MODEL_B.cpu))
+        sim.run(until=300037.4290640018)
+        task = sched.submit(17678.903447552755)
+        sim.run(budget=SimBudgetConfig(max_events=1000))
+        assert task.ok
+        assert sched.runnable_count == 0
+
+    def test_spawn_after_a_long_idle_cloud(self):
+        cloud = PiCloud(PiCloudConfig.small(
+            racks=1, pis=2, routing="shortest", start_monitoring=False,
+        ))
+        cloud.boot()
+        cloud.sim.run(until=1e6)
+        # The REST server charges every request 2 Mcycles of CPU.
+        spawn = cloud.spawn("webserver", name="web")
+        cloud.sim.run(
+            until=cloud.sim.now + 3600,
+            budget=SimBudgetConfig(max_events=cloud.sim.events_executed + 10_000),
+        )
+        assert spawn.ok

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PiCloud, PiCloudConfig
 from repro.errors import ImageError
-from repro.mgmt.images import ImageService, cache_path
+from repro.mgmt.images import cache_path
 from repro.units import mib
 from repro.virt.image import ContainerImage
 

@@ -8,8 +8,7 @@ pytestmark = pytest.mark.timeout(30)
 
 from repro.core import PiCloud, PiCloudConfig
 from repro.errors import ManagementError, NameError_
-from repro.placement import BestFit, PackingPlacement
-from repro.units import mib
+from repro.placement import BestFit
 from repro.virt.container import ContainerState
 
 

@@ -63,7 +63,7 @@ class TestNetworkCaps:
         # Host-level traffic from the same node is unaffected.
         t0 = cloud.sim.now
         flow = cloud.network.transfer("pi-r0-n0", "pi-r1-n1", 1.25e6)
-        cloud.run_until_signal(flow.done)
+        cloud.run_until_signal(flow)
         assert cloud.sim.now - t0 == pytest.approx(0.1, rel=0.05)
 
     def test_cap_via_limits_endpoint(self, cloud):

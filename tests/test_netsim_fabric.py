@@ -200,7 +200,7 @@ class TestLinkFailure:
         flow = net.transfer("h0", "h1", 100.0)
         sim.run()
         assert flow.state is FlowState.FAILED
-        assert isinstance(flow.done.exception, NoRouteError)
+        assert isinstance(flow.exception, NoRouteError)
 
     def test_repair_restores_path(self, sim):
         net = star(sim)

@@ -150,7 +150,7 @@ class TestReactiveSetup:
         flow = network.transfer("pi-r0-n0", "pi-r1-n0", 100.0)
         sim.run()
         assert flow.state is FlowState.FAILED
-        assert isinstance(flow.done.exception, NoRouteError)
+        assert isinstance(flow.exception, NoRouteError)
 
 
 class TestControllerApps:

@@ -107,7 +107,7 @@ def test_scheduler_conserves_work(cycles):
     scheduler = FairShareScheduler(sim, cpu)
     tasks = [scheduler.submit(c) for c in cycles]
     sim.run()
-    assert all(t.finished for t in tasks)
+    assert all(t.triggered for t in tasks)
     total = sum(cycles)
     assert cpu.cycles_executed == __import__("pytest").approx(total, rel=1e-6)
     assert sim.now == __import__("pytest").approx(total / 1e6, rel=1e-6)

@@ -7,13 +7,16 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import PiCloud, PiCloudConfig
-from repro.errors import SimulationError
+from repro.errors import NoRouteError, SchedulingError, SimulationError
+from repro.hardware import Cpu, CpuSpec
+from repro.hostos import FairShareScheduler
+from repro.netsim import Network
+from repro.netsim.topology import single_switch
 from repro.sim import (
     AllOf,
     AnyOf,
     Event,
     Interrupt,
-    Process,
     Signal,
     Simulator,
     Timeout,
@@ -186,6 +189,39 @@ class TestProcess:
         sim.run()
         with pytest.raises(SimulationError):
             _ = proc.value
+
+
+class TestUnitsOfWork:
+    """Flows and CPU tasks are signals: a process yields them directly."""
+
+    def test_process_yields_flow_and_task(self, sim):
+        net = Network(sim, single_switch(["a", "b", "c"], bandwidth=100.0,
+                                         latency=0.0))
+        sched = FairShareScheduler(sim, Cpu(sim, CpuSpec(clock_hz=100.0)))
+        net.fail_link("c", "sw0")
+        trace = []
+
+        def worker():
+            trace.append((yield net.transfer("a", "b", 200.0)))
+            trace.append(("flow", sim.now))
+            trace.append((yield sched.submit(300.0)))
+            trace.append(("task", sim.now))
+            try:
+                yield net.transfer("a", "c", 100.0)
+            except NoRouteError:
+                trace.append(("no route", sim.now))
+            task = sched.submit(1000.0)
+            sim.schedule(1.0, task.cancel)
+            try:
+                yield task
+            except SchedulingError:
+                trace.append(("cancelled", sim.now))
+
+        proc = sim.process(worker())
+        sim.run()
+        assert proc.ok
+        assert trace == [None, ("flow", 2.0), None, ("task", 5.0),
+                         ("no route", 5.0), ("cancelled", 6.0)]
 
 
 class TestInterrupt:
@@ -431,7 +467,8 @@ class TestResumeLabels:
         assert list(tracer.kernel_event_log) == expected
 
 
-KERNEL_TYPES = (Timeout, Event, AnyOf, AllOf, Process)
+# Every Signal subclass: Timeout, AnyOf, AllOf, Process, FlowTransfer, Task.
+KERNEL_TYPES = (Signal, Event)
 
 
 @contextmanager

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from repro.telemetry import (
     Counter,
     Gauge,

@@ -240,7 +240,7 @@ def test_congestion_episodes_become_spans():
     cloud = build_cloud()
     # Saturate one access link well past the 0.9 threshold.
     flow = cloud.network.transfer("pi-r0-n0", "pi-r0-n1", 50e6, tag="elephant")
-    cloud.run_until_signal(flow.done)
+    cloud.run_until_signal(flow)
 
     tracer = cloud.tracer
     episodes = tracer.find_spans(name_prefix="congestion:")

@@ -259,7 +259,7 @@ class TestLxcLifecycle:
         runtime.lxc_start(container)
         sim.run()
         t0 = sim.now
-        done = container.run(RASPBERRY_PI_MODEL_B.cpu.clock_hz)  # 1s at full speed
+        done = container.execute(RASPBERRY_PI_MODEL_B.cpu.clock_hz)  # 1s at full speed
         sim.run()
         assert done.triggered
         assert sim.now - t0 == pytest.approx(2.0)  # quota halves the rate

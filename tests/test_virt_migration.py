@@ -176,7 +176,7 @@ class TestLiveMigration:
         container = start_container(sim, runtimes["pi-1"])
         live_migrate(container, runtimes["pi-2"])
         sim.run()
-        done = container.run(700e6)  # one second of CPU on the new host
+        done = container.execute(700e6)  # one second of CPU on the new host
         t0 = sim.now
         sim.run()
         assert done.triggered
