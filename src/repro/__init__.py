@@ -28,7 +28,7 @@ See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured record of every table and figure.
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 # Lazy re-exports keep ``import repro`` cheap and avoid importing the
 # whole stack when callers only need one substrate package.
@@ -39,7 +39,6 @@ _FACADE = {
     "SimBudgetConfig": "repro.core.config",
     "HealthConfig": "repro.core.config",
     "TraceConfig": "repro.core.config",
-    "LoadConfig": "repro.core.config",
     "RateModelConfig": "repro.core.config",
     # Session-level load + SLO accounting (repro.load).
     "LoadEngine": "repro.load",

@@ -67,14 +67,6 @@ class RunSpec:
         })
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
-    @property
-    def cell_key(self) -> str:
-        """Readable grid-cell label, e.g. ``mttr_s=30,node_mtbf_s=80``."""
-        return ",".join(
-            f"{key}={_canonical_json(self.cell[key])}"
-            for key in sorted(self.cell)
-        ) or "(single cell)"
-
 
 @dataclass(frozen=True, kw_only=True)
 class CampaignSpec:

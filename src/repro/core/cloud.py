@@ -139,7 +139,6 @@ class PiCloud:
             path_service = OpenFlowPathService(
                 self.sim,
                 self.controller,
-                idle_timeout=self.config.sdn_idle_timeout_s,
                 control_latency=self.config.sdn_control_latency_s,
                 match_granularity=self.config.sdn_match_granularity,
             )
@@ -186,14 +185,11 @@ class PiCloud:
     def boot(self) -> None:
         """Power on every machine and bring up the management plane.
 
-        With ``instant_boot`` (default) this is synchronous; otherwise it
-        schedules timed boots and you must ``run()`` the simulator first
-        (use :meth:`boot_async`).
+        Synchronous: machines come up at once.  :meth:`boot_async` models
+        the spec boot times instead.
         """
         if self._booted:
             raise PiCloudError("cloud already booted")
-        if not self.config.instant_boot:
-            raise PiCloudError("config has instant_boot=False; use boot_async()")
         for machine in self.machines.values():
             machine.boot_immediately()
         self._bring_up_management()

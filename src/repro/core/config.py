@@ -11,7 +11,6 @@ into sub-configs:
 * :class:`SimBudgetConfig` (``budget=``) -- kernel run budgets/watchdog.
 * :class:`HealthConfig` (``health=``) -- the self-healing control plane.
 * :class:`TraceConfig` (``trace=``) -- cross-layer causal tracing.
-* :class:`LoadConfig` (``load=``) -- session-level load engine defaults.
 * :class:`RateModelConfig` (``rate_model=``) -- fabric rate assignment
   (instantaneous max-min vs per-flow congestion control).
 """
@@ -19,7 +18,6 @@ into sub-configs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.hardware.catalog import (
@@ -50,9 +48,10 @@ class HealthConfig:
     nodes missing ``suspect_after_misses`` consecutive heartbeats become
     SUSPECT, ``dead_after_misses`` DEAD; a dead node's containers are
     evacuated (respawned elsewhere via the placement policy, bounded
-    queue + per-container retry budget).  Per-node circuit breakers open
-    after ``breaker_failure_threshold`` consecutive transport failures
-    and half-open after ``breaker_reset_s``.
+    queue + per-container retry budget, see :mod:`repro.mgmt.recovery`).
+    Per-node circuit breakers (:class:`repro.mgmt.health.CircuitBreaker`)
+    open after consecutive transport failures and half-open after a
+    reset timeout.
     """
 
     enabled: bool = False
@@ -60,13 +59,9 @@ class HealthConfig:
     heartbeat_timeout_s: float = 1.0
     suspect_after_misses: int = 2
     dead_after_misses: int = 4
-    evacuation_queue_limit: int = 64
-    evacuation_retry_budget: int = 2
-    breaker_failure_threshold: int = 5
-    breaker_reset_s: float = 60.0
     # Gen-2 detector (partition-aware).  When unreachable_grace_s > 0,
     # accrued dead_after_misses puts a node in UNREACHABLE instead of
-    # DEAD: the detector asks witness_count alive peers to probe it, and
+    # DEAD: the detector asks alive peers to probe it (witnesses), and
     # only declares DEAD (triggering evacuation) when no witness can
     # reach it either AND the grace period has elapsed.  0.0 keeps the
     # legacy binary detector exactly.  ``fencing`` stamps every spawn
@@ -75,7 +70,6 @@ class HealthConfig:
     # partition heals (newest epoch wins).
     unreachable_grace_s: float = 0.0
     fencing: bool = False
-    witness_count: int = 2
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
@@ -96,33 +90,10 @@ class HealthConfig:
                 "dead_after_misses must exceed suspect_after_misses "
                 f"(got {self.dead_after_misses} <= {self.suspect_after_misses})"
             )
-        if self.evacuation_queue_limit < 1:
-            raise ConfigurationError(
-                "evacuation_queue_limit must be >= 1, "
-                f"got {self.evacuation_queue_limit}"
-            )
-        if self.evacuation_retry_budget < 0:
-            raise ConfigurationError(
-                "evacuation_retry_budget must be >= 0, "
-                f"got {self.evacuation_retry_budget}"
-            )
-        if self.breaker_failure_threshold < 1:
-            raise ConfigurationError(
-                "breaker_failure_threshold must be >= 1, "
-                f"got {self.breaker_failure_threshold}"
-            )
-        if self.breaker_reset_s <= 0:
-            raise ConfigurationError(
-                f"breaker_reset_s must be > 0, got {self.breaker_reset_s}"
-            )
         if self.unreachable_grace_s < 0:
             raise ConfigurationError(
                 "unreachable_grace_s must be >= 0, "
                 f"got {self.unreachable_grace_s}"
-            )
-        if self.witness_count < 1:
-            raise ConfigurationError(
-                f"witness_count must be >= 1, got {self.witness_count}"
             )
 
 
@@ -141,47 +112,6 @@ class TraceConfig:
     kernel_events: bool = False
 
 
-@dataclass(frozen=True, kw_only=True)
-class LoadConfig:
-    """Session-level load engine defaults (see ``docs/load.md``).
-
-    ``epoch_s`` is the fluid tick: once per epoch the engine samples
-    arrivals, advances session pools, and emits at most one fabric flow
-    per (service, client edge, replica) aggregate -- the knob that
-    trades timeline resolution against kernel events.
-    ``backlog_epochs`` bounds open-loop overload: an aggregate with
-    that many epoch flows still in flight sheds new requests (counted
-    as SLO-bad at the histogram ceiling) instead of queueing more
-    fabric work.  ``arrival_sampling=False`` switches from seeded
-    Poisson draws to the deterministic fluid mean.
-    """
-
-    epoch_s: float = 1.0
-    arrival_sampling: bool = True
-    backlog_epochs: int = 4
-    histogram_min_s: float = 1e-4
-    histogram_max_s: float = 100.0
-    histogram_buckets_per_decade: int = 20
-
-    def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise ConfigurationError(f"epoch_s must be > 0, got {self.epoch_s}")
-        if self.backlog_epochs < 1:
-            raise ConfigurationError(
-                f"backlog_epochs must be >= 1, got {self.backlog_epochs}"
-            )
-        if not 0 < self.histogram_min_s < self.histogram_max_s:
-            raise ConfigurationError(
-                "need 0 < histogram_min_s < histogram_max_s, got "
-                f"[{self.histogram_min_s}, {self.histogram_max_s}]"
-            )
-        if self.histogram_buckets_per_decade < 1:
-            raise ConfigurationError(
-                "histogram_buckets_per_decade must be >= 1, got "
-                f"{self.histogram_buckets_per_decade}"
-            )
-
-
 RATE_MODELS = ("maxmin", "cc")
 CC_PROTOCOLS = ("reno", "dctcp", "delay")
 
@@ -194,38 +124,16 @@ class RateModelConfig:
     share: stateless, event-driven, byte-identical to every release
     since the fabric existed, and the cheapest option.  ``model="cc"``
     runs per-flow congestion control (:mod:`repro.netsim.cc`): each flow
-    keeps a window updated every ``epoch_s`` by ``protocol`` -- ``reno``
+    keeps a window updated every epoch by ``protocol`` -- ``reno``
     (loss-driven AIMD), ``dctcp`` (ECN-fraction EWMA) or ``delay``
-    (smoothed-RTT backoff) -- against per-link-direction queues of
-    ``queue_limit_bytes`` that mark ECN above
-    ``ecn_threshold_frac * queue_limit_bytes`` and signal loss on
-    overflow.
-
-    The remaining knobs are the protocol constants: windows start at
-    ``init_cwnd_bytes``, never fall below ``min_cwnd_bytes``, grow by
-    ``ai_mss_per_rtt`` segments of ``mss_bytes`` per RTT, and shrink by
-    ``md_factor`` on loss; ``dctcp_g`` is DCTCP's EWMA gain; the delay
-    variant backs off when smoothed RTT exceeds ``delay_threshold``
-    times the propagation RTT, smoothing with weight ``delay_smoothing``.
-    The defaults are tuned for the paper's fabric: 100 Mb/s links,
-    shallow switch buffers (200 x 1500 B packets) and a DCTCP-style ECN
-    threshold at 15% of the buffer.  This class is the only place the
-    knobs are declared, defaulted and checked; the model copies them.
+    (smoothed-RTT backoff) -- against per-link-direction queues that
+    mark ECN above a threshold and signal loss on overflow.  The epoch,
+    buffer and protocol constants are module constants of
+    :mod:`repro.netsim.cc`, tuned for the paper's fabric.
     """
 
     model: str = "maxmin"
     protocol: str = "reno"
-    epoch_s: float = 0.001
-    queue_limit_bytes: float = 300_000.0
-    ecn_threshold_frac: float = 0.15
-    init_cwnd_bytes: float = 15_000.0
-    min_cwnd_bytes: float = 1_500.0
-    mss_bytes: float = 1_500.0
-    ai_mss_per_rtt: float = 1.0
-    md_factor: float = 0.5
-    dctcp_g: float = 0.0625
-    delay_threshold: float = 1.25
-    delay_smoothing: float = 0.1
 
     def __post_init__(self) -> None:
         if self.model not in RATE_MODELS:
@@ -236,48 +144,6 @@ class RateModelConfig:
             raise ConfigurationError(
                 f"unknown cc protocol {self.protocol!r}; "
                 f"use one of {CC_PROTOCOLS}"
-            )
-        if self.epoch_s <= 0:
-            raise ConfigurationError(
-                f"epoch_s must be > 0, got {self.epoch_s}"
-            )
-        if self.queue_limit_bytes <= 0:
-            raise ConfigurationError(
-                f"queue_limit_bytes must be > 0, got {self.queue_limit_bytes}"
-            )
-        if not 0.0 < self.ecn_threshold_frac <= 1.0:
-            raise ConfigurationError(
-                "ecn_threshold_frac must be in (0, 1], got "
-                f"{self.ecn_threshold_frac}"
-            )
-        if self.min_cwnd_bytes <= 0 or self.init_cwnd_bytes < self.min_cwnd_bytes:
-            raise ConfigurationError(
-                "need 0 < min_cwnd_bytes <= init_cwnd_bytes, got "
-                f"min={self.min_cwnd_bytes} init={self.init_cwnd_bytes}"
-            )
-        if self.mss_bytes <= 0:
-            raise ConfigurationError(
-                f"mss_bytes must be > 0, got {self.mss_bytes}"
-            )
-        if self.ai_mss_per_rtt <= 0:
-            raise ConfigurationError(
-                f"ai_mss_per_rtt must be > 0, got {self.ai_mss_per_rtt}"
-            )
-        if not 0.0 < self.md_factor < 1.0:
-            raise ConfigurationError(
-                f"md_factor must be in (0, 1), got {self.md_factor}"
-            )
-        if not 0.0 < self.dctcp_g <= 1.0:
-            raise ConfigurationError(
-                f"dctcp_g must be in (0, 1], got {self.dctcp_g}"
-            )
-        if self.delay_threshold <= 1.0:
-            raise ConfigurationError(
-                f"delay_threshold must be > 1.0, got {self.delay_threshold}"
-            )
-        if not 0.0 < self.delay_smoothing <= 1.0:
-            raise ConfigurationError(
-                f"delay_smoothing must be in (0, 1], got {self.delay_smoothing}"
             )
 
     def build(self):
@@ -302,7 +168,6 @@ class PiCloudConfig:
     pis_per_rack: int = 14
     machine_spec: MachineSpec = RASPBERRY_PI_MODEL_B
     pimaster_spec: MachineSpec = RASPBERRY_PI_MODEL_B_512
-    instant_boot: bool = True
 
     # -- network -------------------------------------------------------------
     topology: str = "multi-root-tree"
@@ -312,7 +177,6 @@ class PiCloudConfig:
     uplink_bandwidth: float = gbit_per_s(1)
     link_latency: float = usec(50)
     routing: str = "sdn-shortest"
-    sdn_idle_timeout_s: float = 60.0
     sdn_control_latency_s: float = 1e-3
     sdn_match_granularity: str = "pair"
     congestion_threshold: float = 0.9
@@ -332,28 +196,19 @@ class PiCloudConfig:
     subnet: str = "10.0.0.0/16"
     dns_zone: str = "picloud.dcs.gla.ac.uk"
     monitoring_interval_s: float = 5.0
-    # Idle nodes (metrics unchanged since the last poll) are polled less
-    # often: the interval grows by monitoring_idle_backoff x per quiet
-    # poll, capped at monitoring_max_interval_s (None = 8x the base
-    # interval).  1.0 disables the backoff.
-    monitoring_idle_backoff: float = 2.0
-    monitoring_max_interval_s: Optional[float] = None
     start_monitoring: bool = True
-    # Management-plane operation guards: container start/stop/migrate and
+    # Management-plane operation guard: container start/stop/migrate and
     # other REST orchestration time out after op_deadline_s (simulated)
-    # and are retried up to op_attempts times with exponential backoff
-    # starting at op_backoff_s.  Management calls can legitimately take
-    # minutes (an image push moves hundreds of MiB across the fabric onto
-    # an SD card), so the deadline defaults generous.
+    # per attempt (retries: repro.mgmt.pimaster.OP_ATTEMPTS).  Management
+    # calls can legitimately take minutes (an image push moves hundreds
+    # of MiB across the fabric onto an SD card), so the deadline
+    # defaults generous.
     op_deadline_s: float = 1800.0
-    op_attempts: int = 3
-    op_backoff_s: float = 1.0
 
     # -- grouped sub-configs ----------------------------------------------
     budget: SimBudgetConfig = field(default_factory=SimBudgetConfig)
     health: HealthConfig = field(default_factory=HealthConfig)
     trace: TraceConfig = field(default_factory=TraceConfig)
-    load: LoadConfig = field(default_factory=LoadConfig)
     rate_model: RateModelConfig = field(default_factory=RateModelConfig)
 
     # -- reproducibility --------------------------------------------------------------
@@ -364,10 +219,6 @@ class PiCloudConfig:
             raise ConfigurationError("need at least one rack with one Pi")
         if self.op_deadline_s <= 0:
             raise ConfigurationError(f"op_deadline_s must be > 0, got {self.op_deadline_s}")
-        if self.op_attempts < 1:
-            raise ConfigurationError(f"op_attempts must be >= 1, got {self.op_attempts}")
-        if self.op_backoff_s < 0:
-            raise ConfigurationError(f"op_backoff_s must be >= 0, got {self.op_backoff_s}")
         if self.topology not in TOPOLOGY_KINDS:
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}; use one of {TOPOLOGY_KINDS}"

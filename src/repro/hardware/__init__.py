@@ -19,7 +19,6 @@ from repro.hardware.cpu import Cpu
 from repro.hardware.gpu import Gpu, GpuSpec, VIDEOCORE_IV
 from repro.hardware.machine import Machine, PowerState
 from repro.hardware.memory import Memory
-from repro.hardware.nic import Nic
 from repro.hardware.power import MachinePowerModel
 from repro.hardware.specs import (
     CpuSpec,
@@ -43,7 +42,6 @@ __all__ = [
     "MachineSpec",
     "Memory",
     "MemorySpec",
-    "Nic",
     "NicSpec",
     "PowerSpec",
     "PowerState",

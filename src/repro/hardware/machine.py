@@ -14,7 +14,6 @@ from typing import Optional
 from repro.errors import PowerStateError
 from repro.hardware.cpu import Cpu
 from repro.hardware.memory import Memory
-from repro.hardware.nic import Nic
 from repro.hardware.power import MachinePowerModel
 from repro.hardware.specs import MachineSpec
 from repro.hardware.storage import StorageDevice
@@ -32,7 +31,10 @@ class PowerState(enum.Enum):
 
 
 class Machine:
-    """One physical node: CPU + memory + storage + NIC + power model."""
+    """One physical node: CPU + memory + storage + power model.
+
+    The NIC is only its spec's line rate; the fabric models the link.
+    """
 
     def __init__(
         self,
@@ -53,7 +55,6 @@ class Machine:
             sim, spec.memory, reserved_bytes=spec.os_reserved_bytes, owner=machine_id
         )
         self.storage = StorageDevice(sim, spec.storage, owner=machine_id)
-        self.nic = Nic(sim, spec.nic, owner=machine_id)
         self.power = MachinePowerModel(sim, spec.power, owner=machine_id)
         if spec.gpu is not None:
             from repro.hardware.gpu import Gpu  # local: avoid import cycle

@@ -4,8 +4,7 @@ Every process exposes two views of the same random object:
 
 * :meth:`ArrivalProcess.rate` -- the instantaneous intensity
   ``lambda(t)`` in sessions/s, and :meth:`ArrivalProcess.mean_arrivals`,
-  its exact integral over an epoch.  These are what the fluid engine
-  uses when arrival sampling is off.
+  its exact integral over an epoch.
 * :meth:`ArrivalProcess.arrivals` -- a Poisson draw around that
   integral from a caller-supplied ``random.Random`` stream (obtained
   from :class:`repro.sim.rng.RngRegistry`), so sampled runs are
@@ -289,14 +288,10 @@ class RegionalMixture(ArrivalProcess):
         t0: float,
         t1: float,
         rngs: Mapping[str, random.Random],
-        sample: bool = True,
     ) -> Dict[str, float]:
-        """Epoch arrivals split by region (sampled or fluid-exact)."""
+        """Epoch arrivals split by region, each from its own stream."""
         out: Dict[str, float] = {}
         for name, (process, weight) in self.regions.items():
             mean = weight * process.mean_arrivals(t0, t1)
-            if sample:
-                out[name] = float(poisson_count(rngs[name], mean))
-            else:
-                out[name] = mean
+            out[name] = float(poisson_count(rngs[name], mean))
         return out

@@ -2,8 +2,8 @@
 
 Once per epoch the engine
 
-1. draws (or integrates) session arrivals per region from the arrival
-   process, seeded through :class:`repro.sim.rng.RngRegistry` streams;
+1. draws session arrivals per region from the arrival process, seeded
+   through :class:`repro.sim.rng.RngRegistry` streams;
 2. advances the fluid per-(service, region) session pools;
 3. re-resolves each service's replicas through the pimaster registry
    and DNS, so placement moves re-key the demand aggregates;
@@ -71,6 +71,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.fabric import FlowTransfer
 
 _GLOBAL_REGION = "global"
+
+# The fluid tick: once per epoch the engine samples arrivals, advances
+# session pools and emits at most one fabric flow per (service, client
+# edge, replica) aggregate.
+EPOCH_S = 1.0
+# Open-loop overload bound: an aggregate with this many epoch flows
+# still in flight sheds new requests (SLO-bad at the histogram ceiling)
+# instead of queueing more fabric work.
+BACKLOG_EPOCHS = 4
 
 
 @dataclass
@@ -221,9 +230,13 @@ class LoadEngine:
         replica host -> fabric -> client edge: the interesting
         (shared) part of the network, without inventing client hosts.
 
-    Epoch cadence, sampling, backlog shedding and histogram layout come
-    from ``cloud.config.load`` (:class:`repro.core.config.LoadConfig`).
+    The epoch cadence and backlog bound are :data:`EPOCH_S` and
+    :data:`BACKLOG_EPOCHS`, readable as ``epoch_s`` and
+    ``backlog_epochs``.
     """
+
+    epoch_s = EPOCH_S
+    backlog_epochs = BACKLOG_EPOCHS
 
     def __init__(
         self,
@@ -244,13 +257,6 @@ class LoadEngine:
         self.network = cloud.network
         self.services: List[Service] = list(services)
         self.arrivals = arrivals
-
-        knobs = cloud.config.load
-        self.epoch_s = float(knobs.epoch_s)
-        self.sample_arrivals = bool(knobs.arrival_sampling)
-        self.backlog_epochs = int(knobs.backlog_epochs)
-        self._hist_layout = (knobs.histogram_min_s, knobs.histogram_max_s,
-                             knobs.histogram_buckets_per_decade)
 
         edges = list(client_edges) if client_edges is not None else (
             cloud.topology.switches(TOR)
@@ -323,7 +329,7 @@ class LoadEngine:
         self._reports: Dict[str, ServiceReport] = {
             service.name: ServiceReport(
                 name=service.name,
-                histogram=LatencyHistogram(*self._hist_layout),
+                histogram=LatencyHistogram(),
                 slo=SloTracker(service.slo),
             )
             for service in self.services
@@ -415,15 +421,8 @@ class LoadEngine:
 
     def _epoch_arrivals(self, t0: float, t1: float) -> Dict[str, float]:
         if isinstance(self.arrivals, RegionalMixture):
-            return self.arrivals.per_region(
-                t0, t1, self._region_rngs, sample=self.sample_arrivals
-            )
-        if self.sample_arrivals:
-            count = self.arrivals.arrivals(
-                t0, t1, self._region_rngs[_GLOBAL_REGION]
-            )
-        else:
-            count = self.arrivals.mean_arrivals(t0, t1)
+            return self.arrivals.per_region(t0, t1, self._region_rngs)
+        count = self.arrivals.arrivals(t0, t1, self._region_rngs[_GLOBAL_REGION])
         return {_GLOBAL_REGION: count}
 
     def _refresh_replicas(self) -> None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ImageError
-from repro.mgmt.images import image_descriptor
 from repro.mgmt.node_daemon import NODE_DAEMON_PORT
 from repro.mgmt.pimaster import PiMaster
 from repro.mgmt.rest import RestClient
@@ -65,22 +64,10 @@ class ImageDistributor:
     def _push(self, client: RestClient, node_id: str,
               image: ContainerImage) -> Signal:
         """One image push over REST (used by both schemes)."""
-        ip = self.pimaster.node_ip(node_id)
-
-        def run():
-            try:
-                response = yield client.post(
-                    ip, NODE_DAEMON_PORT, "/images",
-                    body=image_descriptor(image),
-                    wire_size=image.rootfs_bytes,
-                )
-                response.raise_for_status()
-            except Exception as exc:  # noqa: BLE001
-                raise ImageError(f"push to {node_id} failed: {exc}") from exc
-            self.pimaster.images.mark_cached(node_id, image)
-            return node_id
-
-        return self.sim.process(run(), name=f"dist-push:{node_id}")
+        return self.pimaster.images.push(
+            client, node_id, self.pimaster.node_ip(node_id), NODE_DAEMON_PORT,
+            image,
+        )
 
     def _rack_of(self, node_id: str) -> Optional[str]:
         return self.pimaster.daemon(node_id).kernel.machine.rack
@@ -91,7 +78,7 @@ class ImageDistributor:
                            nodes: Optional[List[str]] = None) -> Signal:
         """Baseline: pimaster sends the full image to every node in parallel."""
         image = self.pimaster.images.get(image_name)
-        targets = nodes or self.pimaster.node_ids()
+        targets = nodes if nodes is not None else self.pimaster.node_ids()
         report = DistributionReport(
             image=image.qualified_name, scheme="unicast",
             nodes=len(targets), started_at=self.sim.now,
@@ -125,7 +112,7 @@ class ImageDistributor:
                                  nodes: Optional[List[str]] = None) -> Signal:
         """Seed one node per rack, then fan out from peers, rack-local first."""
         image = self.pimaster.images.get(image_name)
-        targets = list(nodes or self.pimaster.node_ids())
+        targets = list(nodes if nodes is not None else self.pimaster.node_ids())
         report = DistributionReport(
             image=image.qualified_name, scheme="peer-assisted",
             nodes=len(targets), started_at=self.sim.now,

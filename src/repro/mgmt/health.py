@@ -17,10 +17,10 @@ This module provides the two mechanisms the pimaster uses to do so:
   assertable from an exported trace.
 
 * :class:`CircuitBreaker` -- a per-node breaker over management
-  transport.  After ``failure_threshold`` consecutive transport failures
-  the breaker opens and orchestration calls fail fast instead of
-  hammering a dead daemon; after ``reset_timeout_s`` one half-open probe
-  is let through, and a success closes the breaker again.
+  transport.  After :data:`BREAKER_FAILURE_THRESHOLD` consecutive
+  transport failures the breaker opens and orchestration calls fail fast
+  instead of hammering a dead daemon; after :data:`BREAKER_RESET_S` one
+  half-open probe is let through, and a success closes the breaker again.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ from repro.trace.span import SpanContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import HealthConfig
+
+# Circuit breaker: open after this many consecutive transport failures,
+# admit one half-open probe this long after opening.
+BREAKER_FAILURE_THRESHOLD = 5
+BREAKER_RESET_S = 60.0
+# Gen-2 detector: how many alive peers are asked to probe a node whose
+# UNREACHABLE grace period has expired.
+WITNESS_COUNT = 2
 
 
 class NodeHealth(enum.Enum):
@@ -66,21 +74,14 @@ class CircuitBreaker:
     """Transport circuit breaker for one node's management endpoint.
 
     ``allow()`` gates each attempt: CLOSED always allows; OPEN allows
-    nothing until ``reset_timeout_s`` has elapsed, at which point the
+    nothing until :data:`BREAKER_RESET_S` has elapsed, at which point the
     breaker moves to HALF_OPEN and admits exactly one probe; the probe's
     ``record_success`` / ``record_failure`` closes or re-opens it.
     """
 
-    def __init__(self, sim: Simulator, failure_threshold: int = 5,
-                 reset_timeout_s: float = 60.0, node_id: str = "") -> None:
-        if failure_threshold < 1:
-            raise ValueError("breaker failure_threshold must be >= 1")
-        if reset_timeout_s <= 0:
-            raise ValueError("breaker reset_timeout_s must be positive")
+    def __init__(self, sim: Simulator, node_id: str = "") -> None:
         self.sim = sim
         self.node_id = node_id
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
@@ -94,7 +95,7 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             return True
         if (self.state is BreakerState.OPEN
-                and self.sim.now - self.opened_at >= self.reset_timeout_s):
+                and self.sim.now - self.opened_at >= BREAKER_RESET_S):
             self.state = BreakerState.HALF_OPEN
             self._probe_inflight = False
         if self.state is BreakerState.HALF_OPEN:
@@ -129,7 +130,7 @@ class CircuitBreaker:
         self._probe_inflight = False
         if self.state is BreakerState.HALF_OPEN or (
             self.state is BreakerState.CLOSED
-            and self.consecutive_failures >= self.failure_threshold
+            and self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD
         ):
             if self.state is not BreakerState.OPEN:
                 self.opened_count += 1
@@ -186,7 +187,6 @@ class FailureDetector:
         # plus grace expiry before declaring DEAD.  0.0 = legacy binary
         # detector, byte-identical behaviour.
         self.unreachable_grace_s = config.unreachable_grace_s
-        self.witness_count = config.witness_count
         self.fault_context_provider = fault_context_provider
         self.breaker_for = breaker_for
         self._targets: Dict[str, str] = {}          # node_id -> management IP
@@ -311,7 +311,7 @@ class FailureDetector:
         """Ask alive peers whether *they* can reach the node.
 
         An UNREACHABLE node whose grace period has expired is only
-        declared DEAD when none of up to ``witness_count`` alive peers
+        declared DEAD when none of up to :data:`WITNESS_COUNT` alive peers
         can reach its daemon either -- that distinguishes "the pimaster
         is partitioned from it" (a witness inside the partition still
         sees it) from "it is actually down".  A positive witness keeps
@@ -322,7 +322,7 @@ class FailureDetector:
             peer for peer, state in sorted(self._states.items())
             if peer != node_id and peer in self._targets
             and state is NodeHealth.ALIVE
-        ][:self.witness_count]
+        ][:WITNESS_COUNT]
         reachable = False
         for peer in witnesses:
             self.witness_probes += 1

@@ -84,12 +84,30 @@ class ImageService:
         """Push ``image`` to a node unless it already has it.
 
         The Signal succeeds with True if a push happened, False if the
-        cache was already warm; fails with :class:`ImageError` wrapping
-        any transport/daemon error.  ``parent`` threads the caller's span
-        so the push (a large flow on the fabric) is causally attributed.
+        cache was already warm; a push fails as :meth:`push` does.
         """
         if self.node_has(node_id, image):
             return Signal(self.sim).succeed(False)
+        return self.push(client, node_id, node_ip, node_port, image,
+                         parent=parent)
+
+    def push(
+        self,
+        client: RestClient,
+        node_id: str,
+        node_ip: str,
+        node_port: int,
+        image: ContainerImage,
+        parent=None,
+    ) -> Signal:
+        """Send ``image`` to a node's daemon over ``client``, warm or not.
+
+        The Signal succeeds with True once the node has cached it; fails
+        with :class:`ImageError` wrapping any transport/daemon error.
+        ``parent`` threads the caller's span so the push (a large flow on
+        the fabric) is causally attributed.  Every push counts in
+        ``pushes``/``push_bytes``, whoever sends the bytes.
+        """
         span = trace.start_span(
             self.sim, "mgmt.image_push", parent=parent, kind="mgmt",
             attributes={"image": image.qualified_name, "node": node_id,

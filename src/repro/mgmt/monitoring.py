@@ -12,10 +12,11 @@ Two scale optimisations over the naive fixed-interval loop:
   (one gather barrier) instead of serially awaiting each response, so a
   slow node does not stretch the whole sweep.
 * **Idle backoff** -- a node whose metrics did not change since the last
-  poll has its next poll pushed out by ``idle_backoff``× (capped at
-  ``max_interval_s``); the first changed sample snaps it back to the base
-  interval.  A mostly-idle fleet stops generating O(nodes) REST round
-  trips (each of which is many kernel events) per base interval.
+  poll has its next poll pushed out by :data:`IDLE_BACKOFF`× (capped at
+  :data:`IDLE_MAX_INTERVALS` base intervals); the first changed sample
+  snaps it back to the base interval.  A mostly-idle fleet stops
+  generating O(nodes) REST round trips (each of which is many kernel
+  events) per base interval.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from repro.sim.process import Signal, Timeout
 from repro.telemetry.series import TimeSeries
 
 _DUE_EPSILON = 1e-9
+# Idle backoff: each quiet poll multiplies a node's interval by
+# IDLE_BACKOFF, up to IDLE_MAX_INTERVALS x the base interval.
+IDLE_BACKOFF = 2.0
+IDLE_MAX_INTERVALS = 8
 
 
 def _gather(sim: Simulator, signals: Iterable[Signal]) -> Signal:
@@ -64,28 +69,14 @@ class MonitoringService:
         client: RestClient,
         interval_s: float = 5.0,
         daemon_port: int = 8600,
-        idle_backoff: float = 2.0,
-        max_interval_s: Optional[float] = None,
     ) -> None:
         if interval_s <= 0:
             raise ConfigurationError("monitoring interval must be positive")
-        if idle_backoff < 1.0:
-            raise ConfigurationError(
-                f"idle_backoff must be >= 1.0 (1.0 disables), got {idle_backoff}"
-            )
-        if max_interval_s is not None and max_interval_s < interval_s:
-            raise ConfigurationError(
-                "max_interval_s must be >= interval_s "
-                f"(got {max_interval_s} < {interval_s})"
-            )
         self.sim = sim
         self.client = client
         self.interval_s = interval_s
         self.daemon_port = daemon_port
-        self.idle_backoff = idle_backoff
-        self.max_interval_s = (
-            max_interval_s if max_interval_s is not None else interval_s * 8
-        )
+        self.max_interval_s = interval_s * IDLE_MAX_INTERVALS
         self._targets: Dict[str, str] = {}  # node_id -> management IP
         self.latest: Dict[str, dict] = {}
         self.cpu_series: Dict[str, TimeSeries] = {}
@@ -163,11 +154,11 @@ class MonitoringService:
         self.latest[node_id] = metrics
         self.polls += 1
         self.cpu_series[node_id].record(self.sim.now, metrics["cpu_load"])
-        if changed or self.idle_backoff <= 1.0:
+        if changed:
             interval = self.interval_s
         else:
             interval = min(
-                self._intervals.get(node_id, self.interval_s) * self.idle_backoff,
+                self._intervals.get(node_id, self.interval_s) * IDLE_BACKOFF,
                 self.max_interval_s,
             )
         self._intervals[node_id] = interval

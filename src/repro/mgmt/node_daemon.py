@@ -164,9 +164,6 @@ class NodeDaemon:
     def has_image(self, qualified_name: str) -> bool:
         return qualified_name in self._images
 
-    def cached_images(self) -> list[str]:
-        return sorted(self._images)
-
     # -- route handlers --------------------------------------------------------------
 
     def _register_routes(self) -> None:

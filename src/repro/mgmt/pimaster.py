@@ -40,6 +40,12 @@ from repro.sim.process import Signal, Timeout
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import PiCloudConfig
 
+# Retry policy for management operations: each transport failure is
+# retried, up to OP_ATTEMPTS attempts in all, sleeping
+# OP_BACKOFF_S * 2**(retry - 1) before each retry.
+OP_ATTEMPTS = 3
+OP_BACKOFF_S = 1.0
+
 
 @dataclass
 class NodeRecord:
@@ -88,8 +94,6 @@ class PiMaster:
         self.images = ImageService(self.sim)
         self.monitoring = MonitoringService(
             self.sim, self.client, interval_s=config.monitoring_interval_s,
-            idle_backoff=config.monitoring_idle_backoff,
-            max_interval_s=config.monitoring_max_interval_s,
         )
         self.placement_policy: PlacementPolicy = FirstFit()
         self._nodes: Dict[str, NodeRecord] = {}
@@ -143,12 +147,7 @@ class PiMaster:
         daemon.peer_resolver = self.daemon
         self.monitoring.watch(node_id, ip)
         self.dns.register(node_id, ip)
-        self._breakers[node_id] = CircuitBreaker(
-            self.sim,
-            failure_threshold=self.config.health.breaker_failure_threshold,
-            reset_timeout_s=self.config.health.breaker_reset_s,
-            node_id=node_id,
-        )
+        self._breakers[node_id] = CircuitBreaker(self.sim, node_id=node_id)
         self.health.watch(node_id, ip)
         return record
 
@@ -498,9 +497,10 @@ class PiMaster:
         A generator helper (``yield from``).  Transport-level failures --
         the client's per-attempt deadline, connection refused, no route --
         surface as :class:`RestError` with status 0 and are retried up to
-        ``op_attempts`` times, sleeping ``op_backoff_s * 2**attempt``
-        between tries.  Application-level errors (any real HTTP status)
-        are NOT retried: the node answered, the answer was no.  Once the
+        :data:`OP_ATTEMPTS` attempts in all, sleeping
+        ``OP_BACKOFF_S * 2**(retry - 1)`` before each retry.
+        Application-level errors (any real HTTP status) are NOT retried:
+        the node answered, the answer was no.  Once the
         attempts are exhausted a typed :class:`DeadlineExceeded` is
         raised, naming the operation.
 
@@ -517,10 +517,10 @@ class PiMaster:
         config = self.config
         breaker = self._breakers.get(node_id) if node_id is not None else None
         last_error: Optional[RestError] = None
-        for attempt in range(config.op_attempts):
+        for attempt in range(OP_ATTEMPTS):
             if attempt:
                 self.op_retries += 1
-                yield Timeout(self.sim, config.op_backoff_s * (2 ** (attempt - 1)))
+                yield Timeout(self.sim, OP_BACKOFF_S * (2 ** (attempt - 1)))
             if breaker is not None and not breaker.allow():
                 self.breaker_fast_fails += 1
                 raise CircuitOpenError(
@@ -550,10 +550,10 @@ class PiMaster:
             return response
         self.op_deadline_failures += 1
         raise DeadlineExceeded(
-            f"{what} failed after {config.op_attempts} attempts "
+            f"{what} failed after {OP_ATTEMPTS} attempts "
             f"({config.op_deadline_s}s per-attempt deadline): {last_error}",
             deadline_s=config.op_deadline_s,
-            attempts=config.op_attempts,
+            attempts=OP_ATTEMPTS,
             trace_id=getattr(parent, "trace_id", None),
         )
 

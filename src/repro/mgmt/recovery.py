@@ -38,8 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
 log = logging.getLogger("repro.recovery")
 
 # A failed respawn waits RETRY_BACKOFF_S x its attempt number before the
-# next try.
+# next try; after RETRY_BUDGET retries the container is unschedulable.
 RETRY_BACKOFF_S = 5.0
+RETRY_BUDGET = 2
+# Respawns queued at once; containers lost beyond it go unschedulable.
+QUEUE_LIMIT = 64
 
 
 @dataclass
@@ -75,17 +78,13 @@ class _Evacuation:
 class RecoveryManager:
     """Respawn containers lost to dead nodes via the placement policy.
 
-    The queue limit and per-container retry budget come from the
-    pimaster's ``config.health`` (``evacuation_queue_limit`` and
-    ``evacuation_retry_budget``).
+    At most :data:`QUEUE_LIMIT` respawns wait in the queue, and each
+    failed respawn is retried up to :data:`RETRY_BUDGET` times.
     """
 
     def __init__(self, pimaster: "PiMaster") -> None:
-        health = pimaster.config.health
         self.pimaster = pimaster
         self.sim = pimaster.sim
-        self.queue_limit = health.evacuation_queue_limit
-        self.retry_budget = health.evacuation_retry_budget
         self._queue: Deque[_EvacuationItem] = deque()
         self._worker = None
         self._evacuations: Dict[int, _Evacuation] = {}
@@ -138,7 +137,7 @@ class RecoveryManager:
         for record in records:
             self.pimaster.forget_container(record.name)
             self.containers_evacuated += 1
-            if len(self._queue) >= self.queue_limit:
+            if len(self._queue) >= QUEUE_LIMIT:
                 self._mark_unschedulable(
                     record, node_id, "recovery queue full", span,
                 )
@@ -164,7 +163,7 @@ class RecoveryManager:
         retried, remaining = self.unschedulable, []
         requeued = 0
         for entry in retried:
-            if len(self._queue) >= self.queue_limit:
+            if len(self._queue) >= QUEUE_LIMIT:
                 remaining.append(entry)
                 continue
             record = ContainerRecord(
@@ -210,7 +209,7 @@ class RecoveryManager:
             try:
                 yield signal
             except Exception as exc:  # noqa: BLE001 - placement/transport
-                if item.attempts >= self.retry_budget:
+                if item.attempts >= RETRY_BUDGET:
                     self._mark_unschedulable(record, item.lost_from,
                                              str(exc), item.span)
                     if evacuation is not None:

@@ -54,6 +54,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.fabric import FlowTransfer, Network
     from repro.netsim.link import LinkDirection
 
+# Constants tuned for the paper's fabric: 100 Mb/s links, shallow switch
+# buffers (200 x 1500 B packets) and a DCTCP-style ECN threshold at 15%
+# of the buffer.
+EPOCH_S = 0.001                 # window-update tick
+QUEUE_LIMIT_BYTES = 300_000.0   # per link direction; overflow is loss
+ECN_THRESHOLD_FRAC = 0.15       # mark above this fraction of the buffer
+# Windows start at INIT_CWND_BYTES, never fall below MIN_CWND_BYTES,
+# grow by AI_MSS_PER_RTT segments of MSS_BYTES per RTT and shrink by
+# MD_FACTOR on loss.
+INIT_CWND_BYTES = 15_000.0
+MIN_CWND_BYTES = 1_500.0
+MSS_BYTES = 1_500.0
+AI_MSS_PER_RTT = 1.0
+MD_FACTOR = 0.5
+DCTCP_G = 0.0625                # DCTCP's ECN-fraction EWMA gain
+# The delay variant backs off when smoothed RTT exceeds DELAY_THRESHOLD
+# times the propagation RTT, smoothing with weight DELAY_SMOOTHING.
+DELAY_THRESHOLD = 1.25
+DELAY_SMOOTHING = 0.1
+
+
 class RateModel:
     """Strategy interface: how the fabric assigns rates to active flows.
 
@@ -128,32 +149,22 @@ class MaxMinRateModel(RateModel):
 class CcFlowState:
     """Per-flow congestion-control state: the window and its update rule.
 
-    The protocol and its constants come from a
-    :class:`~repro.core.config.RateModelConfig`; ``rtt_base_s`` is the
-    flow's propagation RTT.  Usable standalone (unit tests drive
-    :meth:`update` with hand-built signal sequences); the
-    :class:`CcRateModel` owns one per active flow.
+    ``protocol`` is one of :data:`repro.core.config.CC_PROTOCOLS`;
+    ``rtt_base_s`` is the flow's propagation RTT.  Usable standalone
+    (unit tests drive :meth:`update` with hand-built signal sequences);
+    the :class:`CcRateModel` owns one per active flow.
     """
 
     __slots__ = (
-        "protocol", "cwnd", "min_cwnd", "mss", "ai_mss_per_rtt", "md_factor",
-        "dctcp_g", "delay_threshold", "delay_smoothing",
-        "rtt_base", "alpha", "srtt", "last_decrease_at",
+        "protocol", "cwnd", "rtt_base", "alpha", "srtt", "last_decrease_at",
         "ecn_signals", "loss_signals", "decreases",
     )
 
-    def __init__(self, config: "RateModelConfig", *, rtt_base_s: float) -> None:
+    def __init__(self, protocol: str, *, rtt_base_s: float) -> None:
         if rtt_base_s <= 0:
             raise RateModelError(f"rtt_base_s must be positive, got {rtt_base_s}")
-        self.protocol = config.protocol
-        self.cwnd = float(config.init_cwnd_bytes)
-        self.min_cwnd = float(config.min_cwnd_bytes)
-        self.mss = float(config.mss_bytes)
-        self.ai_mss_per_rtt = float(config.ai_mss_per_rtt)
-        self.md_factor = float(config.md_factor)
-        self.dctcp_g = float(config.dctcp_g)
-        self.delay_threshold = float(config.delay_threshold)
-        self.delay_smoothing = float(config.delay_smoothing)
+        self.protocol = protocol
+        self.cwnd = INIT_CWND_BYTES
         self.rtt_base = float(rtt_base_s)
         self.alpha = 0.0           # DCTCP ECN-fraction EWMA
         self.srtt: Optional[float] = None  # delay-variant smoothed RTT
@@ -178,19 +189,19 @@ class CcFlowState:
             self.ecn_signals += 1
         if loss:
             self.loss_signals += 1
-        grow = self.ai_mss_per_rtt * self.mss * (dt / rtt_s)
+        grow = AI_MSS_PER_RTT * MSS_BYTES * (dt / rtt_s)
         if self.protocol == "reno":
             # Classic AIMD, loss-only: Reno is ECN-blind, fills the
             # buffer until it overflows, then halves.
             if loss:
-                self._decrease(now, rtt_s, self.md_factor)
+                self._decrease(now, rtt_s, MD_FACTOR)
             else:
                 self.cwnd += grow
         elif self.protocol == "dctcp":
-            self.alpha = ((1.0 - self.dctcp_g) * self.alpha
-                          + self.dctcp_g * ecn_frac)
+            self.alpha = ((1.0 - DCTCP_G) * self.alpha
+                          + DCTCP_G * ecn_frac)
             if loss:
-                self._decrease(now, rtt_s, self.md_factor)
+                self._decrease(now, rtt_s, MD_FACTOR)
             elif ecn_frac > 0.0:
                 # Proportional backoff: gentle when marks are rare.
                 self._decrease(now, rtt_s, 1.0 - self.alpha / 2.0)
@@ -200,12 +211,12 @@ class CcFlowState:
             if self.srtt is None:
                 self.srtt = rtt_s
             else:
-                w = self.delay_smoothing
+                w = DELAY_SMOOTHING
                 self.srtt = (1.0 - w) * self.srtt + w * rtt_s
             if loss:
-                self._decrease(now, rtt_s, self.md_factor)
-            elif self.srtt > self.delay_threshold * self.rtt_base:
-                self._decrease(now, rtt_s, self.md_factor)
+                self._decrease(now, rtt_s, MD_FACTOR)
+            elif self.srtt > DELAY_THRESHOLD * self.rtt_base:
+                self._decrease(now, rtt_s, MD_FACTOR)
             else:
                 self.cwnd += grow
 
@@ -213,7 +224,7 @@ class CcFlowState:
         """Multiplicative decrease, gated to once per RTT."""
         if now - self.last_decrease_at < rtt_s:
             return
-        self.cwnd = max(self.cwnd * factor, self.min_cwnd)
+        self.cwnd = max(self.cwnd * factor, MIN_CWND_BYTES)
         self.last_decrease_at = now
         self.decreases += 1
 
@@ -258,20 +269,15 @@ class CcRateModel(RateModel):
     tick after churn, so a steady epoch pays for signals, windows and
     the fill alone.
 
-    Every knob comes from ``config``
-    (:class:`~repro.core.config.RateModelConfig`, which validates them);
-    the ones the model reads itself are copied once, here.
+    ``config`` (:class:`~repro.core.config.RateModelConfig`) picks the
+    protocol; the epoch, buffer and window constants are this module's.
     """
 
     name = "cc"
 
     def __init__(self, config: "RateModelConfig") -> None:
         super().__init__()
-        self.config = config
         self.protocol = config.protocol
-        self.epoch_s = float(config.epoch_s)
-        self.queue_limit_bytes = float(config.queue_limit_bytes)
-        self.ecn_threshold_frac = float(config.ecn_threshold_frac)
         self._states: Dict["FlowTransfer", CcFlowState] = {}
         self._plan: Optional[_EpochPlan] = None
         self._tick_event = None
@@ -281,27 +287,25 @@ class CcRateModel(RateModel):
 
     def attach(self, network: "Network") -> None:
         super().attach(network)
-        threshold = self.queue_limit_bytes * self.ecn_threshold_frac
+        threshold = QUEUE_LIMIT_BYTES * ECN_THRESHOLD_FRAC
         for link in network.links():
-            link.forward.enable_queue(self.queue_limit_bytes, threshold)
-            link.reverse.enable_queue(self.queue_limit_bytes, threshold)
+            link.forward.enable_queue(QUEUE_LIMIT_BYTES, threshold)
+            link.reverse.enable_queue(QUEUE_LIMIT_BYTES, threshold)
 
     def on_activate(self, flow: "FlowTransfer") -> None:
         rtt_base = 2.0 * sum(d.latency for d in flow.directions)
         if rtt_base <= 0.0:
             # Zero-latency path (loopback-ish): fall back to one epoch so
             # the demand stays finite.
-            rtt_base = self.epoch_s
-        state = CcFlowState(self.config, rtt_base_s=rtt_base)
+            rtt_base = EPOCH_S
+        state = CcFlowState(self.protocol, rtt_base_s=rtt_base)
         self._states[flow] = state
         # Completion-boundary signal plumbing: observers (and the load
         # engine) read the flow's cc state after it finishes.
         flow.cc = state
         if self._tick_event is None:
             self._last_tick = self.network.sim.now
-            self._tick_event = self.network.sim.schedule(
-                self.epoch_s, self._tick
-            )
+            self._tick_event = self.network.sim.schedule(EPOCH_S, self._tick)
 
     def on_detach(self, flow: "FlowTransfer") -> None:
         self._states.pop(flow, None)
@@ -435,15 +439,15 @@ class CcRateModel(RateModel):
             if queue is not None:
                 queue.offered = demand
         network._epoch_reallocate(plan.flows, rates, plan.directions)
-        self._tick_event = sim.schedule(self.epoch_s, self._tick)
+        self._tick_event = sim.schedule(EPOCH_S, self._tick)
 
     def describe(self) -> dict:
         return {
             "model": self.name,
             "protocol": self.protocol,
-            "epoch_s": self.epoch_s,
-            "queue_limit_bytes": self.queue_limit_bytes,
-            "ecn_threshold_frac": self.ecn_threshold_frac,
+            "epoch_s": EPOCH_S,
+            "queue_limit_bytes": QUEUE_LIMIT_BYTES,
+            "ecn_threshold_frac": ECN_THRESHOLD_FRAC,
         }
 
 

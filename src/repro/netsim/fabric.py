@@ -774,24 +774,3 @@ class Network:
             directions.append(link.forward)
             directions.append(link.reverse)
         return queue_metrics(directions)
-
-    def queue_report(self) -> list[dict[str, object]]:
-        """Per-direction queue summary, deepest p99 first (cc runs only)."""
-        self.sync()
-        rows = []
-        for link in self._links.values():
-            for direction in (link.forward, link.reverse):
-                queue = direction.queue
-                if queue is None or queue.observed_seconds <= 0:
-                    continue
-                rows.append({
-                    "direction": direction.name,
-                    "queue_p99": (queue.depth_hist.quantile(0.99)
-                                  if queue.depth_hist.total > 0 else 0.0),
-                    "queue_peak": queue.peak_bytes,
-                    "ecn_mark_frac": queue.mark_fraction(),
-                    "dropped_bytes": queue.dropped_bytes,
-                    "drop_events": queue.drop_events,
-                })
-        rows.sort(key=lambda r: (-r["queue_p99"], r["direction"]))
-        return rows

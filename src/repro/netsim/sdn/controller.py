@@ -113,9 +113,6 @@ class SdnController:
         self.flow_mod_count += sent
         return sent
 
-    def openflow_nodes_on(self, path: List[str]) -> list[str]:
-        return [node for node in path if node in self.switches]
-
     def path_still_installed(self, path: List[str], key: Hashable = None) -> bool:
         """Do all OpenFlow switches on the path still hold live rules?"""
         for a, b in path_links(path):

@@ -18,7 +18,7 @@ The kernel is intentionally SimPy-like: processes are plain generators that
 
 from repro.sim.kernel import Event, Simulator
 from repro.sim.process import AllOf, AnyOf, Interrupt, Process, Signal, Timeout
-from repro.sim.resources import Resource, Store, TokenBucket
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TokenBucket",
 ]

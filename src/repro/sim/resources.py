@@ -3,8 +3,6 @@
 * :class:`Resource`  -- counted resource with FIFO queuing (mutex, slots).
 * :class:`Store`     -- FIFO queue of items; the mailbox used by sockets,
   REST servers and daemons throughout the management plane.
-* :class:`TokenBucket` -- rate limiter used for request shaping in load
-  generators.
 """
 
 from __future__ import annotations
@@ -89,10 +87,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def getters_waiting(self) -> int:
-        return len(self._getters)
-
     def put(self, item: Any) -> Signal:
         """Offer ``item``; the Signal succeeds once the item is accepted."""
         done = Signal(self.sim, name=f"put({self.name})")
@@ -107,13 +101,6 @@ class Store:
         else:
             self._putters.append((done, item))
         return done
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self._getters or self.capacity is None or len(self._items) < self.capacity:
-            self.put(item)
-            return True
-        return False
 
     def get(self) -> Signal:
         """Take the oldest item; the Signal succeeds with the item."""
@@ -141,64 +128,3 @@ class Store:
             self._items.append(item)
             done.succeed(None)
 
-
-class TokenBucket:
-    """A token-bucket rate limiter.
-
-    Tokens accrue at ``rate`` per second up to ``burst``.  ``consume(n)``
-    returns a Signal that succeeds once ``n`` tokens are available (and
-    removes them).  Requests are served FIFO.
-    """
-
-    def __init__(
-        self, sim: Simulator, rate: float, burst: float, name: str = ""
-    ) -> None:
-        if rate <= 0 or burst <= 0:
-            raise SimulationError("TokenBucket rate and burst must be positive")
-        self.sim = sim
-        self.rate = rate
-        self.burst = burst
-        self.name = name
-        self._tokens = burst
-        self._last_refill = sim.now
-        self._waiters: Deque[tuple[Signal, float]] = deque()
-        self._wake_event = None
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._tokens = min(self.burst, self._tokens + (now - self._last_refill) * self.rate)
-        self._last_refill = now
-
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
-    def consume(self, amount: float = 1.0) -> Signal:
-        if amount > self.burst:
-            raise SimulationError(
-                f"cannot consume {amount} tokens; burst is {self.burst}"
-            )
-        grant = Signal(self.sim, name=f"tokens({self.name})")
-        self._waiters.append((grant, amount))
-        self._pump()
-        return grant
-
-    def _pump(self) -> None:
-        self._refill()
-        while self._waiters:
-            grant, amount = self._waiters[0]
-            if self._tokens >= amount:
-                self._tokens -= amount
-                self._waiters.popleft()
-                grant.succeed(None)
-            else:
-                needed = amount - self._tokens
-                delay = needed / self.rate
-                if self._wake_event is not None:
-                    self._wake_event.cancel()
-                self._wake_event = self.sim.schedule(delay, self._pump)
-                return
-        if self._wake_event is not None:
-            self._wake_event.cancel()
-            self._wake_event = None

@@ -129,11 +129,6 @@ class LatencyHistogram:
         self._min_seen = math.inf
         self._max_seen = -math.inf
 
-    @property
-    def bucket_count(self) -> int:
-        """Number of log buckets (excluding underflow/overflow)."""
-        return len(self._counts) - 2
-
     def layout(self) -> tuple[float, float, int]:
         """The merge-compatibility key."""
         return (self.min_value, self.max_value, self.buckets_per_decade)

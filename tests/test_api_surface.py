@@ -20,6 +20,7 @@ import repro
 from repro.core.config import (
     HealthConfig,
     PiCloudConfig,
+    RateModelConfig,
     SimBudgetConfig,
     TraceConfig,
 )
@@ -49,7 +50,7 @@ EXPECTED_SURFACE = sorted([
     "ResultStore", "RunRecord",
     "run_campaign", "render_dashboard",
     "RateModelConfig",
-    "LoadConfig", "LoadError", "LoadEngine", "LoadReport",
+    "LoadError", "LoadEngine", "LoadReport",
     "Service", "ServiceProfile", "SloObjective", "SloTracker",
     "ArrivalProcess", "PoissonArrivals", "DiurnalArrivals",
     "FlashCrowdArrivals", "RegionalMixture",
@@ -58,17 +59,33 @@ EXPECTED_SURFACE = sorted([
 
 EXPECTED_CONFIG_FIELDS = [
     "num_racks", "pis_per_rack", "machine_spec", "pimaster_spec",
-    "instant_boot",
     "topology", "num_roots", "fat_tree_k", "host_bandwidth",
-    "uplink_bandwidth", "link_latency", "routing", "sdn_idle_timeout_s",
+    "uplink_bandwidth", "link_latency", "routing",
     "sdn_control_latency_s", "sdn_match_granularity", "congestion_threshold",
     "incremental_fairness", "structured_routing",
-    "subnet", "dns_zone", "monitoring_interval_s", "monitoring_idle_backoff",
-    "monitoring_max_interval_s", "start_monitoring", "op_deadline_s",
-    "op_attempts", "op_backoff_s",
-    "budget", "health", "trace", "load", "rate_model",
+    "subnet", "dns_zone", "monitoring_interval_s", "start_monitoring",
+    "op_deadline_s",
+    "budget", "health", "trace", "rate_model",
     "seed",
 ]
+
+# Fields 3.0.0 removed, by the config class that had them.  Each value
+# is now a module constant (docs/api.md, "Migrating from 2.x").
+REMOVED_FIELDS = {
+    PiCloudConfig: [
+        "instant_boot", "sdn_idle_timeout_s", "monitoring_idle_backoff",
+        "monitoring_max_interval_s", "op_attempts", "op_backoff_s", "load",
+    ],
+    HealthConfig: [
+        "evacuation_queue_limit", "evacuation_retry_budget",
+        "breaker_failure_threshold", "breaker_reset_s", "witness_count",
+    ],
+    RateModelConfig: [
+        "epoch_s", "queue_limit_bytes", "ecn_threshold_frac",
+        "init_cwnd_bytes", "min_cwnd_bytes", "mss_bytes", "ai_mss_per_rtt",
+        "md_factor", "dctcp_g", "delay_threshold", "delay_smoothing",
+    ],
+}
 
 
 class TestFacadeSurface:
@@ -141,8 +158,7 @@ class TestGroupedConfig:
     def test_new_perf_knobs_default_on(self):
         config = PiCloudConfig()
         assert config.incremental_fairness is True
-        assert config.monitoring_idle_backoff == 2.0
-        assert config.monitoring_max_interval_s is None
+        assert config.structured_routing is True
 
     def test_configuration_error_is_value_error(self):
         with pytest.raises(ValueError):
@@ -159,6 +175,20 @@ class TestGroupedConfig:
             PiCloudConfig(max_events=1)
         with pytest.raises(TypeError):
             PiCloudConfig.small(tracing=True)
+        for cls, names in REMOVED_FIELDS.items():
+            for name in names:
+                with pytest.raises(TypeError, match=name):
+                    cls(**{name: None})
+        assert not hasattr(repro, "LoadConfig")
+
+    def test_settable_value_count(self):
+        """36 settable values: PiCloudConfig's own plus its sub-configs'."""
+        subs = {"budget", "health", "trace", "rate_model"}
+        own = [f for f in dataclasses.fields(PiCloudConfig)
+               if f.name not in subs]
+        nested = sum(len(dataclasses.fields(cls)) for cls in (
+            SimBudgetConfig, HealthConfig, TraceConfig, RateModelConfig))
+        assert len(own) + nested == 36
 
 
 # Each script writes its trace to argv[1] and prints its run metrics.

@@ -13,6 +13,7 @@ from repro.core import PiCloud, PiCloudConfig
 from repro.core.config import SimBudgetConfig
 from repro.core.experiments import run_phase
 from repro.errors import DeadlineExceeded, PiCloudError, SimBudgetExceeded
+from repro.mgmt.pimaster import OP_ATTEMPTS, OP_BACKOFF_S
 from repro.sim.budget import BudgetSnapshot
 from repro.sim.kernel import Simulator
 from repro.sim.process import Signal, Timeout
@@ -46,9 +47,9 @@ class TestRunBudgetValidation:
         with pytest.raises(PiCloudError):
             PiCloudConfig.small(budget=SimBudgetConfig(max_events=0))
         with pytest.raises(PiCloudError):
-            PiCloudConfig.small(op_attempts=0)
+            PiCloudConfig.small(op_deadline_s=0.0)
         with pytest.raises(ValueError):
-            PiCloudConfig.small(op_attempts=0)
+            PiCloudConfig.small(op_deadline_s=0.0)
         assert PiCloudConfig.small().run_budget() is None
         budget = PiCloudConfig.small(
             budget=SimBudgetConfig(max_events=100, max_wall_s=5.0)
@@ -200,7 +201,7 @@ class TestBudgetTelemetry:
 def small_cloud():
     cloud = PiCloud(PiCloudConfig.small(
         racks=1, pis=2, start_monitoring=False, routing="shortest",
-        op_deadline_s=30.0, op_attempts=3, op_backoff_s=2.0,
+        op_deadline_s=30.0,
     ))
     cloud.boot()
     return cloud
@@ -244,11 +245,11 @@ class TestOperationDeadlines:
         exc = spawn.exception
         assert isinstance(exc, PiCloudError)
         assert "DeadlineExceeded" in type(exc.__cause__ or exc).__name__ \
-            or "failed after 3 attempts" in str(exc)
-        assert master.op_retries == 2
+            or f"failed after {OP_ATTEMPTS} attempts" in str(exc)
+        assert master.op_retries == OP_ATTEMPTS - 1
         assert master.op_deadline_failures == 1
-        # Two backoff sleeps: 2 s then 4 s.
-        assert small_cloud.sim.now - started >= 6.0
+        # Two backoff sleeps: OP_BACKOFF_S, then twice that.
+        assert small_cloud.sim.now - started >= 3 * OP_BACKOFF_S
 
     def test_app_level_errors_are_not_retried(self, small_cloud):
         master = small_cloud.pimaster

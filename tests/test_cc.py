@@ -30,7 +30,11 @@ import repro
 from repro.campaign.scenarios import run_cc_contrast
 from repro.core.config import PiCloudConfig, RateModelConfig
 from repro.errors import ConfigurationError, NetworkError, RateModelError
-from repro.netsim.cc import CcFlowState, CcRateModel, MaxMinRateModel
+from repro.netsim.cc import (
+    AI_MSS_PER_RTT, DCTCP_G, DELAY_SMOOTHING, DELAY_THRESHOLD, EPOCH_S,
+    INIT_CWND_BYTES, MD_FACTOR, MIN_CWND_BYTES, MSS_BYTES, QUEUE_LIMIT_BYTES,
+    CcFlowState, CcRateModel, MaxMinRateModel,
+)
 from repro.netsim.fabric import Network
 from repro.netsim.routing import EcmpRouting
 from repro.netsim.topology import fat_tree
@@ -39,14 +43,16 @@ from repro.sim.kernel import Simulator
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _state(protocol, **overrides):
-    knobs = dict(
-        init_cwnd_bytes=10_000.0, min_cwnd_bytes=1_000.0,
-        mss_bytes=1_000.0, ai_mss_per_rtt=1.0, md_factor=0.5,
-    )
-    knobs.update(overrides)
-    config = RateModelConfig(model="cc", protocol=protocol, **knobs)
-    return CcFlowState(config, rtt_base_s=0.1)
+def _state(protocol):
+    return CcFlowState(protocol, rtt_base_s=0.1)
+
+
+def test_window_constants_are_the_hand_arithmetic_inputs():
+    """The literals in the DCTCP and delay tests assume these values."""
+    assert (INIT_CWND_BYTES, MIN_CWND_BYTES, MSS_BYTES) == (
+        15_000.0, 1_500.0, 1_500.0)
+    assert (AI_MSS_PER_RTT, MD_FACTOR, DCTCP_G) == (1.0, 0.5, 0.0625)
+    assert (DELAY_THRESHOLD, DELAY_SMOOTHING) == (1.25, 0.1)
 
 
 def _cc(protocol="reno"):
@@ -57,35 +63,35 @@ class TestRenoWindow:
     def test_additive_increase_is_one_mss_per_rtt(self):
         state = _state("reno")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=False)
-        assert state.cwnd == 11_000.0
+        assert state.cwnd == INIT_CWND_BYTES + MSS_BYTES
         state.update(now=0.2, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=False)
-        assert state.cwnd == 12_000.0
+        assert state.cwnd == INIT_CWND_BYTES + 2 * MSS_BYTES
 
     def test_partial_epoch_grows_proportionally(self):
         state = _state("reno")
         state.update(now=0.05, dt=0.05, rtt_s=0.1, ecn_frac=0.0, loss=False)
-        assert state.cwnd == 10_500.0
+        assert state.cwnd == INIT_CWND_BYTES + MSS_BYTES / 2
 
     def test_reno_is_ecn_blind(self):
         """Marks alone never shrink Reno -- that's the whole contrast."""
         state = _state("reno")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=1.0, loss=False)
-        assert state.cwnd == 11_000.0
+        assert state.cwnd == INIT_CWND_BYTES + MSS_BYTES
         assert state.ecn_signals == 1
         assert state.decreases == 0
 
     def test_loss_halves_gated_once_per_rtt(self):
         state = _state("reno")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=True)
-        assert state.cwnd == 5_000.0
+        assert state.cwnd == INIT_CWND_BYTES * MD_FACTOR
         assert state.decreases == 1
         # A second loss within the same RTT is the same congestion event.
         state.update(now=0.15, dt=0.05, rtt_s=0.1, ecn_frac=0.0, loss=True)
-        assert state.cwnd == 5_000.0
+        assert state.cwnd == INIT_CWND_BYTES * MD_FACTOR
         assert state.decreases == 1
         # One RTT later it counts again.
         state.update(now=0.25, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=True)
-        assert state.cwnd == 2_500.0
+        assert state.cwnd == INIT_CWND_BYTES * MD_FACTOR * MD_FACTOR
         assert state.decreases == 2
 
     def test_min_cwnd_floor(self):
@@ -93,57 +99,67 @@ class TestRenoWindow:
         for i in range(20):
             state.update(now=float(i + 1), dt=1.0, rtt_s=0.1,
                          ecn_frac=0.0, loss=True)
-        assert state.cwnd == 1_000.0
+        assert state.cwnd == MIN_CWND_BYTES
 
 
 class TestDctcpWindow:
+    # g = 1/16 keeps the EWMA arithmetic exact in binary floating point.
     def test_alpha_ewma_and_proportional_backoff(self):
-        # g = 0.5 keeps the EWMA arithmetic exact by hand.
-        state = _state("dctcp", dctcp_g=0.5)
+        state = _state("dctcp")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=1.0, loss=False)
-        assert state.alpha == 0.5                      # 0.5*0 + 0.5*1
-        assert state.cwnd == 7_500.0                   # x (1 - 0.5/2)
+        assert state.alpha == 0.0625                   # g*0 + g*1
+        assert state.cwnd == 14_531.25                 # x (1 - 0.0625/2)
         state.update(now=0.2, dt=0.1, rtt_s=0.1, ecn_frac=1.0, loss=False)
-        assert state.alpha == 0.75
-        assert state.cwnd == 7_500.0 * (1.0 - 0.75 / 2.0)  # 4687.5
+        assert state.alpha == 0.12109375               # (1-g)*g + g
+        assert state.cwnd == 14_531.25 * (1.0 - 0.12109375 / 2.0)
 
     def test_alpha_decays_and_growth_resumes_when_marks_stop(self):
-        state = _state("dctcp", dctcp_g=0.5)
+        state = _state("dctcp")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=1.0, loss=False)
         state.update(now=0.2, dt=0.1, rtt_s=0.1, ecn_frac=1.0, loss=False)
+        backed_off = state.cwnd
         state.update(now=0.3, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=False)
-        assert state.alpha == 0.375
-        assert state.cwnd == 4_687.5 + 1_000.0
+        assert state.alpha == 0.12109375 * 0.9375      # (1-g) x alpha
+        assert state.cwnd == backed_off + MSS_BYTES
 
     def test_loss_still_halves(self):
-        state = _state("dctcp", dctcp_g=0.5)
+        state = _state("dctcp")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=1.0, loss=True)
-        assert state.cwnd == 5_000.0                   # md, not 1-alpha/2
+        assert state.cwnd == INIT_CWND_BYTES * MD_FACTOR  # md, not 1-alpha/2
 
     def test_gentle_when_marks_rare(self):
-        state = _state("dctcp", dctcp_g=0.5)
+        state = _state("dctcp")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=0.1, loss=False)
-        assert state.alpha == 0.05
-        assert state.cwnd == 10_000.0 * (1.0 - 0.05 / 2.0)  # 9750: mild
+        assert state.alpha == pytest.approx(0.00625)   # g x 0.1
+        assert state.cwnd == pytest.approx(
+            INIT_CWND_BYTES * (1.0 - 0.00625 / 2.0))
 
 
 class TestDelayWindow:
     def test_srtt_seeds_then_smooths(self):
-        state = _state("delay", delay_threshold=1.25, delay_smoothing=0.5)
+        state = _state("delay")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=False)
         assert state.srtt == 0.1                       # first sample seeds
-        assert state.cwnd == 11_000.0                  # below threshold: grow
+        assert state.cwnd == INIT_CWND_BYTES + MSS_BYTES   # below: grow
+        state.update(now=0.2, dt=0.1, rtt_s=0.2, ecn_frac=0.0, loss=False)
+        assert state.srtt == pytest.approx(0.11)       # 0.9*0.1 + 0.1*0.2
+        # Still under 1.25 x 0.1: grow one MSS per (0.2 s) RTT.
+        assert state.cwnd == INIT_CWND_BYTES + 1.5 * MSS_BYTES
 
     def test_backs_off_when_srtt_crosses_threshold(self):
-        state = _state("delay", delay_threshold=1.25, delay_smoothing=0.5)
+        state = _state("delay")
         state.update(now=0.1, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=False)
-        state.update(now=0.2, dt=0.1, rtt_s=0.2, ecn_frac=0.0, loss=False)
-        assert state.srtt == pytest.approx(0.15)       # > 1.25 * 0.1
-        assert state.cwnd == 5_500.0
+        grown = INIT_CWND_BYTES + MSS_BYTES
+        state.update(now=0.2, dt=0.1, rtt_s=0.4, ecn_frac=0.0, loss=False)
+        assert state.srtt == pytest.approx(0.13)       # > 1.25 * 0.1
+        assert state.cwnd == grown * MD_FACTOR
         # srtt decays back under the threshold -> growth resumes.
         state.update(now=0.5, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=False)
-        assert state.srtt == pytest.approx(0.125)      # not strictly above
-        assert state.cwnd == 6_500.0
+        assert state.srtt == pytest.approx(0.127)      # still above
+        assert state.cwnd == grown * MD_FACTOR * MD_FACTOR
+        state.update(now=0.6, dt=0.1, rtt_s=0.1, ecn_frac=0.0, loss=False)
+        assert state.srtt == pytest.approx(0.1243)     # not above
+        assert state.cwnd == grown * MD_FACTOR * MD_FACTOR + MSS_BYTES
 
 
 class TestValidation:
@@ -152,7 +168,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             RateModelConfig(model="cc", protocol="cubic")
         with pytest.raises(RateModelError):
-            CcFlowState(RateModelConfig(model="cc"), rtt_base_s=0.0)
+            CcFlowState("reno", rtt_base_s=0.0)
 
     @pytest.mark.parametrize("knobs", [
         {"epoch_s": 0.0},
@@ -169,7 +185,9 @@ class TestValidation:
         {"delay_smoothing": 0.0},
     ])
     def test_bad_knobs_raise(self, knobs):
-        with pytest.raises(ConfigurationError):
+        """These are constants of repro.netsim.cc, not config fields:
+        passing one at all is a TypeError."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
             RateModelConfig(model="cc", **knobs)
 
     def test_rate_model_error_is_network_and_value_error(self):
@@ -183,8 +201,6 @@ class TestValidation:
             RateModelConfig(model="bbr")
         with pytest.raises(ConfigurationError):
             RateModelConfig(protocol="cubic")
-        with pytest.raises(ConfigurationError):
-            RateModelConfig(model="cc", epoch_s=-1.0)
 
     def test_config_is_keyword_only(self):
         with pytest.raises(TypeError):
@@ -204,49 +220,32 @@ class TestValidation:
 
 
 class TestConfigDefaultsInSync:
-    """RateModelConfig is the only home of the cc knobs: each one, set
-    away from its default, reaches the model, its queues and every
-    flow's window state."""
-
-    # A non-default value for every RateModelConfig field but ``model``.
-    KNOBS = dict(
-        protocol="delay", epoch_s=0.002, queue_limit_bytes=200_000.0,
-        ecn_threshold_frac=0.25, init_cwnd_bytes=12_000.0,
-        min_cwnd_bytes=3_000.0, mss_bytes=1_000.0, ai_mss_per_rtt=2.0,
-        md_factor=0.7, dctcp_g=0.125, delay_threshold=1.5,
-        delay_smoothing=0.2,
-    )
+    """RateModelConfig picks the model and the protocol; the constants of
+    repro.netsim.cc reach the model, its queues and every flow's window."""
 
     def test_built_model_carries_config_knobs(self):
-        defaults = RateModelConfig()
         fields = {f.name for f in dataclasses.fields(RateModelConfig)}
-        assert set(self.KNOBS) == fields - {"model"}
-        for name, value in self.KNOBS.items():
-            assert getattr(defaults, name) != value, name
+        assert fields == {"model", "protocol"}
 
-        model = RateModelConfig(model="cc", **self.KNOBS).build()
+        model = RateModelConfig(model="cc", protocol="delay").build()
         assert isinstance(model, CcRateModel)
         assert model.describe() == {
-            "model": "cc", "protocol": "delay", "epoch_s": 0.002,
-            "queue_limit_bytes": 200_000.0, "ecn_threshold_frac": 0.25,
+            "model": "cc", "protocol": "delay", "epoch_s": 0.001,
+            "queue_limit_bytes": 300_000.0, "ecn_threshold_frac": 0.15,
         }
         sim = Simulator()
         topo = fat_tree(4)
         net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
                       rate_model=model)
         queue = net.direction("p0-edge0", "h0").queue
-        assert queue.limit_bytes == 200_000.0
-        assert queue.ecn_threshold_bytes == 200_000.0 * 0.25
+        assert queue.limit_bytes == QUEUE_LIMIT_BYTES
+        assert queue.ecn_threshold_bytes == QUEUE_LIMIT_BYTES * 0.15
         flow = net.transfer("h1", "h0", 1e9)
-        sim.run(until=0.0019)
+        sim.run(until=0.9 * EPOCH_S)
         state = flow.cc
-        assert (state.protocol, state.cwnd) == ("delay", 12_000.0)
-        assert (state.min_cwnd, state.mss, state.ai_mss_per_rtt) == (
-            3_000.0, 1_000.0, 2.0)
-        assert (state.md_factor, state.dctcp_g) == (0.7, 0.125)
-        assert (state.delay_threshold, state.delay_smoothing) == (1.5, 0.2)
-        assert state.srtt is None          # no epoch tick before 2 ms
-        sim.run(until=0.0021)
+        assert (state.protocol, state.cwnd) == ("delay", INIT_CWND_BYTES)
+        assert state.srtt is None          # no epoch tick yet
+        sim.run(until=1.1 * EPOCH_S)
         assert state.srtt is not None
 
     def test_maxmin_builds_to_none(self):
@@ -417,7 +416,7 @@ class TestDctcpVsRenoContrast:
     def test_reno_fills_the_buffer(self, arms):
         reno = arms["reno"]
         assert reno["netsim.queue_depth_p99"] >= (
-            0.9 * RateModelConfig().queue_limit_bytes)
+            0.9 * QUEUE_LIMIT_BYTES)
         assert reno["netsim.drop_events"] > 0     # loss is Reno's only signal
 
     def test_dctcp_keeps_queues_below_a_third_of_reno(self, arms):

@@ -106,9 +106,7 @@ class TestBoot:
             cloud.dashboard()
 
     def test_async_boot_takes_spec_time(self):
-        config = PiCloudConfig.small(
-            racks=1, pis=2, instant_boot=False, start_monitoring=False
-        )
+        config = PiCloudConfig.small(racks=1, pis=2, start_monitoring=False)
         cloud = PiCloud(config)
         done = cloud.boot_async()
         cloud.run(until=100.0)
@@ -118,8 +116,13 @@ class TestBoot:
         assert cloud.pimaster is not None
 
     def test_instant_boot_config_guard(self):
-        config = PiCloudConfig.small(racks=1, pis=1, instant_boot=False)
-        cloud = PiCloud(config)
+        """There is no ``instant_boot`` mode: boot() is synchronous,
+        boot_async() timed, and a cloud boots once."""
+        with pytest.raises(TypeError):
+            PiCloudConfig.small(racks=1, pis=1, instant_boot=False)
+        cloud = PiCloud(PiCloudConfig.small(racks=1, pis=1,
+                                            start_monitoring=False))
+        cloud.boot()
         with pytest.raises(PiCloudError):
             cloud.boot()
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import (
-    LoadConfig, LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service,
+    LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service,
 )
 from repro.errors import (
     ConfigurationError,
@@ -194,7 +194,7 @@ class TestGraySlo:
 _GRAY_DETERMINISM_SCRIPT = """
 import json, sys
 from repro import (
-    LoadConfig, LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service,
+    LoadEngine, PiCloud, PiCloudConfig, PoissonArrivals, Service,
 )
 
 config = PiCloudConfig.small(racks=2, pis=2, seed=21, routing="shortest",
@@ -236,9 +236,8 @@ class TestGrayCrossProcessDeterminism:
 
 
 class TestDeferredRetry:
-    def _engine(self, backlog_epochs=8):
-        cloud = small_cloud(seed=5,
-                            load=LoadConfig(backlog_epochs=backlog_epochs))
+    def _engine(self):
+        cloud = small_cloud(seed=5)
         cloud.spawn_and_wait("webserver", name="web0", node_id="pi-r0-n0",
                              group="web")
         # Gen-2 detector on (grace > 0) without running the heartbeat
@@ -253,7 +252,8 @@ class TestDeferredRetry:
         states = cloud.pimaster.health._states
         states["pi-r0-n0"] = NodeHealth.UNREACHABLE
         engine.start(20.0)
-        cloud.run_for(5.0)
+        # Dark for fewer epochs than the backlog bound: nothing ages out.
+        cloud.run_for((engine.backlog_epochs - 1) * engine.epoch_s)
         report = engine.report().services["web"]
         assert report.deferred_requests > 0
         assert report.shed_requests == 0
@@ -267,7 +267,7 @@ class TestDeferredRetry:
         assert report.flows_completed > 0
 
     def test_deferred_demand_ages_out_as_shed(self):
-        cloud, engine = self._engine(backlog_epochs=3)
+        cloud, engine = self._engine()
         cloud.pimaster.health._states["pi-r0-n0"] = NodeHealth.UNREACHABLE
         engine.start(30.0)
         cloud.run_for(30.0)

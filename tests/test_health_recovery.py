@@ -17,7 +17,15 @@ from repro.core.cloud import PiCloud
 from repro.core.config import HealthConfig, PiCloudConfig, TraceConfig
 from repro.errors import CircuitOpenError, DeadlineExceeded, RestError
 from repro.faults import FaultSchedule
-from repro.mgmt.health import BreakerState, CircuitBreaker, NodeHealth
+from repro.mgmt.health import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RESET_S,
+    BreakerState,
+    CircuitBreaker,
+    NodeHealth,
+)
+from repro.mgmt.pimaster import OP_ATTEMPTS, OP_BACKOFF_S
+from repro.mgmt.recovery import RETRY_BUDGET
 from repro.sim.kernel import Simulator
 from repro.sim.process import Signal
 from tests.sim_helpers import run_while
@@ -28,8 +36,7 @@ DEAD_AFTER_MISSES = 3
 
 HEALTH_KNOBS = frozenset(
     "enabled heartbeat_interval_s heartbeat_timeout_s suspect_after_misses "
-    "dead_after_misses evacuation_queue_limit evacuation_retry_budget "
-    "breaker_failure_threshold breaker_reset_s".split()
+    "dead_after_misses".split()
 )
 
 
@@ -69,22 +76,28 @@ def advance(sim, seconds):
     sim.run()
 
 
+def trip(breaker):
+    for _ in range(BREAKER_FAILURE_THRESHOLD):
+        breaker.record_failure()
+
+
 class TestCircuitBreaker:
     def test_validation(self):
+        """The threshold and reset timeout are constants, not parameters."""
         sim = Simulator()
-        with pytest.raises(ValueError):
-            CircuitBreaker(sim, failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(sim, reset_timeout_s=0.0)
+        with pytest.raises(TypeError):
+            CircuitBreaker(sim, failure_threshold=3)
+        with pytest.raises(TypeError):
+            CircuitBreaker(sim, reset_timeout_s=10.0)
+        assert (BREAKER_FAILURE_THRESHOLD, BREAKER_RESET_S) == (5, 60.0)
 
     def test_opens_after_consecutive_failures_only(self):
         sim = Simulator()
-        breaker = CircuitBreaker(sim, failure_threshold=3, reset_timeout_s=10.0)
-        breaker.record_failure()
+        breaker = CircuitBreaker(sim)
         breaker.record_failure()
         breaker.record_success()  # success resets the streak
-        breaker.record_failure()
-        breaker.record_failure()
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
@@ -94,10 +107,12 @@ class TestCircuitBreaker:
 
     def test_half_open_admits_exactly_one_probe(self):
         sim = Simulator()
-        breaker = CircuitBreaker(sim, failure_threshold=1, reset_timeout_s=5.0)
-        breaker.record_failure()
+        breaker = CircuitBreaker(sim)
+        trip(breaker)
         assert breaker.state is BreakerState.OPEN
-        advance(sim, 6.0)
+        advance(sim, BREAKER_RESET_S - 1.0)
+        assert not breaker.allow()      # still inside the reset timeout
+        advance(sim, 1.0)
         assert breaker.allow()          # the half-open probe
         assert breaker.state is BreakerState.HALF_OPEN
         assert breaker.probes == 1
@@ -108,19 +123,19 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         sim = Simulator()
-        breaker = CircuitBreaker(sim, failure_threshold=1, reset_timeout_s=5.0)
-        breaker.record_failure()
-        advance(sim, 6.0)
+        breaker = CircuitBreaker(sim)
+        trip(breaker)
+        advance(sim, BREAKER_RESET_S)
         assert breaker.allow()
-        breaker.record_failure()
+        breaker.record_failure()        # one failed probe is enough
         assert breaker.state is BreakerState.OPEN
         assert breaker.opened_count == 2
         assert not breaker.allow()
 
     def test_half_open_now_forces_probe_window(self):
         sim = Simulator()
-        breaker = CircuitBreaker(sim, failure_threshold=1, reset_timeout_s=1e9)
-        breaker.record_failure()
+        breaker = CircuitBreaker(sim)
+        trip(breaker)
         assert not breaker.allow()
         breaker.half_open_now()
         assert breaker.allow()
@@ -248,21 +263,21 @@ def test_end_to_end_recovery_assertable_from_exported_trace(tmp_path):
 def test_evacuation_degrades_to_unschedulable_and_retries_later():
     """No capacity left -> bounded retries -> logged unschedulable; the
     backlog respawns once capacity returns."""
-    cloud = build_cloud(racks=1, pis=2, tracing=False,
-                        evacuation_retry_budget=2)
+    cloud = build_cloud(racks=1, pis=2, tracing=False)
     recovery = cloud.pimaster.recovery
     run_until(cloud, cloud.spawn("webserver", name="web-1",
                                  node_id="pi-r0-n0"))
     cloud.fail_node("pi-r0-n0")
     cloud.fail_node("pi-r0-n1")
-    # Detection + 2 placement retries (5 s + 10 s backoff) and give-up.
+    # Detection + RETRY_BUDGET (2) placement retries (5 s + 10 s backoff)
+    # and give-up.
     cloud.run_for(40.0)
     assert cloud.pimaster.health.nodes_in(NodeHealth.DEAD) == [
         "pi-r0-n0", "pi-r0-n1"
     ]
     assert recovery.containers_evacuated == 1
     assert recovery.containers_respawned == 0
-    assert recovery.respawn_retries == 2
+    assert recovery.respawn_retries == RETRY_BUDGET
     assert len(recovery.unschedulable) == 1
     entry = recovery.unschedulable[0]
     assert entry.name == "web-1"
@@ -285,30 +300,39 @@ def test_evacuation_degrades_to_unschedulable_and_retries_later():
 
 def _breaker_scenario():
     """Run the breaker lifecycle once; return the observable counters."""
-    cloud = build_cloud(
-        self_healing=False, tracing=False, seed=42,
-        breaker_failure_threshold=2, breaker_reset_s=60.0,
-        op_attempts=4, op_backoff_s=0.1,
-    )
+    # The first call's attempts leave the breaker closed; the second
+    # call's reach the threshold part-way through.
+    assert OP_ATTEMPTS < BREAKER_FAILURE_THRESHOLD < 2 * OP_ATTEMPTS
+    cloud = build_cloud(self_healing=False, tracing=False, seed=42)
     record = cloud.spawn_and_wait("webserver", name="web-1",
                                   node_id="pi-r1-n0")
     node = record.node_id
     breaker = cloud.pimaster.breaker(node)
     cloud.fail_node(node)
 
-    # First call: two real attempts open the breaker, the third attempt is
-    # rejected without touching the wire -- bounded, not op_attempts=4.
+    # First call: every attempt goes on the wire and fails.
+    sent_before = cloud.pimaster.client.requests_sent
+    done = cloud.pimaster.set_limits("web-1", cpu_quota=0.5)
+    cloud.run_until_signal(done)
+    assert not done.ok
+    assert "circuit open" not in str(done.exception)
+    assert cloud.pimaster.client.requests_sent - sent_before == OP_ATTEMPTS
+    assert breaker.state is BreakerState.CLOSED
+
+    # Second call: the failure that reaches the threshold opens the
+    # breaker, and the call's remaining attempt is rejected without
+    # touching the wire -- bounded, not OP_ATTEMPTS more sends.
     sent_before = cloud.pimaster.client.requests_sent
     done = cloud.pimaster.set_limits("web-1", cpu_quota=0.5)
     cloud.run_until_signal(done)
     assert not done.ok
     assert "circuit open" in str(done.exception)
-    first_call_sends = cloud.pimaster.client.requests_sent - sent_before
-    assert first_call_sends == 2
+    second_call_sends = cloud.pimaster.client.requests_sent - sent_before
+    assert second_call_sends == BREAKER_FAILURE_THRESHOLD - OP_ATTEMPTS
     assert breaker.state is BreakerState.OPEN
     assert breaker.opened_count == 1
 
-    # Second call fast-fails instantly: zero requests on the wire.
+    # Third call fast-fails instantly: zero requests on the wire.
     sent_before = cloud.pimaster.client.requests_sent
     done = cloud.pimaster.set_limits("web-1", cpu_quota=0.5)
     cloud.run_until_signal(done)
@@ -388,17 +412,16 @@ def test_retried_spawn_after_dropped_response_does_not_duplicate():
 
 
 class TestKnobsReachTheControlPlane:
-    """Every HealthConfig and op_* knob, set away from its default,
-    reaches the detector, recovery, breakers or pimaster that reads it."""
+    """Every HealthConfig knob and op_deadline_s, set away from its
+    default, reaches the detector, breakers or pimaster that reads it;
+    the retry loop follows OP_ATTEMPTS and OP_BACKOFF_S."""
 
     HEALTH = dict(
         enabled=True, heartbeat_interval_s=3.0, heartbeat_timeout_s=0.75,
         suspect_after_misses=3, dead_after_misses=5,
-        evacuation_queue_limit=9, evacuation_retry_budget=4,
-        breaker_failure_threshold=7, breaker_reset_s=45.0,
-        unreachable_grace_s=12.0, fencing=True, witness_count=3,
+        unreachable_grace_s=12.0, fencing=True,
     )
-    OPS = dict(op_deadline_s=600.0, op_attempts=5, op_backoff_s=0.25)
+    OPS = dict(op_deadline_s=600.0)
 
     def test_every_knob_reaches_its_component(self):
         fields = {f.name for f in dataclasses.fields(HealthConfig)}
@@ -418,19 +441,13 @@ class TestKnobsReachTheControlPlane:
         assert detector.client.timeout_s == 0.75
         assert (detector.interval_s, detector.suspect_misses,
                 detector.dead_misses) == (3.0, 3, 5)
-        assert (detector.unreachable_grace_s, detector.witness_count) == (
-            12.0, 3)
-        assert (pimaster.recovery.queue_limit,
-                pimaster.recovery.retry_budget) == (9, 4)
-        breaker = pimaster.breaker("pi-r0-n0")
-        assert (breaker.failure_threshold, breaker.reset_timeout_s) == (
-            7, 45.0)
+        assert detector.unreachable_grace_s == 12.0
         assert pimaster.fencing is True
         assert pimaster.client.timeout_s == 600.0
         assert cloud.daemons["pi-r0-n0"].op_deadline_s == 600.0
 
-        # op_attempts and op_backoff_s shape the retry loop: 5 refused
-        # attempts, 4 backoffs of 0.25 x (1 + 2 + 4 + 8) s in all.
+        # OP_ATTEMPTS (3) refused attempts, with backoffs of
+        # OP_BACKOFF_S x (1 + 2) s in all.
         def refused(span):
             signal = Signal(cloud.sim, name="refused")
             signal.fail(RestError(0, "connection refused"))
@@ -448,6 +465,6 @@ class TestKnobsReachTheControlPlane:
         cloud.sim.process(call(), name="probe")
         run_while(cloud, lambda: "error" not in outcome, 60.0)
         error = outcome["error"]
-        assert (error.attempts, error.deadline_s) == (5, 600.0)
-        assert pimaster.op_retries == 4
-        assert cloud.sim.now - start == pytest.approx(0.25 * 15)
+        assert (error.attempts, error.deadline_s) == (OP_ATTEMPTS, 600.0)
+        assert pimaster.op_retries == OP_ATTEMPTS - 1
+        assert cloud.sim.now - start == pytest.approx(OP_BACKOFF_S * 3)

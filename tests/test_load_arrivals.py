@@ -170,10 +170,18 @@ class TestRegionalMixture:
         assert mix.mean_arrivals(0.0, 2.0) == pytest.approx(800.0)
         assert mix.region_names() == ["eu", "us"]
 
-    def test_fluid_split_is_exact(self):
+    def test_sampled_split_centres_on_exact_means(self):
+        """Each region draws around weight x its process's exact mean."""
         mix = self.make()
-        split = mix.per_region(0.0, 1.0, {}, sample=False)
-        assert split == pytest.approx({"eu": 100.0, "us": 300.0})
+        rngs = {"eu": random.Random(5), "us": random.Random(6)}
+        epochs = 400
+        totals = {"eu": 0.0, "us": 0.0}
+        for t in range(epochs):
+            for name, count in mix.per_region(t, t + 1.0, rngs).items():
+                totals[name] += count
+        # Means 100 and 300 per epoch; 400 epochs put 3 sigma near 1.5%.
+        assert totals["eu"] / epochs == pytest.approx(100.0, rel=0.03)
+        assert totals["us"] / epochs == pytest.approx(300.0, rel=0.03)
 
     def test_sampled_split_is_seeded(self):
         mix = self.make()

@@ -21,7 +21,6 @@ import pytest
 from repro import (
     ConfigurationError,
     FlashCrowdArrivals,
-    LoadConfig,
     LoadEngine,
     LoadError,
     PiCloud,
@@ -32,6 +31,7 @@ from repro import (
     ServiceProfile,
     SloObjective,
 )
+from repro.load.engine import EPOCH_S
 from repro.netsim.topology import TOR
 from repro.units import mbit_per_s
 
@@ -63,14 +63,6 @@ class TestEngineValidation:
         with pytest.raises(ConfigurationError):
             LoadEngine(cloud, [Service("web"), Service("web")],
                        PoissonArrivals(1.0))
-
-    def test_knobs_come_from_load_config(self):
-        cloud = small_cloud(load=LoadConfig(
-            epoch_s=2.0, backlog_epochs=3, arrival_sampling=False))
-        engine = LoadEngine(cloud, [Service("web")], PoissonArrivals(1.0))
-        assert engine.epoch_s == 2.0
-        assert engine.backlog_epochs == 3
-        assert engine.sample_arrivals is False
 
     def test_rejects_unknown_client_edge(self):
         cloud = small_cloud()
@@ -141,12 +133,12 @@ class TestEventScaling:
         assert events < 10_000
 
     def test_epoch_knob_trades_resolution_for_events(self):
-        cloud = small_cloud(topology="fat-tree", fat_tree_k=4,
-                            load=LoadConfig(epoch_s=2.0))
+        """One epoch (one tick of aggregate flows) per EPOCH_S."""
+        cloud = small_cloud(topology="fat-tree", fat_tree_k=4)
         spawn_pool(cloud)
         engine = LoadEngine(cloud, [Service("web")], PoissonArrivals(50.0))
         report = engine.run(40.0)
-        assert report.epochs == 20
+        assert report.epochs == round(40.0 / EPOCH_S) == 40
 
 
 class TestTrafficEngineeringGap:

@@ -1,8 +1,16 @@
-"""SLO objectives, streaming burn-rate trackers, and LoadConfig knobs."""
+"""SLO objectives, streaming burn-rate trackers, and the load constants."""
 
 import pytest
 
-from repro import ConfigurationError, LoadConfig, SloObjective, SloTracker
+import repro
+from repro import (
+    ConfigurationError,
+    LatencyHistogram,
+    LoadEngine,
+    PiCloudConfig,
+    SloObjective,
+    SloTracker,
+)
 from repro.load.sessions import (
     Service,
     ServiceProfile,
@@ -193,18 +201,16 @@ class TestServiceModel:
 
 
 class TestLoadConfig:
+    """3.0 replaced LoadConfig with the engine's constants."""
+
     def test_defaults(self):
-        knobs = LoadConfig()
-        assert knobs.epoch_s == 1.0
-        assert knobs.arrival_sampling is True
-        assert knobs.backlog_epochs == 4
+        """The constants keep LoadConfig's 2.x defaults."""
+        assert LoadEngine.epoch_s == 1.0
+        assert LoadEngine.backlog_epochs == 4
+        assert LatencyHistogram().layout() == (1e-4, 100.0, 20)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LoadConfig(epoch_s=0.0)
-        with pytest.raises(ConfigurationError):
-            LoadConfig(backlog_epochs=0)
-        with pytest.raises(ConfigurationError):
-            LoadConfig(histogram_min_s=1.0, histogram_max_s=0.5)
-        with pytest.raises(ConfigurationError):
-            LoadConfig(histogram_buckets_per_decade=0)
+        """Nothing left to validate: the class and ``load=`` are gone."""
+        assert not hasattr(repro, "LoadConfig")
+        with pytest.raises(TypeError):
+            PiCloudConfig(load=None)

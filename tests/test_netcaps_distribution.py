@@ -144,3 +144,26 @@ class TestImageDistribution:
     def test_parameter_validation(self, cloud):
         with pytest.raises(ValueError):
             ImageDistributor(cloud.pimaster, uploads_per_seeder=0)
+
+    @pytest.mark.parametrize("scheme", ["unicast", "peer_assisted"])
+    def test_pushes_are_counted(self, cloud, scheme):
+        """Fleet distribution pushes through ImageService: each one
+        counts in mgmt.image_pushes and image_push_bytes."""
+        distributor = ImageDistributor(cloud.pimaster)
+        report = wait(cloud, getattr(distributor, f"distribute_{scheme}")(
+            "webserver"))
+        assert len(report.succeeded) == 6
+        images = cloud.pimaster.images
+        assert cloud.metrics()["mgmt.image_pushes"] == images.pushes == 6
+        rootfs = images.get("webserver").rootfs_bytes
+        assert images.push_bytes == 6 * rootfs
+
+    @pytest.mark.parametrize("scheme", ["unicast", "peer_assisted"])
+    def test_empty_node_list_pushes_nowhere(self, cloud, scheme):
+        distributor = ImageDistributor(cloud.pimaster)
+        report = wait(cloud, getattr(distributor, f"distribute_{scheme}")(
+            "base", nodes=[]))
+        assert (report.nodes, report.succeeded, report.failed) == (0, [], [])
+        assert cloud.pimaster.images.pushes == 0
+        for node in cloud.pimaster.node_ids():
+            assert not cloud.daemons[node].has_image("base:v1")

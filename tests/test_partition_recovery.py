@@ -22,7 +22,7 @@ from repro.hardware import Machine, RASPBERRY_PI_MODEL_B
 from repro.hostos import HostKernel, IpFabric
 from repro.mgmt import NODE_DAEMON_PORT, NodeDaemon, RestClient
 from repro.mgmt.distribution import ImageDistributor
-from repro.mgmt.health import FailureDetector, NodeHealth
+from repro.mgmt.health import WITNESS_COUNT, FailureDetector, NodeHealth
 from repro.mgmt.rest import RestResponse
 from repro.netsim import Network
 from repro.netsim.topology import single_switch
@@ -33,7 +33,7 @@ from tests.sim_helpers import run_while
 HEARTBEAT_S = 1.0
 
 HEALTH_KNOBS = frozenset(
-    "unreachable_grace_s fencing witness_count dead_after_misses".split()
+    "unreachable_grace_s fencing dead_after_misses".split()
 )
 
 
@@ -144,7 +144,7 @@ def _detector(states, grace=5.0):
     sim = Simulator()
     detector = FailureDetector(sim, None, HealthConfig(
         heartbeat_interval_s=1.0, suspect_after_misses=1, dead_after_misses=2,
-        unreachable_grace_s=grace, witness_count=2,
+        unreachable_grace_s=grace,
     ))
     for index, (node, state) in enumerate(sorted(states.items())):
         detector.watch(node, f"10.0.0.{index + 1}")
@@ -186,20 +186,17 @@ class TestWitnessCorroboration:
         assert body["ip"] == detector._targets["victim"]
 
     def test_all_witnesses_refute_declares_dead(self):
-        sim, detector = _detector({
-            "victim": NodeHealth.UNREACHABLE,
-            "w1": NodeHealth.ALIVE,
-            "w2": NodeHealth.ALIVE,
-        })
+        # One more alive peer than WITNESS_COUNT: only that many are asked.
+        peers = {f"w{i}": NodeHealth.ALIVE for i in range(WITNESS_COUNT + 1)}
+        sim, detector = _detector({"victim": NodeHealth.UNREACHABLE, **peers})
         detector.client = _StubClient([])
         detector._unreachable_since["victim"] = 0.0
         sim.schedule(20.0, lambda: None)
         sim.run()
         _drive(detector._witness_check("victim", detector._targets["victim"]),
-               [RestResponse(200, {"reachable": False}),
-                RestResponse(200, {"reachable": False})])
+               [RestResponse(200, {"reachable": False})] * WITNESS_COUNT)
         assert detector._states["victim"] is NodeHealth.DEAD
-        assert detector.witness_probes == 2
+        assert detector.witness_probes == WITNESS_COUNT
         assert detector.witness_confirmations == 0
 
     def test_only_alive_peers_are_witnesses(self):

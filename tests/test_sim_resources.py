@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Store and TokenBucket (repro.sim.resources)."""
+"""Unit tests for Resource and Store (repro.sim.resources)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator, Store, Timeout, TokenBucket
+from repro.sim import Resource, Simulator, Store, Timeout
 
 
 @pytest.fixture
@@ -99,11 +99,6 @@ class TestStore:
         assert blocked.triggered
         assert len(store) == 1
 
-    def test_try_put_respects_capacity(self, sim):
-        store = Store(sim, capacity=1)
-        assert store.try_put("a") is True
-        assert store.try_put("b") is False
-
     def test_try_get_on_empty(self, sim):
         ok, item = Store(sim).try_get()
         assert ok is False and item is None
@@ -137,45 +132,6 @@ class TestStore:
         sim.process(consumer())
         sim.run()
         assert [item for _, item in consumed] == [0, 1, 2, 3, 4]
-
-
-class TestTokenBucket:
-    def test_burst_consumed_immediately(self, sim):
-        bucket = TokenBucket(sim, rate=1.0, burst=5.0)
-        grants = [bucket.consume(1.0) for _ in range(5)]
-        assert all(g.triggered for g in grants)
-
-    def test_rate_limits_after_burst(self, sim):
-        bucket = TokenBucket(sim, rate=2.0, burst=1.0)
-        bucket.consume(1.0)
-        times = []
-
-        def worker():
-            for _ in range(4):
-                yield bucket.consume(1.0)
-                times.append(sim.now)
-
-        sim.process(worker())
-        sim.run()
-        # 2 tokens/s => one grant every 0.5s once the bucket is drained.
-        assert times == pytest.approx([0.5, 1.0, 1.5, 2.0])
-
-    def test_consume_above_burst_rejected(self, sim):
-        bucket = TokenBucket(sim, rate=1.0, burst=2.0)
-        with pytest.raises(SimulationError):
-            bucket.consume(3.0)
-
-    def test_tokens_cap_at_burst(self, sim):
-        bucket = TokenBucket(sim, rate=100.0, burst=3.0)
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        assert bucket.tokens == 3.0
-
-    def test_invalid_parameters(self, sim):
-        with pytest.raises(SimulationError):
-            TokenBucket(sim, rate=0.0, burst=1.0)
-        with pytest.raises(SimulationError):
-            TokenBucket(sim, rate=1.0, burst=0.0)
 
 
 class TestRng:

@@ -13,6 +13,7 @@ from repro.core.config import PiCloudConfig, TraceConfig
 from repro.errors import DeadlineExceeded, SimBudgetExceeded
 from repro.faults import FaultSchedule
 from repro.mgmt.node_daemon import NODE_DAEMON_PORT
+from repro.mgmt.pimaster import OP_ATTEMPTS
 from repro.sim.budget import SimBudgetConfig
 from repro.sim.kernel import Simulator
 from repro.trace import Tracer
@@ -96,7 +97,7 @@ def test_tracing_off_by_default_records_nothing():
 
 
 def test_exhausted_retries_produce_attempt_spans_under_one_parent():
-    cloud = build_cloud(op_attempts=3, op_backoff_s=0.5)
+    cloud = build_cloud()
     cloud.spawn_and_wait("webserver", name="web-1")
     record = cloud.pimaster.container_record("web-1")
     # Kill the daemon: every subsequent call gets connection-refused
@@ -106,15 +107,16 @@ def test_exhausted_retries_produce_attempt_spans_under_one_parent():
     done = cloud.pimaster.set_limits("web-1", cpu_quota=0.5)
     cloud.run_until_signal(done)
     assert not done.ok
-    assert "failed after 3 attempts" in str(done.exception)
+    assert f"failed after {OP_ATTEMPTS} attempts" in str(done.exception)
 
     tracer = cloud.tracer
     parent = tracer.find_spans(name="mgmt.set_limits")[0]
     assert parent.status == "error"
     attempts = [s for s in tracer.children_of(parent)
                 if s.name == "mgmt.attempt"]
-    assert len(attempts) == 3
-    assert [s.attributes["attempt"] for s in attempts] == [1, 2, 3]
+    assert len(attempts) == OP_ATTEMPTS
+    assert [s.attributes["attempt"] for s in attempts] == list(
+        range(1, OP_ATTEMPTS + 1))
     assert all(s.status == "error" for s in attempts)
     # Each failed attempt made a real (failed) REST call under it.
     for attempt in attempts:
@@ -125,7 +127,7 @@ def test_exhausted_retries_produce_attempt_spans_under_one_parent():
 
 
 def test_deadline_exceeded_carries_trace_id_after_exhaustion():
-    cloud = build_cloud(op_attempts=2, op_backoff_s=0.1)
+    cloud = build_cloud()
     cloud.daemons["pi-r0-n0"].server.stop()
     node_ip = cloud.pimaster.node_ip("pi-r0-n0")
     root = cloud.tracer.start_span("test.op", kind="test")
@@ -145,7 +147,7 @@ def test_deadline_exceeded_carries_trace_id_after_exhaustion():
     cloud.sim.process(run())
     cloud.run_for(60.0)
     assert len(caught) == 1
-    assert caught[0].attempts == 2
+    assert caught[0].attempts == OP_ATTEMPTS
     assert caught[0].trace_id == root.trace_id
 
 
