@@ -88,7 +88,10 @@ class PiMaster:
         health = config.health
         self.op_retries = 0
         self.op_deadline_failures = 0
-        self.client = RestClient(kernel.netstack, timeout_s=config.op_deadline_s)
+        # The head node's clients share its fate: once its machine is down,
+        # every outgoing call (spawns, polls, heartbeats) fails at once.
+        self.client = RestClient(kernel.netstack, timeout_s=config.op_deadline_s,
+                                 host=kernel.machine)
         self.dhcp = DhcpServer(self.sim, Ipv4Pool(config.subnet))
         self.dns = DnsServer(config.dns_zone)
         self.images = ImageService(self.sim)
@@ -116,7 +119,8 @@ class PiMaster:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.health = FailureDetector(
             self.sim,
-            RestClient(kernel.netstack, timeout_s=health.heartbeat_timeout_s),
+            RestClient(kernel.netstack, timeout_s=health.heartbeat_timeout_s,
+                       host=kernel.machine),
             health,
             daemon_port=NODE_DAEMON_PORT,
             breaker_for=self._breakers.get,

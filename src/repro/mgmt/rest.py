@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import trace
 from repro.errors import RestError
+from repro.hardware.machine import Machine
 from repro.hostos.kernelhost import HostKernel
 from repro.hostos.netstack import Message, NetStack
 from repro.sim.process import AnyOf, Signal, Timeout
@@ -199,12 +200,19 @@ class RestServer:
 
 
 class RestClient:
-    """Issues REST requests from one host; blocks the calling process."""
+    """Issues REST requests from one host; blocks the calling process.
 
-    def __init__(self, netstack: NetStack, timeout_s: float = 30.0) -> None:
+    ``host`` ties the client to its machine: while that machine is not on,
+    every request fails at once with ``RestError(0, ...)`` -- a dead host
+    sends nothing.  Without it the client is always able to send.
+    """
+
+    def __init__(self, netstack: NetStack, timeout_s: float = 30.0,
+                 host: Optional[Machine] = None) -> None:
         self.netstack = netstack
         self.sim = netstack.sim
         self.timeout_s = timeout_s
+        self.host = host
         self.requests_sent = 0
 
     def request(
@@ -220,11 +228,11 @@ class RestClient:
     ) -> Signal:
         """Send a request; the Signal succeeds with a :class:`RestResponse`.
 
-        Fails with :class:`~repro.errors.RestError` (status 0) on timeout
-        or network errors (connection refused, no route).  ``parent`` (a
-        span or span context) threads causal tracing through the call:
-        the request carries this client span's context so the serving
-        side's spans nest under it.
+        Fails with :class:`~repro.errors.RestError` (status 0) on timeout,
+        network errors (connection refused, no route) or a powered-down
+        ``host``.  ``parent`` (a span or span context) threads causal
+        tracing through the call: the request carries this client span's
+        context so the serving side's spans nest under it.
         """
         span = trace.start_span(
             self.sim, f"rest.client {method.upper()} {path}",
@@ -236,6 +244,11 @@ class RestClient:
         self.requests_sent += 1
 
         def run():
+            host = self.host
+            if host is not None and not host.is_on:
+                reason = f"host {host.machine_id} is {host.state.value}"
+                span.end("error", reason)
+                raise RestError(0, reason)
             reply_ip = src_ip or self.netstack.primary_ip
             reply_port = self.netstack.ephemeral_port()
             inbox = self.netstack.listen(reply_port, ip=reply_ip)

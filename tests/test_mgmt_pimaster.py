@@ -7,7 +7,8 @@ import pytest
 pytestmark = pytest.mark.timeout(30)
 
 from repro.core import PiCloud, PiCloudConfig
-from repro.errors import ManagementError, NameError_
+from repro.errors import ManagementError, NameError_, RestError
+from repro.mgmt.node_daemon import NODE_DAEMON_PORT
 from repro.placement import BestFit
 from repro.virt.container import ContainerState
 
@@ -149,6 +150,38 @@ class TestLifecycleViaPimaster:
         cloud.run_until_signal(destroy)
         assert isinstance(destroy.exception, NameError_)
         assert cloud.sim.now - start < 60.0
+
+
+class TestDeadHeadNode:
+    """The pimaster's services die with its machine: a centralised plane."""
+
+    def test_spawn_fails_while_the_pimaster_is_down(self, cloud):
+        run_until(cloud, cloud.spawn("base", name="works"))
+        cloud.machines["pimaster"].fail()
+        doomed = cloud.spawn("base", name="stranded")
+        cloud.run_until_signal(doomed, max_seconds=600.0)
+        assert doomed.triggered and not doomed.ok
+        assert isinstance(doomed.exception, ManagementError)
+        assert cloud.pimaster.spawn_failures == 1
+        placed = [c.name for d in cloud.daemons.values()
+                  for c in d.runtime.containers()]
+        assert placed == ["works"]
+
+    def test_outgoing_calls_fail_at_once_with_status_0(self, cloud):
+        cloud.machines["pimaster"].fail()
+        call = cloud.pimaster.client.get(
+            cloud.pimaster.node_ip("pi-r0-n0"), NODE_DAEMON_PORT, "/health"
+        )
+        start = cloud.sim.now
+        cloud.run_until_signal(call)
+        assert isinstance(call.exception, RestError)
+        assert call.exception.status == 0
+        assert cloud.sim.now == start
+
+    def test_a_dead_worker_leaves_the_pimaster_working(self, cloud):
+        cloud.machines["pi-r0-n0"].fail()
+        record = run_until(cloud, cloud.spawn("base", node_id="pi-r1-n0"))
+        assert record.node_id == "pi-r1-n0"
 
 
 class TestMonitoring:

@@ -1,9 +1,23 @@
 """Unit tests for the discrete-event kernel (repro.sim.kernel)."""
 
+import gc
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Simulator, Timeout
+import repro
+from repro.core import PiCloud, PiCloudConfig
+from repro.core.config import HealthConfig, TraceConfig
+from repro.errors import SimBudgetExceeded, SimulationError
+from repro.sim import Simulator, Timeout, kernel
+from repro.sim.budget import SimBudgetConfig
+from repro.sim.kernel import GC_GEN0_THRESHOLD
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestClock:
@@ -188,3 +202,140 @@ class TestRunControl:
         sim.run()
         assert fired == ["chained"]
         assert sim.now == 2.0
+
+
+@pytest.fixture
+def stock_collector():
+    """Start from CPython's stock thresholds; put the caller's back after."""
+    saved, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(700, *saved[1:])
+    yield gc.get_threshold()
+    gc.set_threshold(*saved)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("stock_collector")
+class TestCollectorPolicy:
+    """Simulator.run raises generation 0's threshold only while it runs."""
+
+    def test_restored_after_a_normal_return(self, stock_collector):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert gc.get_threshold() == stock_collector
+
+    def test_restored_after_stop(self, stock_collector):
+        sim = Simulator()
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert sim.pending_events() == 1
+        assert gc.get_threshold() == stock_collector
+
+    def test_restored_after_a_budget_trip(self, stock_collector):
+        sim = Simulator()
+        for _ in range(5):
+            sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimBudgetExceeded):
+            sim.run(budget=SimBudgetConfig(max_events=2))
+        assert gc.get_threshold() == stock_collector
+
+    def test_restored_after_a_callback_raises(self, stock_collector):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert gc.get_threshold() == stock_collector
+
+    def test_a_callback_sees_the_raised_threshold(self, stock_collector):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+        sim.run()
+        assert seen == [(GC_GEN0_THRESHOLD, *stock_collector[1:])]
+
+    def test_a_rejected_nested_run_leaves_the_thresholds_alone(
+        self, stock_collector
+    ):
+        sim = Simulator()
+        seen = []
+
+        def nested():
+            with pytest.raises(SimulationError, match="not re-entrant"):
+                sim.run()
+            seen.append(gc.get_threshold())
+
+        sim.schedule(1.0, nested)
+        sim.run()
+        assert seen == [(GC_GEN0_THRESHOLD, *stock_collector[1:])]
+        assert gc.get_threshold() == stock_collector
+
+    def test_a_disabled_collector_stays_disabled(self, stock_collector):
+        gc.disable()
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert not gc.isenabled()
+        assert gc.get_threshold() == stock_collector
+
+    def test_a_zero_threshold_stays_zero(self, stock_collector):
+        gc.set_threshold(0, *stock_collector[1:])
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.get_threshold()[0]))
+        sim.run()
+        assert seen == [0]
+        assert gc.get_threshold()[0] == 0
+
+    def test_a_larger_caller_threshold_is_kept(self, stock_collector):
+        gc.set_threshold(50_000, *stock_collector[1:])
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.get_threshold()[0]))
+        sim.run()
+        assert seen == [50_000]
+        assert gc.get_threshold()[0] == 50_000
+
+    def test_import_and_construction_leave_the_collector_alone(self):
+        script = (
+            "import gc\n"
+            "gc.set_threshold(700, 10, 10)\n"
+            "import repro\n"
+            "from repro.core import PiCloud, PiCloudConfig\n"
+            "PiCloud(PiCloudConfig.small(racks=1, pis=2))\n"
+            "assert gc.get_threshold() == (700, 10, 10), gc.get_threshold()\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+
+    def test_outputs_do_not_depend_on_collector_timing(
+        self, monkeypatch, tmp_path
+    ):
+        runs = []
+        for threshold in (GC_GEN0_THRESHOLD, 700):
+            monkeypatch.setattr(kernel, "GC_GEN0_THRESHOLD", threshold)
+            cloud = PiCloud(PiCloudConfig.small(
+                racks=2, pis=3, seed=5, routing="shortest",
+                health=HealthConfig(enabled=True),
+                trace=TraceConfig(enabled=True),
+            ))
+            cloud.boot()
+            for name in ("web-1", "web-2"):
+                cloud.spawn_and_wait("webserver", name=name)
+            cloud.network.transfer("pi-r0-n0", "pi-r1-n2", 40e6)
+            cloud.fail_node("pi-r1-n1")
+            cloud.run_for(60.0)
+            path = tmp_path / f"trace-{threshold}.jsonl"
+            cloud.write_trace(str(path))
+            runs.append((hashlib.sha256(path.read_bytes()).hexdigest(),
+                         cloud.metrics()))
+        assert runs[0] == runs[1]
