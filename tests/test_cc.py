@@ -543,7 +543,8 @@ class TestGrayFailureUnderCc:
         assert queue.occupancy == expected
 
 
-# Pinned at the release before the cc epoch plan landed, with
+# Pinned at the release before the cc epoch plan landed (the wide
+# scenario: before the plan owned its hop indices and fill layout), with
 # ``float.hex`` so any change in float arithmetic or its order shows.
 # Per scenario/protocol: every flow's (completed_at, remaining,
 # cc.cwnd) in start order, the fabric's queue_metrics(), recomputes and
@@ -747,6 +748,268 @@ _CC_PINS = {
         "recomputes": 165,
         "flows_solved": 593,
     },
+    "wide/reno": {
+        "flows": [
+            ("0x1.6759375485350p-2", "0x0.0p+0", "0x1.b1c5e8a6a85d9p+12"),
+            ("0x1.ae89c66222a58p-2", "0x0.0p+0", "0x1.094741f2b22d4p+13"),
+            ("0x1.cdf2427e14eb9p-2", "0x0.0p+0", "0x1.659320bfea995p+13"),
+            ("0x1.443ac2b9bc2e6p-2", "0x0.0p+0", "0x1.1982558fab38ep+12"),
+            ("0x1.95607cf271026p-2", "0x0.0p+0", "0x1.917603a55cbdap+12"),
+            ("0x1.c12b466cf018cp-2", "0x0.0p+0", "0x1.3b803ebd4e35fp+13"),
+            ("0x1.0ddb44cbef5b4p-2", "0x0.0p+0", "0x1.efcdaf9fa138dp+11"),
+            ("0x1.4154cdfadc295p-2", "0x0.0p+0", "0x1.10e7f4907147fp+12"),
+            ("0x1.94747348fe81ep-2", "0x0.0p+0", "0x1.9040ead67e3d3p+12"),
+            ("0x1.c1a47dddd53e5p-2", "0x0.0p+0", "0x1.3b8033e68d539p+13"),
+            ("0x1.0f8b17f62d975p-2", "0x0.0p+0", "0x1.f88fc5cc5d496p+11"),
+            ("0x1.5e7a896475f5cp-2", "0x0.0p+0", "0x1.911627c6df475p+12"),
+            ("0x1.af2e9a60ff940p-2", "0x0.0p+0", "0x1.09474ec8efe51p+13"),
+            ("0x1.ce38abd809342p-2", "0x0.0p+0", "0x1.69c400af76bb2p+13"),
+            ("0x1.45a7f119f2111p-2", "0x0.0p+0", "0x1.1dfe374228a1ep+12"),
+            ("0x1.6c13a15d8cdf3p-2", "0x0.0p+0", "0x1.c9da94c636b2fp+12"),
+            ("0x1.ae28c27f5a898p-2", "0x0.0p+0", "0x1.0954223b3a3d4p+13"),
+            ("0x1.c9ecaf50917f2p-2", "0x0.0p+0", "0x1.57052b9ed28eep+13"),
+            ("0x1.465f624311600p-2", "0x0.0p+0", "0x1.22784b18adaefp+12"),
+            ("0x1.96bb2cf7cbb26p-2", "0x0.0p+0", "0x1.967e8d9ab7acfp+12"),
+            ("0x1.c1da09c8e442ep-2", "0x0.0p+0", "0x1.3e819c5d02723p+13"),
+            ("0x1.10668af67dc6bp-2", "0x0.0p+0", "0x1.00a53dcc461b0p+12"),
+            ("0x1.6f16eb18861d3p-2", "0x0.0p+0", "0x1.cd1fe426d9de4p+12"),
+            ("0x1.41723dfc63c36p-4", "0x0.0p+0", "0x1.b3cfe65bfffe7p+15"),
+            ("0x1.93f4f9ac0481fp-2", "0x0.0p+0", "0x1.9429ef8ce837cp+12"),
+            ("0x1.c0bff8e3f5f6dp-2", "0x0.0p+0", "0x1.3ec4e21b471c9p+13"),
+            ("0x1.10f7f664917b1p-2", "0x0.0p+0", "0x1.04ff201c17823p+12"),
+            ("0x1.6f7f8df47675ep-2", "0x0.0p+0", "0x1.cd1e9c6cca688p+12"),
+            ("0x1.afb174a1aad20p-2", "0x0.0p+0", "0x1.0bde28f91928cp+13"),
+            ("0x1.ce7df6de3dee2p-2", "0x0.0p+0", "0x1.69c30b5691fcep+13"),
+            ("0x1.46d9a4ada1906p-2", "0x0.0p+0", "0x1.227817bfb6cf9p+12"),
+            ("0x1.96fa753e3c74fp-2", "0x0.0p+0", "0x1.9b864e1f312f0p+12"),
+            ("0x1.a52c48f7f2f7dp-2", "0x0.0p+0", "0x1.eab3bbe8d30ebp+12"),
+            ("0x1.cd7cc811b5bc2p-2", "0x0.0p+0", "0x1.697de6d6192b9p+13"),
+            ("0x1.4734939d433c7p-2", "0x0.0p+0", "0x1.26f0e80db341bp+12"),
+            ("0x1.9742e2cddc4e9p-2", "0x0.0p+0", "0x1.9b84636d67b27p+12"),
+            ("0x1.c21fd5094fdcep-2", "0x0.0p+0", "0x1.3e81ee4b864fap+13"),
+            ("0x1.1163ba3e81595p-2", "0x0.0p+0", "0x1.04ff201c17823p+12"),
+            ("0x1.6fdb3ed3530f5p-2", "0x0.0p+0", "0x1.d0eacb950f84ep+12"),
+            ("0x1.afdccfa09f252p-2", "0x0.0p+0", "0x1.0bde28f91928cp+13"),
+            ("0x1.31d47013c6befp-4", "0x0.0p+0", "0x1.a971eda141d76p+15"),
+            ("0x1.ba57bf3356e9fp-2", "0x0.0p+0", "0x1.2b262e2607487p+13"),
+            ("0x1.109e36b159bc2p-2", "0x0.0p+0", "0x1.073db66346b00p+12"),
+            ("0x1.70466ec28a8ecp-2", "0x0.0p+0", "0x1.d0e03dcf8c4aep+12"),
+            ("0x1.b0202f7a3a843p-2", "0x0.0p+0", "0x1.0bdb458c78d1ap+13"),
+            ("0x1.ceacd0908c2eap-2", "0x0.0p+0", "0x1.69c0da9b15997p+13"),
+            ("0x1.47bba0d29854ep-2", "0x0.0p+0", "0x1.26e65a483007ap+12"),
+            ("0x1.978ec364a02fdp-2", "0x0.0p+0", "0x1.9b808745f080cp+12"),
+            ("0x1.c2558cad37396p-2", "0x0.0p+0", "0x1.3e7e7648a1508p+13"),
+            ("0x1.2239b6c0d511dp-4", "0x0.0p+0", "0x1.9bd0295afc88cp+15"),
+            ("0x1.cdb0f4eb6e726p-2", "0x0.0p+0", "0x1.697a3755b52bdp+13"),
+            ("0x1.468231b66527ap-2", "0x0.0p+0", "0x1.251067a10d857p+12"),
+            ("0x1.97beee3d0c58ep-2", "0x0.0p+0", "0x1.9b7f49e4c0d30p+12"),
+            ("0x1.bb94826a9a3b8p-2", "0x0.0p+0", "0x1.2afc5e6bd008cp+13"),
+            ("0x1.1238fa90a78d1p-2", "0x0.0p+0", "0x1.09464afacfd7ep+12"),
+            ("0x1.706d599620d77p-2", "0x0.0p+0", "0x1.d0e200a92aa16p+12"),
+            ("0x1.b04501d7f6858p-2", "0x0.0p+0", "0x1.0bda922e50717p+13"),
+            ("0x1.ceb8625f08e3cp-2", "0x0.0p+0", "0x1.69c11d42d6640p+13"),
+            ("0x1.1144d943157c2p-2", "0x0.0p+0", "0x1.0737fbe8f11b3p+12"),
+            ("0x1.7095076d99a8ap-2", "0x0.0p+0", "0x1.d0e200a92aa16p+12"),
+            ("0x1.a72b7845710fbp-2", "0x0.0p+0", "0x1.f041ec30c7d3ep+12"),
+            ("0x1.cec698955ad85p-2", "0x0.0p+0", "0x1.69c07e923e8d2p+13"),
+            ("0x1.481b48fcdbe79p-2", "0x0.0p+0", "0x1.2b63e27e84facp+12"),
+            ("0x1.97d6af08081b0p-2", "0x0.0p+0", "0x1.a087e5a4a43abp+12"),
+            ("0x1.c27f4fe145f90p-2", "0x0.0p+0", "0x1.3e7e1a3fca443p+13"),
+            ("0x1.1280b348bcf62p-2", "0x0.0p+0", "0x1.0942c547932adp+12"),
+            ("0x1.46eae7abc0b11p-2", "0x0.0p+0", "0x1.299436a92b090p+12"),
+            ("0x1.97fcdf8875f41p-2", "0x0.0p+0", "0x1.a086a843748cfp+12"),
+            ("0x1.c289db2c4f4e1p-2", "0x0.0p+0", "0x1.3e7eb8f0621b1p+13"),
+            ("0x1.12a959619cdfap-2", "0x0.0p+0", "0x1.0d9eb1b6c85e8p+12"),
+            ("0x1.70bd8027c98bcp-2", "0x0.0p+0", "0x1.d0e09085ce704p+12"),
+            ("0x1.b06e570301fefp-2", "0x0.0p+0", "0x1.0e74aa5d7fd56p+13"),
+            ("0x1.ced0a177a78bap-2", "0x0.0p+0", "0x1.69c069e4ae03dp+13"),
+            ("0x1.4858a36fa6c8ep-2", "0x0.0p+0", "0x1.2b611505e379ep+12"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.24f8000000000p+18",
+            "queue_depth_peak": "0x1.24f8000000000p+18",
+            "ecn_mark_frac": "0x1.ff6b24791fc23p-1",
+            "dropped_bytes": "0x1.4ebbecd1ac96bp+18",
+            "drop_events": 74,
+        },
+        "recomputes": 546,
+        "flows_solved": 30528,
+    },
+    "wide/dctcp": {
+        "flows": [
+            ("0x1.60dc69057cba2p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a8440441f18b4p-2", "0x0.0p+0", "0x1.1e0164cf797dfp+11"),
+            ("0x1.c28a3664afe04p-2", "0x0.0p+0", "0x1.951dee50f5a27p+12"),
+            ("0x1.3fdde497ba90cp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8cd772a24a67cp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.ba13e6c0869a3p-2", "0x0.0p+0", "0x1.b3beeb436afbcp+11"),
+            ("0x1.0c084e5f4a2b6p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.37c8d3624a4f8p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.884932100b626p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.ba76eefd54216p-2", "0x0.0p+0", "0x1.b3beeb436afbcp+11"),
+            ("0x1.0dc17d37fae7ep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6a2403d5ad58bp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a8eb22288c5f6p-2", "0x0.0p+0", "0x1.1e0164cf797dfp+11"),
+            ("0x1.c2bbb289f0215p-2", "0x0.0p+0", "0x1.951dee50f5a27p+12"),
+            ("0x1.41536318f683ap-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.629f39cd65fa1p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a44769f46e35cp-2", "0x0.0p+0", "0x1.8493a48806112p+10"),
+            ("0x1.c2815a6666c3ep-2", "0x0.0p+0", "0x1.951dee50f5a27p+12"),
+            ("0x1.4211eb8da0398p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8e420cbab17a7p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.baa6a3d0dfff3p-2", "0x0.0p+0", "0x1.e10c453f38e9ap+11"),
+            ("0x1.0ea3012e06fe3p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6c52c586f31f9p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.923def34c7855p-4", "0x0.0p+0", "0x1.e48e7a59f5a39p+15"),
+            ("0x1.84740921a33ffp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b71d305613d3dp-2", "0x0.0p+0", "0x1.2bdd7841be738p+11"),
+            ("0x1.0f3a0f92a637ep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6cba739243026p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a9839f81150f3p-2", "0x0.0p+0", "0x1.a54cee4aae663p+10"),
+            ("0x1.c2e3e412cb253p-2", "0x0.0p+0", "0x1.ac140c7627683p+12"),
+            ("0x1.4291a6ecd781ap-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8e948a0b0b936p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a236532b17966p-2", "0x0.0p+0", "0x1.d8b59b4866e59p+10"),
+            ("0x1.c10a717e2e8bdp-2", "0x0.0p+0", "0x1.91c9dddcdc3a5p+12"),
+            ("0x1.42f2e9ae0c6b5p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8ed33b6b7c62cp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.badb4f3060333p-2", "0x0.0p+0", "0x1.e10c453f38e9ap+11"),
+            ("0x1.0fad854c99abap-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6d097544e4dbap-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a9b6ed52233d8p-2", "0x0.0p+0", "0x1.a54cee4aae663p+10"),
+            ("0x1.82a5b6b714203p-4", "0x0.0p+0", "0x1.dae45ac246019p+15"),
+            ("0x1.b4f89e076f81bp-2", "0x0.0p+0", "0x1.ee470c38dbad4p+10"),
+            ("0x1.0bcc50c8e7aacp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6cf156ad7646bp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a9a76955a7530p-2", "0x0.0p+0", "0x1.a54cee4aae9dfp+10"),
+            ("0x1.c2ec613a7efeep-2", "0x0.0p+0", "0x1.ac140c7627793p+12"),
+            ("0x1.42d553536e450p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8ec018397e8a3p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.bad48f97a8bfap-2", "0x0.0p+0", "0x1.e10c453f390b8p+11"),
+            ("0x1.731d0a03398ecp-4", "0x0.0p+0", "0x1.cf4819f2fcc85p+15"),
+            ("0x1.c06ff68212118p-2", "0x0.0p+0", "0x1.7a47fef39e9e2p+12"),
+            ("0x1.3ea1e051f077dp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8ee9ca9164d70p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.ba0732259ce2cp-2", "0x0.0p+0", "0x1.b3beeb436b1dap+11"),
+            ("0x1.0fd6fb792a5f1p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6d25ea372f373p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a9c9259a84db4p-2", "0x0.0p+0", "0x1.a54cee4aae9dfp+10"),
+            ("0x1.c2f47122ede2ap-2", "0x0.0p+0", "0x1.ac140c7627793p+12"),
+            ("0x1.0c66699b9637ap-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6d5345b229691p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a90a3ca20d362p-2", "0x0.0p+0", "0x1.1e0164cf7990dp+11"),
+            ("0x1.c2fb62e333e39p-2", "0x0.0p+0", "0x1.ac140c7627793p+12"),
+            ("0x1.434da356fb403p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8f0dbc1eaa19bp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.baf0114aff928p-2", "0x0.0p+0", "0x1.e10c453f390b8p+11"),
+            ("0x1.101918310bdb1p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.3f11fd5e1cca4p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8f2d1309750adp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.bafb384d8cd36p-2", "0x0.0p+0", "0x1.e10c453f390b8p+11"),
+            ("0x1.1052c9eae22e2p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6d7ad73dbe401p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a9ff76f6ff9dap-2", "0x0.0p+0", "0x1.a54cee4aae9dfp+10"),
+            ("0x1.c3016d99a354ap-2", "0x0.0p+0", "0x1.ac140c7627793p+12"),
+            ("0x1.437e4fa109276p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.24f8000000000p+18",
+            "queue_depth_peak": "0x1.24f8000000000p+18",
+            "ecn_mark_frac": "0x1.d9277d2a17ac3p-1",
+            "dropped_bytes": "0x1.fcd041bd7b8c8p+19",
+            "drop_events": 74,
+        },
+        "recomputes": 535,
+        "flows_solved": 30158,
+    },
+    "wide/delay": {
+        "flows": [
+            ("0x1.60720ae20f050p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a6de86101a19ep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c215b15ab7a09p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.3fdadd05f1409p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8cc1271706f37p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b8b35e40e9f7dp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0c1268fa9c051p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.3665263fb36bfp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.87ec48a1026abp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b925e856fd263p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0dcab294cd987p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6bab279ba4eb6p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a790c007d2f61p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c247348e3f6d2p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.414f0b1c22833p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6170de2272122p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a27eab3d5f6a2p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c25e18f5eab3dp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.420d020a8524cp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8e2b47f7a4592p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b960afddc550ep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0eabb84af6eb4p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6c40bd05db8f9p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.9e16c448de103p-4", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.837f2f7da3b4ap-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b4e3d51d97bf6p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0f428386df4eap-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6ca8d209691ffp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a82956c866431p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c2714a2d312c1p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.428c5d396f106p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8e7db647e6f6dp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a306093710881p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.bf763d8785f84p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.42ed325e44761p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8ebc5246bb548p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b9a4f2b46f10ep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0fb5b7211de85p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6cf8154f25b87p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a8576b96fa8bep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.85cf7a60d900dp-4", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b4f3397bcafaep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0b1008d0d7db9p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6cb464b3a3c74p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a8300bec298ebp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c2731bb068396p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.429a86cddb05dp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8e86dbcfdaaa7p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b98c0d068088dp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.51b3756f495a7p-4", "0x0.0p+0", "0x1.1940000000004p+12"),
+            ("0x1.bf75ae8cc70e4p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.3df76522395a4p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8eb08c04d67ccp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b9a152de63ce3p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0fa020c4d1a96p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6ce92d65a9ca2p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a84ec0e177509p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c27b324ff2e63p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0baa18ecd101cp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6d16bb7d338f7p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a86e0ef3bbf2cp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c28229d8cf44ep-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.4312aaeb04138p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8ed482072d074p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b9b0296a9a733p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.0fe22e9dff950p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.3e67788fd4e20p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.8ef3dd788ca7cp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.b9beb1a8b5173p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.101bdc1701c07p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.6d3e7a5b8cf1bp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.a8803d51568ecp-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.c28820550be98p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+            ("0x1.434334d24a5f9p-2", "0x0.0p+0", "0x1.7700000000000p+10"),
+        ],
+        "queues": {
+            "queue_depth_p99": "0x1.24f8000000000p+18",
+            "queue_depth_peak": "0x1.24f8000000000p+18",
+            "ecn_mark_frac": "0x1.c6e0a10c8a770p-1",
+            "dropped_bytes": "0x1.a62375db60114p+17",
+            "drop_events": 41,
+        },
+        "recomputes": 534,
+        "flows_solved": 30113,
+    },
+
 }
 
 
@@ -761,9 +1024,23 @@ _CC_SCENARIO_FLOWS = [
 ]
 
 
+# The wide scenario: 71 senders into h0 on a k=8 fat-tree (2-, 4- and
+# 6-hop paths) plus three flows crossing their links, so one bottleneck
+# component holds more than VECTORIZE_MIN_FLOWS flows and the epoch
+# fill takes the vectorized path.
+_WIDE_FLOWS = [
+    (f"h{i}", "h0", 40e3 + (i % 7) * 10e3, (i % 9) * 0.0002)
+    for i in range(1, 72)
+] + [
+    ("h20", "h40", 0.3e6, 0.0005), ("h33", "h18", 0.2e6, 0.0011),
+    ("h5", "h9", 0.25e6, 0.0008),
+]
+
+
 def _cc_scenario(protocol, scenario):
     sim = Simulator()
-    topo = fat_tree(4)
+    wide = scenario == "wide"
+    topo = fat_tree(8 if wide else 4)
     net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
                   rate_model=_cc(protocol))
     flows = []
@@ -771,9 +1048,21 @@ def _cc_scenario(protocol, scenario):
     def start(src, dst, size):
         flows.append(net.transfer(src, dst, size, flow_key=f"{src}>{dst}"))
 
-    for src, dst, size, at in _CC_SCENARIO_FLOWS:
+    for src, dst, size, at in (_WIDE_FLOWS if wide else _CC_SCENARIO_FLOWS):
         sim.schedule(at, start, src, dst, size)
-    if scenario == "reroute":
+    if wide:
+        def move():
+            # h40->h0 moves to a path through another core switch.
+            flow = next(f for f in flows if f.src == "h40")
+            alternatives = sorted(
+                nx.all_shortest_paths(topo.graph, flow.src, flow.dst))
+            net.reroute(flow, next(p for p in alternatives
+                                   if p[3] != flow.path[3]))
+        sim.schedule(0.0105, move)
+        # Halve, then restore, the bottleneck h0's access cable.
+        sim.schedule(0.02, net.degrade_link, "h0", "p0-edge0", 0.5)
+        sim.schedule(0.06, net.restore_link, "h0", "p0-edge0")
+    elif scenario == "reroute":
         def move():
             # h4->h0 leaves the p1-agg0 uplink it shares with h5->h2.
             flow = flows[0]
@@ -800,7 +1089,7 @@ class TestCcPinnedAcrossEpochPlan:
 
     @pytest.mark.parametrize("protocol", ["reno", "dctcp", "delay"])
     @pytest.mark.parametrize("scenario", ["staggered", "reroute",
-                                          "fail_link"])
+                                          "fail_link", "wide"])
     def test_matches_pins(self, scenario, protocol):
         flows, net = _cc_scenario(protocol, scenario)
         pins = _CC_PINS[f"{scenario}/{protocol}"]
