@@ -101,11 +101,12 @@ class PiMaster:
         self.placement_policy: PlacementPolicy = FirstFit()
         self._nodes: Dict[str, NodeRecord] = {}
         self._containers: Dict[str, ContainerRecord] = {}
-        # Indexes kept in step with _containers so node_views() does not
-        # rescan every container and every fabric link per node: the
-        # node's access link (found once, lazily) and per-node group
-        # refcounts (anti-affinity placement input).
-        self._access_links: Dict[str, object] = {}
+        # Indexes so node_views() does not rescan every container and
+        # every fabric link per node: each node's access link (built in
+        # one pass over the fabric's links, on first use) and per-node
+        # group refcounts kept in step with _containers (anti-affinity
+        # placement input).
+        self._access_links: Optional[Dict[str, object]] = None
         self._node_groups: Dict[str, Dict[str, int]] = {}
         self._spawn_seq = 0
         self._destroy_seq = 0
@@ -431,18 +432,19 @@ class PiMaster:
             counts.pop(record.group, None)
 
     def _access_link(self, node_id: str, daemon: NodeDaemon):
-        """The node's fabric access link, found once and memoised."""
-        try:
-            return self._access_links[node_id]
-        except KeyError:
-            pass
-        found = None
-        for link in daemon.kernel.netstack.fabric.network.links():
-            if node_id in link.endpoints:
-                found = link
-                break
-        self._access_links[node_id] = found
-        return found
+        """The node's fabric access link: its first link in fabric order.
+
+        Links are fixed when the fabric is built, so the first call maps
+        every node to its first link in one pass; a node with no link
+        maps to None.
+        """
+        links = self._access_links
+        if links is None:
+            links = self._access_links = {}
+            for link in daemon.kernel.netstack.fabric.network.links():
+                for node in link.endpoints:
+                    links.setdefault(node, link)
+        return links.get(node_id)
 
     def node_views(self) -> list[NodeView]:
         """Current snapshot of every registered node, in node-id order.

@@ -46,13 +46,13 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.errors import RateModelError
 from repro.netsim.fairness import (
-    connected_components, fill_components, max_min_rates,
+    connected_components, fill_components, fill_layouts, max_min_rates,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import RateModelConfig
     from repro.netsim.fabric import FlowTransfer, Network
-    from repro.netsim.link import LinkDirection
+    from repro.netsim.link import LinkDirection, QueueState
 
 # Constants tuned for the paper's fabric: 100 Mb/s links, shallow switch
 # buffers (200 x 1500 B packets) and a DCTCP-style ECN threshold at 15%
@@ -234,12 +234,18 @@ class _EpochPlan:
 
     Membership (activate, detach) and paths (reroute) only change on
     churn, which bumps ``Network._churn``; the tick rebuilds the plan
-    when that counter moves.  Capacities, queue state and windows change
-    between epochs, so they are read live and never cached here.
+    when that counter moves.  Besides the sorted flows and directions
+    and the bottleneck components, the plan keeps what the tick would
+    otherwise rebuild from those paths every epoch: each wide
+    component's :class:`~repro.netsim.fairness.FillLayout`, the queues
+    of its directions (name order) and, per flow, the positions of its
+    queued hops in that list (path order).  Capacities, queue contents
+    and windows change between epochs, so they are read live and never
+    cached here.
     """
 
     __slots__ = ("churn", "flows", "states", "flow_paths", "directions",
-                 "components")
+                 "components", "layouts", "queues", "hops")
 
     def __init__(self, churn: int,
                  states: Dict["FlowTransfer", CcFlowState]) -> None:
@@ -252,6 +258,17 @@ class _EpochPlan:
             key=attrgetter("name"),
         )
         self.components = connected_components(self.flow_paths)
+        self.layouts = fill_layouts(self.components, self.flow_paths)
+        position: Dict["LinkDirection", int] = {}
+        self.queues: List["QueueState"] = []
+        for direction in self.directions:
+            if direction.queue is not None:
+                position[direction] = len(self.queues)
+                self.queues.append(direction.queue)
+        self.hops = [
+            [position[d] for d in flow.directions if d in position]
+            for flow in self.flows
+        ]
 
 
 class CcRateModel(RateModel):
@@ -312,22 +329,16 @@ class CcRateModel(RateModel):
 
     # -- allocation ----------------------------------------------------------
 
-    def _solve(
+    def _demands(
         self,
         flows: List["FlowTransfer"],
-        flow_paths: Dict["FlowTransfer", List["LinkDirection"]],
-        components: List[List["FlowTransfer"]],
-        capacities: Dict["LinkDirection", float],
         path_delays: List[float],
-    ) -> tuple[Dict["FlowTransfer", float], Dict["LinkDirection", float]]:
-        """Demand-capped max-min over ``components``: (rates, offered).
+    ) -> Dict["FlowTransfer", float]:
+        """Each flow's demand: window over queue-inclusive RTT.
 
-        Demand per flow: window over queue-inclusive RTT (``path_delays``
-        runs parallel to ``flows``, which arrive sorted by flow_id),
-        clamped by any explicit rate_cap.  ``capacities`` covers every
-        direction on those paths.  ``offered`` is each
-        direction's aggregate finite demand, accumulated in flow_id
-        order so the float sums are deterministic.
+        ``path_delays`` runs parallel to ``flows``; the demand is
+        clamped by any explicit rate_cap and handed to the max-min fill
+        as the flow's cap (demand-capped max-min).
         """
         rate_caps = self.network._rate_caps
         states = self._states
@@ -342,15 +353,7 @@ class CcRateModel(RateModel):
             if cap is not None and cap < demand:
                 demand = cap
             demands[flow] = demand
-        rates = fill_components(components, flow_paths, capacities, demands)
-        offered: Dict["LinkDirection", float] = {}
-        for flow in flows:
-            demand = demands[flow]
-            if not math.isfinite(demand):
-                continue
-            for direction in flow_paths[flow]:
-                offered[direction] = offered.get(direction, 0.0) + demand
-        return rates, offered
+        return demands
 
     def allocate(
         self,
@@ -360,14 +363,22 @@ class CcRateModel(RateModel):
         network = self.network
         now = network.sim.now
         # Churn solve: queue delays as of each queue's last update.
-        path_delays = [network.path_queue_delay(flow.directions)
-                       for flow in flows]
+        demands = self._demands(flows, [
+            network.path_queue_delay(flow.directions) for flow in flows])
         flow_paths = {flow: flow.directions for flow in flows}
         capacities = {direction: direction.capacity
                       for flow in flows for direction in flow.directions}
-        rates, offered = self._solve(
-            flows, flow_paths, connected_components(flow_paths), capacities,
-            path_delays)
+        rates = fill_components(connected_components(flow_paths), flow_paths,
+                                capacities, demands)
+        # Each direction's aggregate finite demand, summed in flow_id
+        # order so the floats are deterministic.
+        offered: Dict["LinkDirection", float] = {}
+        for flow in flows:
+            demand = demands[flow]
+            if not math.isfinite(demand):
+                continue
+            for direction in flow.directions:
+                offered[direction] = offered.get(direction, 0.0) + demand
         # Refresh queue inflows: settle each touched queue with the old
         # offered demand up to now, then set the new aggregate demand.
         touched: set = set(offered)
@@ -399,45 +410,51 @@ class CcRateModel(RateModel):
         if plan is None or plan.churn != network._churn:
             plan = self._plan = _EpochPlan(network._churn, self._states)
         # Close the epoch on every queue along any active path, then pull
-        # each direction's interval signals and delay once.
-        signals: Dict["LinkDirection", tuple] = {}
-        for direction in plan.directions:
-            queue = direction.queue
-            if queue is None:
-                continue
+        # each queue's interval signals and delay once, parallel to
+        # plan.queues.
+        fracs: List[float] = []
+        drops: List[bool] = []
+        delays: List[float] = []
+        for queue in plan.queues:
             queue.advance(now)
             marked_s, observed_s, dropped = queue.collect()
-            frac = marked_s / observed_s if observed_s > 0.0 else 0.0
-            signals[direction] = (frac, dropped, queue.delay_s())
-        # Window updates from the path-worst signals.
+            fracs.append(marked_s / observed_s if observed_s > 0.0 else 0.0)
+            drops.append(dropped)
+            delays.append(queue.delay_s())
+        # Window updates from the path-worst signals: the largest mark
+        # fraction, any overflow, and the delays summed hop by hop.
         path_delays: List[float] = []
-        for flow, state in zip(plan.flows, plan.states):
+        for hops, state in zip(plan.hops, plan.states):
             ecn_frac = 0.0
             loss = False
             queue_delay = 0.0
-            for direction in flow.directions:
-                entry = signals.get(direction)
-                if entry is None:
-                    continue
-                frac, dropped, delay = entry
+            for i in hops:
+                frac = fracs[i]
                 if frac > ecn_frac:
                     ecn_frac = frac
-                loss = loss or dropped
-                queue_delay += delay
+                if drops[i]:
+                    loss = True
+                queue_delay += delays[i]
             if dt > 0.0:
                 state.update(now, dt, state.rtt_base + queue_delay,
                              ecn_frac, loss)
             path_delays.append(queue_delay)
         # Re-allocate the whole active set under the new windows.  The
         # queues already stand at now, so only their inflows move.
+        demands = self._demands(plan.flows, path_delays)
         capacities = {direction: direction.capacity
                       for direction in plan.directions}
-        rates, offered = self._solve(plan.flows, plan.flow_paths,
-                                     plan.components, capacities, path_delays)
-        for direction, demand in offered.items():
-            queue = direction.queue
-            if queue is not None:
-                queue.offered = demand
+        rates = fill_components(plan.components, plan.flow_paths, capacities,
+                                demands, plan.layouts)
+        # Every plan flow has a window, so every demand is finite and
+        # every queue in the plan gets a new inflow, summed in flow_id
+        # order.
+        offered = [0.0] * len(plan.queues)
+        for hops, demand in zip(plan.hops, demands.values()):
+            for i in hops:
+                offered[i] += demand
+        for queue, demand in zip(plan.queues, offered):
+            queue.offered = demand
         network._epoch_reallocate(plan.flows, rates, plan.directions)
         self._tick_event = sim.schedule(EPOCH_S, self._tick)
 

@@ -496,8 +496,13 @@ class Network:
         if elapsed > 0 and flow.rate > 0:
             moved = min(flow.remaining, flow.rate * elapsed)
             flow.remaining -= moved
+            # Counter.add's negative-increment check, once per flow
+            # rather than once per hop.
+            if moved < 0:
+                raise ValueError(
+                    f"flow {flow.flow_id}: negative settle {moved}")
             for direction in flow.directions:
-                direction.bytes_carried.add(moved)
+                direction.bytes_carried.total += moved
         flow._last_update = self.sim.now
 
     def _affected(self) -> tuple[list[FlowTransfer], set[LinkDirection]]:

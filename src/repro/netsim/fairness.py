@@ -30,7 +30,10 @@ same instance always performs the same arithmetic in the same order.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence
+from itertools import repeat
+from typing import (
+    Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
+)
 
 from repro.errors import ConfigurationError
 
@@ -97,17 +100,89 @@ def connected_components(
     return list(groups.values())
 
 
+class FillLayout:
+    """One component's paths as the vectorized fill's index arrays.
+
+    ``resources`` lists the component's resources in first-seen order
+    over its flows' paths; ``crossing`` counts the flows crossing each.
+    ``flat`` holds every flow's resource indices back to back (CSR),
+    ``lengths`` each flow's hop count, and ``seg_starts`` where each
+    flow's hops start in ``flat`` (0 for an empty path, which
+    ``nonempty`` masks out).  Built from the paths alone, so a caller
+    whose paths have not changed may keep it (the cc epoch plan does).
+    """
+
+    __slots__ = ("resources", "crossing", "flat", "lengths", "nonempty",
+                 "seg_starts")
+
+    def __init__(self, flows: Sequence[FlowId],
+                 flow_paths: Mapping[FlowId, Sequence[ResourceId]]) -> None:
+        res_index: Dict[ResourceId, int] = {}
+        crossing: List[int] = []
+        flat: List[int] = []
+        for flow in flows:
+            for res in flow_paths[flow]:
+                i = res_index.get(res)
+                if i is None:
+                    i = res_index[res] = len(crossing)
+                    crossing.append(0)
+                crossing[i] += 1
+                flat.append(i)
+        self.resources = list(res_index)
+        self.crossing = _np.array(crossing, dtype=_np.float64)
+        self.flat = _np.array(flat, dtype=_np.intp)
+        self.lengths = _np.array([len(flow_paths[flow]) for flow in flows],
+                                 dtype=_np.intp)
+        # reduceat mishandles zero-length segments (an empty-path flow),
+        # so those start at index 0 and are masked afterwards.
+        self.nonempty = self.lengths > 0
+        ptr = _np.zeros(len(flows) + 1, dtype=_np.intp)
+        _np.cumsum(self.lengths, out=ptr[1:])
+        self.seg_starts = _np.where(self.nonempty, ptr[:-1], 0)
+
+
+def fill_layouts(
+    components: Iterable[List[FlowId]],
+    flow_paths: Mapping[FlowId, Sequence[ResourceId]],
+) -> List[Optional[FillLayout]]:
+    """A :class:`FillLayout` for each component wide enough to vectorize.
+
+    Parallel to ``components``; None where the component fills with the
+    scalar loop.  :func:`fill_components` uses a layout only while every
+    flow of its component is active (cap above ``_EPSILON``).
+    """
+    return [
+        FillLayout(component, flow_paths)
+        if _np is not None and len(component) >= VECTORIZE_MIN_FLOWS
+        else None
+        for component in components
+    ]
+
+
 def _fill_component(
     flows: List[FlowId],
     flow_paths: Mapping[FlowId, Sequence[ResourceId]],
     capacities: Mapping[ResourceId, float],
     rate_caps: Mapping[FlowId, float],
     rates: Dict[FlowId, float],
+    layout: Optional[FillLayout] = None,
 ) -> None:
-    """Progressive filling over one component; writes into ``rates``."""
+    """Progressive filling over one component; writes into ``rates``.
+
+    ``layout``, when given, is the :class:`FillLayout` of all of
+    ``flows``; it stands in for building one only if every flow is
+    active.
+    """
     active: List[FlowId] = [
         flow for flow in flows if rate_caps.get(flow, math.inf) > _EPSILON
     ]
+    if _np is not None and len(active) >= VECTORIZE_MIN_FLOWS:
+        if layout is None or len(active) != len(flows):
+            layout = FillLayout(active, flow_paths)
+        _fill_component_vectorized(active, layout, capacities, rate_caps,
+                                   rates)
+        return
+
     remaining: Dict[ResourceId, float] = {}
     crossing: Dict[ResourceId, int] = {}
     for flow in active:
@@ -116,11 +191,6 @@ def _fill_component(
                 remaining[res] = float(capacities[res])
                 crossing[res] = 0
             crossing[res] += 1
-
-    if _np is not None and len(active) >= VECTORIZE_MIN_FLOWS:
-        _fill_component_vectorized(active, flow_paths, remaining, crossing,
-                                   rate_caps, rates)
-        return
 
     while active:
         # The next rate increment is the smallest of: each loaded
@@ -170,9 +240,8 @@ def _fill_component(
 
 def _fill_component_vectorized(
     active: List[FlowId],
-    flow_paths: Mapping[FlowId, Sequence[ResourceId]],
-    remaining: Mapping[ResourceId, float],
-    crossing: Mapping[ResourceId, int],
+    layout: FillLayout,
+    capacities: Mapping[ResourceId, float],
     rate_caps: Mapping[FlowId, float],
     rates: Dict[FlowId, float],
 ) -> None:
@@ -187,36 +256,25 @@ def _fill_component_vectorized(
       each resource slot (repeated subtraction of one increment value is
       a chain on that slot alone, so interleaving cannot change it).
 
-    Paths live in one flat CSR layout built once: ``flat`` holds every
-    active flow's resource indices back to back, ``lengths`` each flow's
-    hop count.  A round selects the hops of alive (or newly frozen)
-    flows with ``flat[np.repeat(mask, lengths)]`` -- the same indices,
-    in the same order, as concatenating those flows' paths.
+    Paths live in ``layout``'s flat CSR arrays (:class:`FillLayout`,
+    the layout of exactly ``active``).  A round selects the hops of
+    alive (or newly frozen) flows with ``flat[np.repeat(mask, lengths)]``
+    -- the same indices, in the same order, as concatenating those
+    flows' paths.
 
     Hence rates out of this path equal the scalar path's bit-for-bit --
     the gate at :data:`VECTORIZE_MIN_FLOWS` is purely a speed decision.
     """
-    res_index = {res: i for i, res in enumerate(remaining)}
-    rem = _np.array(list(remaining.values()), dtype=_np.float64)
-    cross = _np.array(list(crossing.values()), dtype=_np.float64)
-    flat = _np.array(
-        [res_index[res] for flow in active for res in flow_paths[flow]],
-        dtype=_np.intp,
-    )
-    lengths = _np.array([len(flow_paths[flow]) for flow in active],
-                        dtype=_np.intp)
+    flat = layout.flat
+    lengths = layout.lengths
+    rem = _np.array([float(capacities[res]) for res in layout.resources],
+                    dtype=_np.float64)
+    cross = layout.crossing.copy()
     caps = _np.array(
         [rate_caps.get(flow, _np.inf) for flow in active], dtype=_np.float64
     )
     flow_rates = _np.zeros(len(active), dtype=_np.float64)
     alive = _np.ones(len(active), dtype=bool)
-    # Per-flow "crosses a saturated resource?" reduction over the same
-    # layout.  reduceat mishandles zero-length segments (an empty-path
-    # flow), so substitute index 0 there and mask afterwards.
-    nonempty = lengths > 0
-    ptr = _np.zeros(len(active) + 1, dtype=_np.intp)
-    _np.cumsum(lengths, out=ptr[1:])
-    seg_starts = _np.where(nonempty, ptr[:-1], 0)
 
     while alive.any():
         loaded = cross > 0
@@ -239,8 +297,8 @@ def _fill_component_vectorized(
         hits = _np.zeros(len(active), dtype=_np.float64)
         if flat.size:
             per_flow = _np.add.reduceat(
-                saturated[flat].astype(_np.float64), seg_starts)
-            hits = _np.where(nonempty, per_flow, 0.0)
+                saturated[flat].astype(_np.float64), layout.seg_starts)
+            hits = _np.where(layout.nonempty, per_flow, 0.0)
         at_cap = _np.isfinite(caps) & (flow_rates >= caps - _EPSILON)
         frozen = alive & (at_cap | (hits > 0))
         if not frozen.any():
@@ -258,18 +316,23 @@ def fill_components(
     flow_paths: Mapping[FlowId, Sequence[ResourceId]],
     capacities: Mapping[ResourceId, float],
     rate_caps: Mapping[FlowId, float],
+    layouts: Optional[Sequence[Optional[FillLayout]]] = None,
 ) -> Dict[FlowId, float]:
     """Water-fill each component of a decomposition of ``flow_paths``.
 
     The second step of :func:`max_min_rates`; ``components`` is what
     :func:`connected_components` returned for these ``flow_paths``.
     The decomposition depends on the paths alone, so a caller whose
-    paths have not changed may reuse it (the cc epoch does); capacities
-    and caps are read afresh on every fill.
+    paths have not changed may reuse it, and its :func:`fill_layouts`
+    (the cc epoch does); capacities and caps are read afresh on every
+    fill.
     """
     rates: Dict[FlowId, float] = {flow: 0.0 for flow in flow_paths}
-    for component in components:
-        _fill_component(component, flow_paths, capacities, rate_caps, rates)
+    if layouts is None:
+        layouts = repeat(None)
+    for component, layout in zip(components, layouts):
+        _fill_component(component, flow_paths, capacities, rate_caps, rates,
+                        layout)
     return rates
 
 

@@ -84,17 +84,38 @@ class QueueState:
         if dt <= 0.0:
             return
         self._last_update = now
-        cap = self.direction.capacity
-        net = self.offered - cap
+        net = self.offered - self.direction.capacity
         q0 = self.occupancy
         raw = q0 + net * dt
-        q1 = min(max(raw, 0.0), self.limit_bytes)
-        if raw > self.limit_bytes:
-            overflow = raw - self.limit_bytes
+        limit = self.limit_bytes
+        if raw > limit:
+            q1 = limit
+            overflow = raw - limit
             self.dropped_bytes += overflow
             self._interval_dropped += overflow
             self.drop_events += 1
-        above = self._time_above(q0, net, dt)
+        elif raw < 0.0:
+            q1 = 0.0
+        else:
+            q1 = raw
+        # Time within [0, dt] the clamped occupancy spends above the
+        # ECN threshold k: all of it, none, or up to (from) the crossing.
+        k = self.ecn_threshold_bytes
+        if net == 0.0:
+            above = dt if q0 > k else 0.0
+        elif net > 0.0:
+            if q0 >= k:
+                above = dt
+            else:
+                above = dt - (k - q0) / net
+                if not above > 0.0:
+                    above = 0.0
+        elif q0 <= k:
+            above = 0.0
+        else:
+            above = (q0 - k) / -net
+            if not above < dt:
+                above = dt
         self.marked_seconds += above
         self.observed_seconds += dt
         self._interval_marked_s += above
@@ -102,21 +123,7 @@ class QueueState:
         self.occupancy = q1
         if q1 > self.peak_bytes:
             self.peak_bytes = q1
-        self.depth_hist.record(q1, count=dt)
-
-    def _time_above(self, q0: float, net: float, dt: float) -> float:
-        """Time within [0, dt] the (clamped) occupancy exceeds the threshold."""
-        k = self.ecn_threshold_bytes
-        if net == 0.0:
-            return dt if q0 > k else 0.0
-        if net > 0.0:
-            if q0 >= k:
-                return dt
-            return max(0.0, dt - (k - q0) / net)
-        # Draining.
-        if q0 <= k:
-            return 0.0
-        return min(dt, (q0 - k) / -net)
+        self.depth_hist.record(q1, dt)
 
     def collect(self) -> tuple[float, float, bool]:
         """Return (marked_s, observed_s, dropped?) since the last collect and reset."""
@@ -156,6 +163,10 @@ class LinkDirection:
         # Endpoints never change, so the name is built once: solvers sort
         # directions by it on every epoch.
         self.name = f"{src}->{dst}"
+        # Bytes/s this direction delivers: the link's spec bandwidth times
+        # its gray-failure fraction.  A plain attribute, read on every
+        # solve and epoch; Link.degrade/restore keep it current.
+        self.capacity = link.bandwidth * link.bandwidth_frac
         self.flows: Set["FlowTransfer"] = set()
         # Last load applied via set_load; solves touching a direction
         # whose aggregate rate did not actually move skip the telemetry
@@ -173,10 +184,6 @@ class LinkDirection:
         self.congestion_episodes = 0
         # Open span covering the current congestion episode (repro.trace).
         self._congestion_span = None
-
-    @property
-    def capacity(self) -> float:
-        return self.link.bandwidth * self.link.bandwidth_frac
 
     @property
     def latency(self) -> float:
@@ -293,18 +300,24 @@ class Link:
         self.bandwidth_frac = bandwidth_frac
         self.extra_latency = extra_latency
         self.loss = loss
-        # Capacity may have moved: the same byte rate now means a
-        # different utilisation fraction, so force the next set_load.
-        self.forward._last_load = None
-        self.reverse._last_load = None
+        self._capacity_changed()
 
     def restore(self) -> None:
         """Clear any gray-failure state (back to the healthy identity)."""
         self.bandwidth_frac = 1.0
         self.extra_latency = 0.0
         self.loss = 0.0
-        self.forward._last_load = None
-        self.reverse._last_load = None
+        self._capacity_changed()
+
+    def _capacity_changed(self) -> None:
+        """Refresh both directions' capacity from ``bandwidth_frac``.
+
+        The same byte rate now means a different utilisation fraction,
+        so also force each direction's next set_load through.
+        """
+        for direction in (self.forward, self.reverse):
+            direction.capacity = self.bandwidth * self.bandwidth_frac
+            direction._last_load = None
 
     def direction(self, src: str, dst: str) -> LinkDirection:
         """The directed half carrying traffic ``src -> dst``."""

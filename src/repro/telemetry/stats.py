@@ -142,24 +142,33 @@ class LatencyHistogram:
         if count <= 0:
             return
         value = float(value)
-        if math.isnan(value):
-            raise ValueError("cannot record NaN")
+        counts = self._counts
+        # Exact moments use the value clamped into [min_value, max_value]:
+        # overflow (inf) observations count at the ceiling so the mean
+        # stays finite and conservative.
         if value < self.min_value:
             index = 0
+            clamped = self.min_value
         elif value >= self.max_value:
-            index = len(self._counts) - 1
-        else:
+            index = len(counts) - 1
+            clamped = self.max_value
+        elif value == value:
             index = 1 + int((math.log10(value) - self._log_min) * self._scale)
-            index = min(max(index, 1), len(self._counts) - 2)
-        self._counts[index] += count
+            if index < 1:
+                index = 1
+            elif index > len(counts) - 2:
+                index = len(counts) - 2
+            clamped = value
+        else:
+            raise ValueError("cannot record NaN")
+        counts[index] += count
         self.total += count
-        # Exact moments: overflow (inf) observations are clamped to the
-        # ceiling so the mean stays finite and conservative.
-        clamped = min(max(value, self.min_value), self.max_value)
         self._sum += clamped * count
         self._sum_sq += clamped * clamped * count
-        self._min_seen = min(self._min_seen, clamped)
-        self._max_seen = max(self._max_seen, clamped)
+        if clamped < self._min_seen:
+            self._min_seen = clamped
+        if clamped > self._max_seen:
+            self._max_seen = clamped
 
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Fold ``other`` into this histogram in place; returns self."""

@@ -6,7 +6,9 @@ promises the two paths perform the identical IEEE arithmetic, so
 crossing the threshold never changes a single rate bit.  These tests
 pin that promise on adversarial instances: wide incasts, cap-limited
 flows, empty paths (the ``reduceat`` zero-length-segment hazard),
-unbounded flows, and randomized meshes.
+unbounded flows, and randomized meshes.  A fill handed prebuilt
+layouts (what the cc epoch plan keeps between churns) must equal one
+that builds its own, also when some flows of a component are inactive.
 """
 
 import math
@@ -15,7 +17,9 @@ import random
 import pytest
 
 import repro.netsim.fairness as fairness
-from repro.netsim.fairness import max_min_rates
+from repro.netsim.fairness import (
+    connected_components, fill_components, fill_layouts, max_min_rates,
+)
 
 numpy = pytest.importorskip("numpy")
 
@@ -116,3 +120,47 @@ class TestVectorizedIdentity:
         finally:
             fairness.VECTORIZE_MIN_FLOWS = original
         _assert_bit_identical(scalar, default)
+
+
+def _random_mesh(seed, zero_cap_frac=0.0):
+    rng = random.Random(seed)
+    capacities = {f"r{j}": rng.choice([1e6, 5e6, 1e7, 2.5e7])
+                  for j in range(rng.randint(3, 12))}
+    flow_paths, rate_caps = {}, {}
+    for i in range(rng.randint(90, 160)):
+        hops = 0 if i % 10 == 9 else rng.randint(1, min(4, len(capacities)))
+        flow_paths[f"f{i}"] = rng.sample(sorted(capacities), hops)
+        if rng.random() < zero_cap_frac:
+            rate_caps[f"f{i}"] = 0.0        # inactive: never rises
+        elif rng.random() < 0.3:
+            rate_caps[f"f{i}"] = rng.choice([1e5, 1e6, 1e7])
+    return flow_paths, capacities, rate_caps
+
+
+class TestPrebuiltLayout:
+    @pytest.mark.parametrize("zero_cap_frac", [0.0, 0.1])
+    def test_prebuilt_layouts_change_nothing(self, zero_cap_frac):
+        for seed in range(6):
+            flow_paths, capacities, rate_caps = _random_mesh(
+                seed, zero_cap_frac)
+            components = connected_components(flow_paths)
+            layouts = fill_layouts(components, flow_paths)
+            assert any(layout is not None for layout in layouts)
+            built = fill_components(components, flow_paths, capacities,
+                                    rate_caps)
+            reused = fill_components(components, flow_paths, capacities,
+                                     rate_caps, layouts)
+            _assert_bit_identical(built, reused)
+            scalar, _ = _solve_both_ways(flow_paths, capacities, rate_caps)
+            _assert_bit_identical(scalar, reused)
+
+    def test_narrow_components_get_no_layout(self):
+        flow_paths = {f"f{i}": ["a"] for i in range(3)}
+        flow_paths.update({f"g{i}": ["b"] for i in range(
+            fairness.VECTORIZE_MIN_FLOWS)})
+        components = connected_components(flow_paths)
+        layouts = fill_layouts(components, flow_paths)
+        assert layouts[0] is None
+        assert layouts[1].resources == ["b"]
+        assert layouts[1].crossing.tolist() == [
+            float(fairness.VECTORIZE_MIN_FLOWS)]

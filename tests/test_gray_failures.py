@@ -77,6 +77,24 @@ class TestLinkDegrade:
         assert link.forward.latency == spec_latency + 0.003
         assert link.loss == 0.02
 
+    def test_capacity_attribute_follows_degrade_and_restore(self):
+        """``capacity`` is stored, not computed on read: degrade and
+        restore, the only writers of ``bandwidth_frac``, refresh it on
+        both directions, and a rejected degrade leaves it alone."""
+        cloud = small_cloud()
+        link = cloud.network.link("tor0", "agg0")
+        assert "capacity" in vars(link.forward)
+        for frac in (0.25, 0.5, 1.0, 0.125):
+            cloud.network.degrade_link("tor0", "agg0", bandwidth_frac=frac)
+            assert link.forward.capacity == link.bandwidth * frac
+            assert link.reverse.capacity == link.bandwidth * frac
+        with pytest.raises(ConfigurationError):
+            link.degrade(bandwidth_frac=0.0)
+        assert link.forward.capacity == link.bandwidth * 0.125
+        cloud.network.restore_link("tor0", "agg0")
+        assert link.forward.capacity == link.bandwidth
+        assert link.reverse.capacity == link.bandwidth
+
     def test_restore_is_the_exact_identity(self):
         """After restore, capacity/latency are bit-identical to spec --
         the float identities 1.0x and +0.0 guarantee default-path runs

@@ -184,6 +184,37 @@ class TestDeadHeadNode:
         assert record.node_id == "pi-r1-n0"
 
 
+class TestAccessLinkIndex:
+    """node_views() reads each node's access link from an index built in
+    one pass over the fabric's links."""
+
+    def test_matches_a_linear_scan(self, cloud):
+        pimaster = cloud.pimaster
+        links = list(cloud.network.links())
+        assert pimaster.node_ids()
+        for node_id in pimaster.node_ids():
+            daemon = cloud.daemons[node_id]
+            first = next(link for link in links if node_id in link.endpoints)
+            assert pimaster._access_link(node_id, daemon) is first
+
+    def test_node_without_a_link_is_none(self, cloud):
+        daemon = cloud.daemons["pi-r0-n0"]
+        assert cloud.pimaster._access_link("no-such-node", daemon) is None
+
+    def test_links_are_walked_once(self, cloud, monkeypatch):
+        """One walk for the whole fleet, none on a second node_views()."""
+        network = cloud.network
+        walks = []
+        links = network.links
+        monkeypatch.setattr(network, "links",
+                            lambda: walks.append(1) or links())
+        first = cloud.pimaster.node_views()
+        assert len(first) > 1
+        assert walks == [1]
+        assert cloud.pimaster.node_views() == first
+        assert walks == [1]
+
+
 class TestMonitoring:
     def test_poller_collects_metrics(self):
         config = PiCloudConfig.small(racks=1, pis=2, monitoring_interval_s=2.0)

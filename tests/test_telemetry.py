@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
 from repro.telemetry import (
@@ -213,6 +214,104 @@ class TestLatencyHistogram:
     def test_empty_summary(self):
         assert LatencyHistogram().summary().count == 0
         assert math.isnan(LatencyHistogram().quantile(0.5))
+
+
+def _reference_record(histogram, value, count=1.0):
+    """``LatencyHistogram.record`` as it was before it traded the
+    builtin ``min``/``max``/``isnan`` calls for comparisons: the oracle
+    the current body must match field for field."""
+    if count <= 0:
+        return
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError("cannot record NaN")
+    if value < histogram.min_value:
+        index = 0
+    elif value >= histogram.max_value:
+        index = len(histogram._counts) - 1
+    else:
+        index = 1 + int((math.log10(value) - histogram._log_min)
+                        * histogram._scale)
+        index = min(max(index, 1), len(histogram._counts) - 2)
+    histogram._counts[index] += count
+    histogram.total += count
+    clamped = min(max(value, histogram.min_value), histogram.max_value)
+    histogram._sum += clamped * count
+    histogram._sum_sq += clamped * clamped * count
+    histogram._min_seen = min(histogram._min_seen, clamped)
+    histogram._max_seen = max(histogram._max_seen, clamped)
+
+
+def _fields(histogram):
+    return (
+        [count.hex() for count in histogram._counts],
+        histogram.total.hex(), histogram._sum.hex(), histogram._sum_sq.hex(),
+        histogram._min_seen.hex(), histogram._max_seen.hex(),
+    )
+
+
+# The default layout and the cc queue-depth layout.
+_LAYOUTS = [(1e-4, 100.0, 20), (1.0, 1e9, 10)]
+
+
+def _record_both(layout, samples):
+    fast, oracle = LatencyHistogram(*layout), LatencyHistogram(*layout)
+    for value, count in samples:
+        fast.record(value, count)
+        _reference_record(oracle, value, count)
+        assert _fields(fast) == _fields(oracle), (value, count)
+
+
+class TestRecordMatchesReference:
+    """``record`` keeps the pre-change arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_edge_values(self, layout):
+        histogram = LatencyHistogram(*layout)
+        edges = [histogram._edge(i) for i in range(1, len(histogram._counts))]
+        values = [0.0, -0.0, -1.0, -math.inf, math.inf,
+                  histogram.min_value, histogram.max_value]
+        for edge in edges + values[5:]:
+            values += [math.nextafter(edge, 0.0),
+                       math.nextafter(edge, math.inf)]
+        values += edges
+        _record_both(layout, [(value, 0.25) for value in values])
+        _record_both(layout, [(value, 3.0) for value in reversed(values)])
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_non_positive_count_is_a_noop(self, layout):
+        histogram = LatencyHistogram(*layout)
+        for count in (0.0, -0.0, -1.0, -math.inf):
+            histogram.record(1.0, count)
+            histogram.record(math.nan, count)
+        assert _fields(histogram) == _fields(LatencyHistogram(*layout))
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_nan_raises_and_records_nothing(self, layout):
+        histogram = LatencyHistogram(*layout)
+        histogram.record(2.0, 1.5)
+        before = _fields(histogram)
+        with pytest.raises(ValueError, match="NaN"):
+            histogram.record(math.nan, 1.0)
+        assert _fields(histogram) == before
+
+    @given(
+        layout=st.sampled_from(_LAYOUTS),
+        samples=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(allow_nan=False),
+                    st.floats(1e-6, 1e10),
+                    st.sampled_from([1e-4, 100.0, 1.0, 1e9, math.inf]),
+                ),
+                st.floats(-1.0, 1e6, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, layout, samples):
+        _record_both(layout, samples)
 
 
 class TestFormatTable:
