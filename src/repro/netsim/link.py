@@ -258,6 +258,8 @@ class Link:
         self.sim = sim
         self.a = a
         self.b = b
+        # Fixed for the link's life; the directions' capacities are
+        # derived from it here and on every degrade/restore.
         self.bandwidth = bandwidth
         self.latency = latency
         self.up = True

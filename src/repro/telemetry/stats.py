@@ -152,7 +152,7 @@ class LatencyHistogram:
         elif value >= self.max_value:
             index = len(counts) - 1
             clamped = self.max_value
-        elif value == value:
+        elif value == value:  # false only for NaN
             index = 1 + int((math.log10(value) - self._log_min) * self._scale)
             if index < 1:
                 index = 1
