@@ -20,7 +20,8 @@ with this function is bit-identical to the slice of a full solve.
 :func:`max_min_rates` runs the two steps back to back:
 :func:`connected_components` (decompose), then :func:`fill_components`
 (fill).  A caller whose flow paths have not changed since the last
-solve may keep the decomposition and call the fill alone.
+solve may keep the decomposition, and its :func:`fill_layouts`, and
+call the fill alone.
 
 Determinism: all iteration happens in the insertion order of
 ``flow_paths`` (and path order within each flow), never over sets, so the
