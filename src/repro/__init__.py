@@ -6,7 +6,7 @@ Jouet, Singer, Pezaros -- CCRM workshop at ICDCS, 2013) as a fully
 simulated testbed: 56 Raspberry Pi nodes in 4 racks, a multi-root tree /
 fat-tree network with OpenFlow SDN, LXC-style containers, a ``pimaster``
 management plane (REST, DHCP, DNS, images, monitoring), cloud workloads
-(HTTP, key-value store, MapReduce), placement/consolidation/migration
+(HTTP, MapReduce, a three-tier service), placement/consolidation/migration
 algorithms and power/cost instrumentation.
 
 This module is the stable public facade (see ``docs/api.md``): everything
@@ -28,7 +28,7 @@ See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured record of every table and figure.
 """
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 # Lazy re-exports keep ``import repro`` cheap and avoid importing the
 # whole stack when callers only need one substrate package.
@@ -49,7 +49,6 @@ _FACADE = {
     "SloTracker": "repro.load",
     "ArrivalProcess": "repro.load",
     "PoissonArrivals": "repro.load",
-    "DiurnalArrivals": "repro.load",
     "FlashCrowdArrivals": "repro.load",
     "RegionalMixture": "repro.load",
     "LatencyHistogram": "repro.telemetry.stats",

@@ -12,8 +12,6 @@ the paper argues for are intrinsic, not scripted.
   distributions (Poisson, Pareto mice/elephants, ON/OFF bursts).
 * :mod:`~repro.apps.http` -- a lighttpd-style server and closed/open-loop
   HTTP clients with latency accounting.
-* :mod:`~repro.apps.kvstore` -- a key-value database with GET/PUT and
-  persistence writes to the SD card.
 * :mod:`~repro.apps.mapreduce` -- a Hadoop-style job: splits, map tasks,
   an all-to-all shuffle over the fabric, reduce tasks.
 * :mod:`~repro.apps.threetier` -- the classic web -> app -> db service
@@ -21,7 +19,6 @@ the paper argues for are intrinsic, not scripted.
 """
 
 from repro.apps.http import HttpClientApp, HttpServerApp
-from repro.apps.kvstore import KvClientApp, KeyValueStoreApp
 from repro.apps.mapreduce import MapReduceJob, MapReduceReport
 from repro.apps.threetier import ThreeTierService
 from repro.apps.traffic import (
@@ -34,8 +31,6 @@ from repro.apps.traffic import (
 __all__ = [
     "HttpClientApp",
     "HttpServerApp",
-    "KeyValueStoreApp",
-    "KvClientApp",
     "MapReduceJob",
     "MapReduceReport",
     "OnOffTrafficSource",

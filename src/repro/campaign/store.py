@@ -213,29 +213,6 @@ class ResultStore:
         ]
         return store
 
-    # -- comparison -------------------------------------------------------
-
-    def diff_metrics(self, baseline: "ResultStore") -> Dict[str, Dict[str, tuple]]:
-        """Per-run metric deltas against a baseline store.
-
-        Returns ``{run_id: {metric: (baseline, current)}}`` for every
-        run ID present in both stores whose numeric metrics differ.
-        """
-        deltas: Dict[str, Dict[str, tuple]] = {}
-        base = baseline.by_run_id()
-        for record in self._records:
-            other = base.get(record.run_id)
-            if other is None:
-                continue
-            changed = {}
-            for key in sorted(set(record.metrics) | set(other.metrics)):
-                old, new = other.metrics.get(key), record.metrics.get(key)
-                if old != new:
-                    changed[key] = (old, new)
-            if changed:
-                deltas[record.run_id] = changed
-        return deltas
-
 
 def _read_jsonl(path: Path) -> List[RunRecord]:
     """Parse a JSONL store, tolerating a truncated/corrupt trailing line.

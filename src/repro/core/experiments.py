@@ -213,23 +213,3 @@ def chatty_pairs(
             on_mean_s=on_mean_s, off_mean_s=off_mean_s, rate_per_s=rate_per_s,
         ))
     return sources
-
-
-def congestion_totals(cloud: PiCloud) -> Dict[str, float]:
-    """Aggregate congestion picture of the fabric right now."""
-    rows = cloud.network.congestion_report()
-    return {
-        "congested_link_seconds": sum(r["congested_s"] for r in rows),
-        "congestion_episodes": sum(r["episodes"] for r in rows),
-        "worst_direction": rows[0]["direction"] if rows else "",
-        "worst_mean_util": rows[0]["mean_util"] if rows else 0.0,
-    }
-
-
-def power_snapshot(cloud: PiCloud) -> Dict[str, float]:
-    """Power picture: current draw, energy so far, machines on."""
-    return {
-        "watts": cloud.total_watts(),
-        "joules": cloud.energy_joules(),
-        "machines_on": sum(1 for m in cloud.machines.values() if m.is_on),
-    }

@@ -119,12 +119,3 @@ SPEC_CATALOG: dict[str, MachineSpec] = {
         COMMODITY_X86_SERVER,
     )
 }
-
-
-def lookup_spec(name: str) -> MachineSpec:
-    """Fetch a spec by catalog name, with a helpful error on typos."""
-    try:
-        return SPEC_CATALOG[name]
-    except KeyError:
-        known = ", ".join(sorted(SPEC_CATALOG))
-        raise KeyError(f"unknown machine spec {name!r}; catalog has: {known}") from None

@@ -96,15 +96,6 @@ class FileSystem:
         entry.size = new_size
         entry.modified_at = self.sim.now
 
-    def listdir(self, prefix: str) -> list[FileEntry]:
-        """Files whose path starts with ``prefix`` (a directory-ish query)."""
-        normalized = _normalize(prefix)
-        anchored = normalized if normalized.endswith("/") else normalized + "/"
-        return sorted(
-            (e for p, e in self._files.items() if p.startswith(anchored) or p == normalized),
-            key=lambda e: e.path,
-        )
-
     def usage(self) -> int:
         """Total bytes of all files (== device reservation held by this FS)."""
         return sum(e.size for e in self._files.values())

@@ -231,14 +231,6 @@ class FairShareScheduler:
     def runnable_count(self) -> int:
         return len(self._tasks)
 
-    def load_by_cgroup(self) -> Dict[str, int]:
-        """Runnable task count per cgroup name (dashboard feed)."""
-        counts: Dict[str, int] = {}
-        for task in self._tasks:
-            key = task.cgroup.name if task.cgroup else "<root>"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
 
 class FifoScheduler(FairShareScheduler):
     """Run-to-completion FIFO CPU model: the ablation baseline.

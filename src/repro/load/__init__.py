@@ -6,10 +6,10 @@ traffic and user-facing latency, not just raw flows.  This package is
 the open-loop load engine that provides them:
 
 * :mod:`repro.load.arrivals` -- seeded session arrival processes:
-  homogeneous Poisson, diurnal sinusoid, flash crowds (ramp/spike/
-  decay) and regional mixtures.  Also the home of the one seeded
-  implementation of the classic traffic primitives (``poisson_wait``,
-  ``pareto_size``) shared with :mod:`repro.apps.traffic`.
+  homogeneous Poisson, flash crowds (ramp/spike/decay) and regional
+  mixtures.  Also the home of the one seeded implementation of the
+  classic traffic primitives (``poisson_wait``, ``pareto_size``)
+  shared with :mod:`repro.apps.traffic`.
 * :mod:`repro.load.sessions` -- the fluid session model: service
   profiles and per-(service, edge-pair) aggregates, so a million
   concurrent users cost O(edge-pairs x epochs) kernel events rather
@@ -28,7 +28,6 @@ SLO/burn-rate semantics.
 
 from repro.load.arrivals import (
     ArrivalProcess,
-    DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
     RegionalMixture,
@@ -42,7 +41,6 @@ from repro.load.slo import SloObjective, SloTracker
 
 __all__ = [
     "ArrivalProcess",
-    "DiurnalArrivals",
     "FlashCrowdArrivals",
     "LoadEngine",
     "LoadReport",

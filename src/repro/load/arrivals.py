@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -83,24 +83,6 @@ class ArrivalProcess:
         """Sessions arriving in ``[t0, t1)``: one seeded Poisson draw."""
         return float(poisson_count(rng, self.mean_arrivals(t0, t1)))
 
-    def iter_waits(self, rng: random.Random, t: float = 0.0) -> Iterator[float]:
-        """Per-event view: successive inter-arrival waits from time ``t``.
-
-        Uses thinning against the peak rate near ``t`` for
-        inhomogeneous processes; exact for the homogeneous case.  Used
-        by closed-loop workloads that want individual arrivals rather
-        than fluid epoch counts.
-        """
-        while True:
-            lam = self.rate(t)
-            if lam <= 0:
-                # Jump forward in dry spells rather than spinning.
-                t += 1.0
-                continue
-            wait = poisson_wait(rng, lam)
-            t += wait
-            yield wait
-
 
 class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals at a constant rate."""
@@ -118,55 +100,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PoissonArrivals({self.rate_per_s}/s)"
-
-
-class DiurnalArrivals(ArrivalProcess):
-    """Sinusoidally modulated Poisson arrivals (the day/night curve).
-
-    ``rate(t) = base * (1 + amplitude * sin(2*pi*(t + phase)/period))``;
-    with ``amplitude <= 1`` the intensity never goes negative.  The
-    default period is a scaled-down day so experiments see full cycles
-    in simulated minutes; pass ``period_s=86_400`` for real days.
-    """
-
-    def __init__(
-        self,
-        base_rate_per_s: float,
-        amplitude: float = 0.5,
-        period_s: float = 600.0,
-        phase_s: float = 0.0,
-    ) -> None:
-        if base_rate_per_s < 0:
-            raise ConfigurationError(
-                f"base_rate_per_s must be >= 0, got {base_rate_per_s}"
-            )
-        if not 0.0 <= amplitude <= 1.0:
-            raise ConfigurationError(
-                f"amplitude must be within [0, 1], got {amplitude}"
-            )
-        if period_s <= 0:
-            raise ConfigurationError(f"period_s must be > 0, got {period_s}")
-        self.base_rate_per_s = float(base_rate_per_s)
-        self.amplitude = float(amplitude)
-        self.period_s = float(period_s)
-        self.phase_s = float(phase_s)
-
-    def _angle(self, t: float) -> float:
-        return 2.0 * math.pi * (t + self.phase_s) / self.period_s
-
-    def rate(self, t: float) -> float:
-        return self.base_rate_per_s * (1.0 + self.amplitude * math.sin(self._angle(t)))
-
-    def mean_arrivals(self, t0: float, t1: float) -> float:
-        if t1 <= t0:
-            return 0.0
-        # Analytic integral: base*(t1-t0) - base*amp*period/(2pi) *
-        # [cos(angle(t1)) - cos(angle(t0))].
-        scale = self.base_rate_per_s * self.amplitude * self.period_s / (2.0 * math.pi)
-        return (
-            self.base_rate_per_s * (t1 - t0)
-            - scale * (math.cos(self._angle(t1)) - math.cos(self._angle(t0)))
-        )
 
 
 class FlashCrowdArrivals(ArrivalProcess):

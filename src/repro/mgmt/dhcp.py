@@ -101,13 +101,6 @@ class DhcpServer:
             return lease
         return None
 
-    def active_leases(self) -> list[Lease]:
-        now = self.sim.now
-        return sorted(
-            (l for l in self._by_client.values() if l.active(now)),
-            key=lambda l: l.ip,
-        )
-
     # -- expiry ---------------------------------------------------------------------
 
     def _schedule_expiry(self, lease: Lease) -> None:

@@ -163,9 +163,3 @@ class MonitoringService:
             )
         self._intervals[node_id] = interval
         self._next_poll[node_id] = self.sim.now + interval
-
-    def mean_cpu_load(self, node_id: str) -> float:
-        series = self.cpu_series.get(node_id)
-        if series is None or len(series) == 0:
-            return 0.0
-        return sum(series.values) / len(series)

@@ -223,11 +223,11 @@ class Network:
             return
         link.up = False
         self.path_service.mark_link(a, b, up=False)
-        victims = [
-            flow
-            for flow in self._active
-            if any(d.link is link for d in flow.directions)
-        ]
+        victims = sorted(
+            (flow for flow in self._active
+             if any(d.link is link for d in flow.directions)),
+            key=lambda flow: flow.flow_id,
+        )
         for flow in victims:
             self._fail_flow(
                 flow, ConnectionResetError(f"link {a}<->{b} failed mid-transfer")

@@ -36,12 +36,9 @@ from typing import (
     Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
 )
 
-from repro.errors import ConfigurationError
+import numpy as _np
 
-try:  # numpy accelerates big components; the solver works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from repro.errors import ConfigurationError
 
 FlowId = Hashable
 ResourceId = Hashable
@@ -154,7 +151,7 @@ def fill_layouts(
     """
     return [
         FillLayout(component, flow_paths)
-        if _np is not None and len(component) >= VECTORIZE_MIN_FLOWS
+        if len(component) >= VECTORIZE_MIN_FLOWS
         else None
         for component in components
     ]
@@ -177,7 +174,7 @@ def _fill_component(
     active: List[FlowId] = [
         flow for flow in flows if rate_caps.get(flow, math.inf) > _EPSILON
     ]
-    if _np is not None and len(active) >= VECTORIZE_MIN_FLOWS:
+    if len(active) >= VECTORIZE_MIN_FLOWS:
         if layout is None or len(active) != len(flows):
             layout = FillLayout(active, flow_paths)
         _fill_component_vectorized(active, layout, capacities, rate_caps,

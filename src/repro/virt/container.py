@@ -89,20 +89,6 @@ class Container:
             cycles, cgroup=self.cgroup, name=name or f"{self.name}.work"
         )
 
-    def grow_memory(self, nbytes: int) -> None:
-        """Increase RSS (application allocated memory)."""
-        self.require_state(ContainerState.RUNNING, ContainerState.FROZEN)
-        self.cgroup.charge_memory(nbytes)
-        self.memory_bytes += nbytes
-
-    def shrink_memory(self, nbytes: int) -> None:
-        if nbytes > self.memory_bytes:
-            raise ValueError(
-                f"container {self.name!r}: cannot shrink {nbytes} of {self.memory_bytes}"
-            )
-        self.cgroup.uncharge_memory(nbytes)
-        self.memory_bytes -= nbytes
-
     def send(self, dst_ip: str, dst_port: int, payload: Any, size: int,
              **kwargs: Any) -> Signal:
         """Send a message from this container's bridged IP."""

@@ -52,7 +52,7 @@ EXPECTED_SURFACE = sorted([
     "RateModelConfig",
     "LoadError", "LoadEngine", "LoadReport",
     "Service", "ServiceProfile", "SloObjective", "SloTracker",
-    "ArrivalProcess", "PoissonArrivals", "DiurnalArrivals",
+    "ArrivalProcess", "PoissonArrivals",
     "FlashCrowdArrivals", "RegionalMixture",
     "LatencyHistogram",
 ])
@@ -88,9 +88,22 @@ REMOVED_FIELDS = {
 }
 
 
+# Facade names 4.0.0 removed (docs/api.md, "Migrating from 3.x").
+REMOVED_NAMES = ["DiurnalArrivals"]
+
+
 class TestFacadeSurface:
     def test_all_is_the_pinned_snapshot(self):
         assert sorted(repro.__all__) == EXPECTED_SURFACE
+
+    def test_package_version_matches_facade(self):
+        pyproject = Path(SRC).parent / "pyproject.toml"
+        assert f'version = "{repro.__version__}"' in pyproject.read_text()
+
+    def test_removed_names_are_gone(self):
+        for name in REMOVED_NAMES:
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
 
     def test_every_name_in_all_resolves(self):
         for name in repro.__all__:

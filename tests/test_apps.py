@@ -7,8 +7,6 @@ import pytest
 from repro.apps import (
     HttpClientApp,
     HttpServerApp,
-    KeyValueStoreApp,
-    KvClientApp,
     MapReduceJob,
     OnOffTrafficSource,
     ThreeTierService,
@@ -143,62 +141,6 @@ class TestHttp:
         loaded_latency = loaded.value
         assert loaded_latency > 1.5 * quiet_latency
         server.stop()
-
-
-class TestKvStore:
-    def test_put_then_get(self, cloud):
-        db_c = spawn(cloud, "database", "kv-s1", node_id="pi-r0-n0")
-        store = KeyValueStoreApp(db_c, persist=False)
-        client = KvClientApp(
-            cloud.kernels["pi-r1-n0"].netstack, db_c.ip,
-            rng=random.Random(8), get_fraction=0.0,
-        )
-        op = client.op()  # a PUT
-        cloud.run_for(30.0)
-        assert op.value["status"] == "ok"
-        assert store.keys_stored == 1
-        store.stop()
-
-    def test_get_miss_reported(self, cloud):
-        db_c = spawn(cloud, "database", "kv-s2", node_id="pi-r0-n1")
-        store = KeyValueStoreApp(db_c, persist=False)
-        client = KvClientApp(
-            cloud.kernels["pi-r1-n1"].netstack, db_c.ip,
-            rng=random.Random(9), get_fraction=1.0,
-        )
-        op = client.op()
-        cloud.run_for(30.0)
-        assert op.value["status"] == "miss"
-        assert store.misses.total == 1
-        store.stop()
-
-    def test_workload_mix_runs(self, cloud):
-        db_c = spawn(cloud, "database", "kv-s3", node_id="pi-r0-n2")
-        store = KeyValueStoreApp(db_c, persist=True)
-        client = KvClientApp(
-            cloud.kernels["pi-r1-n2"].netstack, db_c.ip,
-            rng=random.Random(10), get_fraction=0.7, value_bytes=kib(2),
-        )
-        run = client.run_closed_loop(workers=3, duration_s=15.0)
-        cloud.run_for(120.0)
-        assert run.triggered
-        assert run.value["completed"] > 30
-        assert store.puts.total > 0 and store.gets.total + store.misses.total > 0
-        store.stop()
-
-    def test_puts_grow_container_memory(self, cloud):
-        db_c = spawn(cloud, "database", "kv-s4", node_id="pi-r1-n1")
-        baseline = db_c.memory_bytes
-        store = KeyValueStoreApp(db_c, persist=False)
-        client = KvClientApp(
-            cloud.kernels["pi-r0-n1"].netstack, db_c.ip,
-            rng=random.Random(11), get_fraction=0.0, value_bytes=kib(64),
-        )
-        run = client.run_closed_loop(workers=2, duration_s=10.0)
-        cloud.run_for(60.0)
-        assert run.triggered
-        assert db_c.memory_bytes > baseline
-        store.stop()
 
 
 class TestMapReduce:

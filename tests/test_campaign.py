@@ -396,20 +396,6 @@ class TestResultStore:
         record = RunRecord.from_dict(raw)
         assert record.run_id == "fix01"
 
-    def test_diff_metrics(self, tmp_path):
-        base = ResultStore(tmp_path / "base")
-        cur = ResultStore(tmp_path / "cur")
-        for record in _fixture_records():
-            base.append(record)
-        for record in _fixture_records():
-            if record.run_id == "fix01":
-                record.metrics = dict(record.metrics,
-                                      containers_running=0)
-            cur.append(record)
-        deltas = cur.diff_metrics(base)
-        assert set(deltas) == {"fix01"}
-        assert deltas["fix01"]["containers_running"] == (4, 0)
-
 
 # -- the dashboard -----------------------------------------------------------
 

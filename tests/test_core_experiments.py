@@ -5,10 +5,8 @@ import pytest
 from repro.core import PiCloud, PiCloudConfig
 from repro.core.experiments import (
     chatty_pairs,
-    congestion_totals,
     elephant_storm,
     http_load_experiment,
-    power_snapshot,
 )
 
 
@@ -59,18 +57,3 @@ class TestChattyPairs:
         assert cloud.network.bytes_delivered.total > delivered_before
         assert sources[0].messages_sent > 0
 
-
-class TestSnapshots:
-    def test_congestion_totals_shape(self, cloud):
-        totals = congestion_totals(cloud)
-        assert set(totals) == {
-            "congested_link_seconds", "congestion_episodes",
-            "worst_direction", "worst_mean_util",
-        }
-
-    def test_power_snapshot(self, cloud):
-        snap = power_snapshot(cloud)
-        assert snap["machines_on"] == 5  # 4 Pis + pimaster
-        assert snap["watts"] == pytest.approx(5 * 2.5)
-        cloud.run_for(10.0)
-        assert power_snapshot(cloud)["joules"] > 0

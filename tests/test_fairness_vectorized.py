@@ -21,8 +21,6 @@ from repro.netsim.fairness import (
     connected_components, fill_components, fill_layouts, max_min_rates,
 )
 
-numpy = pytest.importorskip("numpy")
-
 
 def _solve_both_ways(flow_paths, capacities, rate_caps=None):
     """Solve with the scalar loop and the vectorized path; return both."""

@@ -20,7 +20,7 @@ from repro.hardware import (
     StorageDevice,
     StorageSpec,
 )
-from repro.hardware.catalog import SPEC_CATALOG, lookup_spec
+from repro.hardware.catalog import SPEC_CATALOG
 from repro.sim import Simulator
 from repro.units import mib
 
@@ -99,11 +99,6 @@ class TestCatalog:
     def test_pi_has_700mhz_arm(self):
         assert RASPBERRY_PI_MODEL_B.cpu.clock_hz == 700e6
         assert RASPBERRY_PI_MODEL_B.cpu.architecture == "armv6"
-
-    def test_lookup_spec(self):
-        assert lookup_spec("raspberry-pi-model-b") is RASPBERRY_PI_MODEL_B
-        with pytest.raises(KeyError, match="catalog has"):
-            lookup_spec("cray-1")
 
     def test_catalog_keys_match_names(self):
         for name, spec in SPEC_CATALOG.items():

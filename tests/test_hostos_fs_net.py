@@ -78,16 +78,6 @@ class TestFileSystem:
         fs.truncate("/f", 100)
         assert fs.device.used == 100
 
-    def test_listdir_prefix(self, fs):
-        fs.create("/var/lib/lxc/c1/rootfs", 10)
-        fs.create("/var/lib/lxc/c2/rootfs", 10)
-        fs.create("/etc/hosts", 10)
-        entries = fs.listdir("/var/lib/lxc")
-        assert [e.path for e in entries] == [
-            "/var/lib/lxc/c1/rootfs",
-            "/var/lib/lxc/c2/rootfs",
-        ]
-
     def test_timed_write_takes_bandwidth_time(self, sim, fs):
         done = fs.write("/data", 1000)
         sim.run()

@@ -231,13 +231,6 @@ class TestCancellation:
 
 
 class TestSchedulerReporting:
-    def test_load_by_cgroup(self, sim, sched, memory):
-        group = CGroup("web", memory)
-        sched.submit(1000.0, cgroup=group)
-        sched.submit(1000.0, cgroup=group)
-        sched.submit(1000.0)
-        assert sched.load_by_cgroup() == {"web": 2, "<root>": 1}
-
     def test_counters(self, sim, sched):
         sched.submit(10.0)
         doomed = sched.submit(1000.0)

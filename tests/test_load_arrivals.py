@@ -7,7 +7,6 @@ import pytest
 
 from repro import (
     ConfigurationError,
-    DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
     RegionalMixture,
@@ -76,39 +75,6 @@ class TestPoissonArrivals:
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             PoissonArrivals(-1.0)
-
-    def test_iter_waits_deterministic(self):
-        p = PoissonArrivals(100.0)
-        def take(seed):
-            return [w for w, _ in
-                    zip(p.iter_waits(random.Random(seed)), range(10))]
-        assert take(4) == take(4)
-        assert all(w > 0 for w in take(4))
-
-
-class TestDiurnalArrivals:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DiurnalArrivals(-1.0)
-        with pytest.raises(ConfigurationError):
-            DiurnalArrivals(10.0, amplitude=1.5)
-        with pytest.raises(ConfigurationError):
-            DiurnalArrivals(10.0, period_s=0.0)
-
-    def test_rate_stays_in_band(self):
-        p = DiurnalArrivals(100.0, amplitude=0.5, period_s=600.0)
-        rates = [p.rate(t) for t in range(0, 1200, 7)]
-        assert 50.0 - 1e-9 <= min(rates) and max(rates) <= 150.0 + 1e-9
-
-    def test_full_period_integrates_to_base(self):
-        p = DiurnalArrivals(100.0, amplitude=0.9, period_s=600.0, phase_s=42.0)
-        assert p.mean_arrivals(0.0, 600.0) == pytest.approx(100.0 * 600.0)
-
-    def test_analytic_integral_matches_quadrature(self):
-        p = DiurnalArrivals(80.0, amplitude=0.7, period_s=300.0, phase_s=10.0)
-        assert p.mean_arrivals(13.0, 97.0) == pytest.approx(
-            numeric_integral(p, 13.0, 97.0), rel=1e-6
-        )
 
 
 class TestFlashCrowdArrivals:

@@ -117,18 +117,6 @@ class TestMonitoring:
         assert len(monitoring.cpu_series["pi-r0-n1"]) == samples
         monitoring.stop()
 
-    def test_mean_cpu_load_helper(self):
-        config = PiCloudConfig.small(
-            racks=1, pis=1, start_monitoring=True, monitoring_interval_s=2.0
-        )
-        cloud = PiCloud(config)
-        cloud.boot()
-        cloud.run_for(10.0)
-        monitoring = cloud.pimaster.monitoring
-        assert monitoring.mean_cpu_load("pi-r0-n0") >= 0.0
-        assert monitoring.mean_cpu_load("ghost") == 0.0
-        monitoring.stop()
-
     def test_monitoring_generates_fabric_traffic(self):
         config = PiCloudConfig.small(
             racks=1, pis=2, start_monitoring=True, monitoring_interval_s=2.0

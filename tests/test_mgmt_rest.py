@@ -237,14 +237,6 @@ class TestDhcp:
         with pytest.raises(AddressError):
             dhcp.request_lease("c")
 
-    def test_active_leases_sorted(self, sim):
-        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"))
-        dhcp.request_lease("a")
-        dhcp.request_lease("b")
-        leases = dhcp.active_leases()
-        assert len(leases) == 2
-        assert leases[0].ip < leases[1].ip
-
 
 class TestDns:
     def test_register_and_resolve(self):

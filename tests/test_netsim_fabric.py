@@ -219,6 +219,17 @@ class TestLinkFailure:
         assert victim.state is FlowState.FAILED
         assert survivor.state is FlowState.DONE
 
+    def test_victims_fail_in_flow_id_order(self, sim):
+        """A cut fails its flows by flow id, not by set iteration order,
+        which follows memory addresses and so varies between runs."""
+        net = star(sim, bandwidth=100.0)
+        flows = [net.transfer("h0", f"h{1 + i % 3}", 1e9) for i in range(600)]
+        failed = []
+        net.flow_observers.append(lambda flow: failed.append(flow.flow_id))
+        sim.schedule(1.0, net.fail_link, "h0", "sw0")
+        sim.run()
+        assert failed == sorted(flow.flow_id for flow in flows)
+
 
 class TestReroute:
     def test_reroute_moves_flow_to_new_path(self, sim):

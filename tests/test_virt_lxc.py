@@ -272,12 +272,13 @@ class TestLxcLifecycle:
         container = create.value
         runtime.lxc_start(container)
         sim.run()
-        container.grow_memory(mib(20))
-        assert container.memory_bytes == mib(50)
-        container.shrink_memory(mib(10))
-        assert container.memory_bytes == mib(40)
+        assert container.cgroup.memory_used == mib(30)  # idle RSS
+        container.cgroup.charge_memory(mib(20))
+        assert container.cgroup.memory_used == mib(50)
+        container.cgroup.uncharge_memory(mib(10))
+        assert container.cgroup.memory_used == mib(40)
         with pytest.raises(ValueError):
-            container.shrink_memory(mib(100))
+            container.cgroup.uncharge_memory(mib(100))
 
     def test_memory_limit_bounds_growth(self, sim):
         kernel = make_host(sim)
@@ -288,7 +289,7 @@ class TestLxcLifecycle:
         runtime.lxc_start(container)
         sim.run()
         with pytest.raises(OutOfMemoryError):
-            container.grow_memory(mib(20))
+            container.cgroup.charge_memory(mib(20))
 
     def test_container_messaging(self, sim):
         kernels, fabric, network = make_host(sim, extra_hosts=("pi-2",))
