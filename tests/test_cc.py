@@ -18,24 +18,29 @@ Four layers of assurance:
 """
 
 import dataclasses
+import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.campaign.scenarios import run_cc_contrast
 from repro.core.config import PiCloudConfig, RateModelConfig
 from repro.errors import ConfigurationError, NetworkError, RateModelError
 from repro.netsim.cc import (
-    AI_MSS_PER_RTT, DCTCP_G, DELAY_SMOOTHING, DELAY_THRESHOLD, EPOCH_S,
-    INIT_CWND_BYTES, MD_FACTOR, MIN_CWND_BYTES, MSS_BYTES, QUEUE_LIMIT_BYTES,
+    AI_MSS_PER_RTT, DCTCP_G, DELAY_SMOOTHING, DELAY_THRESHOLD,
+    ECN_THRESHOLD_FRAC, EPOCH_S, INIT_CWND_BYTES, MD_FACTOR, MIN_CWND_BYTES,
+    MSS_BYTES, QUEUE_LIMIT_BYTES,
     CcFlowState, CcRateModel, MaxMinRateModel,
 )
 from repro.netsim.fabric import Network
+from repro.netsim.link import Link, QueueState
 from repro.netsim.routing import EcmpRouting
 from repro.netsim.topology import fat_tree
 from repro.sim.kernel import Simulator
@@ -496,6 +501,138 @@ class TestQueueStateModel:
         assert marked_s == pytest.approx(1.0)
         assert observed_s == pytest.approx(2.0)
         assert queue.mark_fraction() == pytest.approx(0.5)
+
+
+def _reference_advance(queue, now):
+    """``QueueState.advance`` as it was before its idle branch, verbatim."""
+    dt = now - queue._last_update
+    if dt <= 0.0:
+        return
+    queue._last_update = now
+    net = queue.offered - queue.direction.capacity
+    q0 = queue.occupancy
+    raw = q0 + net * dt
+    limit = queue.limit_bytes
+    if raw > limit:
+        q1 = limit
+        overflow = raw - limit
+        queue.dropped_bytes += overflow
+        queue._interval_dropped += overflow
+        queue.drop_events += 1
+    elif raw < 0.0:
+        q1 = 0.0
+    else:
+        q1 = raw
+    k = queue.ecn_threshold_bytes
+    if net == 0.0:
+        above = dt if q0 > k else 0.0
+    elif net > 0.0:
+        if q0 >= k:
+            above = dt
+        else:
+            above = dt - (k - q0) / net
+            if not above > 0.0:
+                above = 0.0
+    elif q0 <= k:
+        above = 0.0
+    else:
+        above = (q0 - k) / -net
+        if not above < dt:
+            above = dt
+    queue.marked_seconds += above
+    queue.observed_seconds += dt
+    queue._interval_marked_s += above
+    queue._interval_observed_s += dt
+    queue.occupancy = q1
+    if q1 > queue.peak_bytes:
+        queue.peak_bytes = q1
+    queue.depth_hist.record(q1, dt)
+
+
+def _queue_slots(queue):
+    """Every float and count of a queue (and its histogram), as hex."""
+    hist = queue.depth_hist
+    floats = [getattr(queue, slot) for slot in (
+        "limit_bytes", "ecn_threshold_bytes", "occupancy", "offered",
+        "_last_update", "marked_seconds", "observed_seconds",
+        "dropped_bytes", "_interval_marked_s", "_interval_observed_s",
+        "_interval_dropped", "peak_bytes")]
+    floats += [hist.total, hist._sum, hist._sum_sq, hist._min_seen,
+               hist._max_seen] + hist._counts
+    return [value.hex() for value in floats] + [queue.drop_events]
+
+
+_ORACLE_LIMIT = QUEUE_LIMIT_BYTES
+_ORACLE_THRESHOLD = QUEUE_LIMIT_BYTES * ECN_THRESHOLD_FRAC
+
+
+def _advance_both(occupancy, offered_frac, steps, bandwidth_frac=1.0):
+    """Advance a queue and a reference twin from the same state through
+    ``steps`` (absolute times), comparing every slot after each step.
+
+    ``offered_frac`` sets the inflow as a multiple of the (possibly
+    degraded) capacity of a 100 Mb/s link."""
+    link = Link(Simulator(), "a", "b", bandwidth=12.5e6)
+    if bandwidth_frac != 1.0:
+        link.degrade(bandwidth_frac=bandwidth_frac)
+    fast = QueueState(link.forward, _ORACLE_LIMIT, _ORACLE_THRESHOLD)
+    oracle = QueueState(link.forward, _ORACLE_LIMIT, _ORACLE_THRESHOLD)
+    for queue in (fast, oracle):
+        queue.occupancy = occupancy
+        queue.offered = link.forward.capacity * offered_frac
+    for now in steps:
+        fast.advance(now)
+        _reference_advance(oracle, now)
+        assert _queue_slots(fast) == _queue_slots(oracle), (now,)
+
+
+_K = _ORACLE_THRESHOLD
+_STEPS = [0.001, 0.0017, 0.0017, 0.0031, 0.5, 0.5000001]
+
+
+class TestAdvanceMatchesReference:
+    """``QueueState.advance`` keeps the pre-change arithmetic bit for
+    bit, on its idle branch (empty queue, inflow within capacity) and
+    off it."""
+
+    @pytest.mark.parametrize("offered_frac", [0.0, 0.3, 1.0, 1.0 + 2**-52,
+                                              1.7])
+    def test_empty_queue(self, offered_frac):
+        _advance_both(0.0, offered_frac, _STEPS)
+
+    @pytest.mark.parametrize("occupancy", [
+        math.nextafter(_K, 0.0), _K, math.nextafter(_K, math.inf),
+        1.0, _ORACLE_LIMIT])
+    @pytest.mark.parametrize("offered_frac", [0.0, 0.999, 1.0, 1.001])
+    def test_around_the_ecn_threshold(self, occupancy, offered_frac):
+        _advance_both(occupancy, offered_frac, _STEPS)
+
+    @pytest.mark.parametrize("occupancy", [0.0, _K])
+    @pytest.mark.parametrize("offered_frac", [0.5, 1.0, 1.5])
+    def test_degraded_capacity(self, occupancy, offered_frac):
+        _advance_both(occupancy, offered_frac, _STEPS, bandwidth_frac=0.25)
+
+    @pytest.mark.parametrize("occupancy", [0.0, _K])
+    @pytest.mark.parametrize("offered_frac", [0.5, 1.0, 1.5])
+    def test_tiny_dt(self, occupancy, offered_frac):
+        start = 1.0
+        _advance_both(occupancy, offered_frac, [
+            start, math.nextafter(start, 2.0),
+            math.nextafter(math.nextafter(start, 2.0), 2.0), start + 1e-12])
+
+    @given(
+        occupancy=st.one_of(st.just(0.0), st.floats(0.0, _ORACLE_LIMIT)),
+        offered_frac=st.one_of(st.sampled_from([0.0, 1.0]),
+                               st.floats(0.0, 3.0)),
+        gaps=st.lists(st.floats(0.0, 0.01), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, occupancy, offered_frac, gaps):
+        steps, now = [], 0.0
+        for gap in gaps:
+            now += gap
+            steps.append(now)
+        _advance_both(occupancy, offered_frac, steps)
 
 
 def _gray_incast(fault_at):
@@ -1103,3 +1240,142 @@ class TestCcPinnedAcrossEpochPlan:
         } == pins["queues"]
         assert net.recomputes == pins["recomputes"]
         assert net.flows_solved == pins["flows_solved"]
+
+
+def _direction_digests(net):
+    """SHA256 (first 16 hex digits) of every direction's floats, by group.
+
+    Each group hashes one ``float.hex`` row per direction, directions in
+    name order: the bytes it carried, its congestion accounting, its
+    time-weighted utilisation, its queue's observed and marked seconds,
+    and its queue's depth histogram (total, sum and every bucket).  A
+    digest keeps the pins short; a change to any one direction's float
+    changes its group's digest.
+    """
+    directions = sorted(
+        (d for link in net.links() for d in (link.forward, link.reverse)),
+        key=lambda d: d.name,
+    )
+    rows = {"bytes": [], "congestion": [], "utilization": [], "queue": [],
+            "depth_hist": []}
+    for d in directions:
+        queue = d.queue
+        hist = queue.depth_hist
+        rows["bytes"].append(f"{d.name} {_hex(d.bytes_carried.total)}")
+        rows["congestion"].append(
+            f"{d.name} {_hex(d.congested_seconds)} {d.congestion_episodes}")
+        rows["utilization"].append(f"{d.name} {_hex(d.mean_utilization())}")
+        rows["queue"].append(
+            f"{d.name} {_hex(queue.observed_seconds)} "
+            f"{_hex(queue.marked_seconds)}")
+        rows["depth_hist"].append(
+            f"{d.name} {_hex(hist.total)} {_hex(hist._sum)} "
+            + ",".join(_hex(count) for count in hist._counts))
+    return {
+        group: hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        for group, lines in rows.items()
+    }
+
+
+# Pinned at the release before the epoch reallocation settled, installed
+# and summed loads in one indexed pass (see _direction_digests): per
+# scenario/protocol, one digest per group of per-direction floats.
+_CC_DIRECTION_PINS = {
+    'staggered/reno': {
+        'bytes': '92e99ec9bd37cf07',
+        'congestion': 'efb8fbb911dc57f5',
+        'utilization': 'adf90afea8f707ae',
+        'queue': '5d9f7b68ab4f0ed0',
+        'depth_hist': '0d1ec21a7b873735',
+    },
+    'staggered/dctcp': {
+        'bytes': 'af8b1b5665c0cd4e',
+        'congestion': 'd22ae516455d8fe1',
+        'utilization': '17cab08ae8859a56',
+        'queue': '55be0562af43443a',
+        'depth_hist': 'fcec18ac6c38634e',
+    },
+    'staggered/delay': {
+        'bytes': '332b3eecaeabe30a',
+        'congestion': 'a8ab5db713132484',
+        'utilization': 'cff26a3f6b50134b',
+        'queue': '54f7a5e0f8da13b4',
+        'depth_hist': 'a9034722d27a4bf0',
+    },
+    'reroute/reno': {
+        'bytes': 'e66815532f702225',
+        'congestion': '4777f19ef7d4b967',
+        'utilization': 'ddcae3eb11794d42',
+        'queue': '3d2314b65b1c50b8',
+        'depth_hist': '81ca628f0f457625',
+    },
+    'reroute/dctcp': {
+        'bytes': '5677205e039ecdfa',
+        'congestion': '0a81e0aa18fc0a8f',
+        'utilization': '5778608745bf7612',
+        'queue': 'a83a29ea08b4d830',
+        'depth_hist': '5ff3905c55ccd160',
+    },
+    'reroute/delay': {
+        'bytes': '6ba052417df16362',
+        'congestion': 'd8228ed11bad7cbb',
+        'utilization': '817698afbb38c502',
+        'queue': '53d0f404ce9a0708',
+        'depth_hist': 'f0956cd05860974e',
+    },
+    'fail_link/reno': {
+        'bytes': 'a250212fd480ba07',
+        'congestion': '637ca8debe3ca672',
+        'utilization': '98c2ca26371db649',
+        'queue': '496ae56e9ab6f536',
+        'depth_hist': '346194926e36fbd7',
+    },
+    'fail_link/dctcp': {
+        'bytes': 'b5666cd5d2e54283',
+        'congestion': 'd6fdcd81a380075d',
+        'utilization': '668b6cf4890a1b9f',
+        'queue': 'a75bc68437ab1653',
+        'depth_hist': 'e7b5c76b5753c181',
+    },
+    'fail_link/delay': {
+        'bytes': 'f2fad1652361aa03',
+        'congestion': '4aaf5cb69767707c',
+        'utilization': '44b3777fd99ac5c0',
+        'queue': '50659e4c5890122d',
+        'depth_hist': '81454544aeae3970',
+    },
+    'wide/reno': {
+        'bytes': '21e7102a5677933f',
+        'congestion': 'eed542f97975675d',
+        'utilization': '237244b53608ea97',
+        'queue': 'efbb297a1589d804',
+        'depth_hist': '95721fafe9c0a085',
+    },
+    'wide/dctcp': {
+        'bytes': '9ecba28acc1d0f4a',
+        'congestion': '6fca959e3fc1596d',
+        'utilization': '9c281ffcec286345',
+        'queue': '5bf9527ff8c6fdc9',
+        'depth_hist': '6de6500eda01bff1',
+    },
+    'wide/delay': {
+        'bytes': '2e7330f097e95b81',
+        'congestion': 'ff4808cff0a8a34b',
+        'utilization': 'e040e31010324868',
+        'queue': '3e3a8109f1f175a8',
+        'depth_hist': '0358b7185caf6235',
+    },
+}
+
+
+class TestCcDirectionsPinnedAcrossEpochPlan:
+    """The same runs reproduce every direction's byte, congestion,
+    utilisation and queue floats bit for bit."""
+
+    @pytest.mark.parametrize("protocol", ["reno", "dctcp", "delay"])
+    @pytest.mark.parametrize("scenario", ["staggered", "reroute",
+                                          "fail_link", "wide"])
+    def test_matches_pins(self, scenario, protocol):
+        _, net = _cc_scenario(protocol, scenario)
+        assert (_direction_digests(net)
+                == _CC_DIRECTION_PINS[f"{scenario}/{protocol}"])
