@@ -238,14 +238,15 @@ class _EpochPlan:
     and the bottleneck components, the plan keeps what the tick would
     otherwise rebuild from those paths every epoch: each wide
     component's :class:`~repro.netsim.fairness.FillLayout`, the queues
-    of its directions (name order) and, per flow, the positions of its
-    queued hops in that list (path order).  Capacities, queue contents
-    and windows change between epochs, so they are read live and never
-    cached here.
+    and ``bytes_carried`` counters of its directions (name order; the cc
+    model gives every direction a queue) and, per flow, the positions of
+    its hops in that order (path order).  Capacities, queue contents,
+    counter totals and windows change between epochs, so they are read
+    live and never cached here.
     """
 
     __slots__ = ("churn", "flows", "states", "flow_paths", "directions",
-                 "components", "layouts", "queues", "hops")
+                 "components", "layouts", "queues", "carried", "paths")
 
     def __init__(self, churn: int,
                  states: Dict["FlowTransfer", CcFlowState]) -> None:
@@ -259,16 +260,11 @@ class _EpochPlan:
         )
         self.components = connected_components(self.flow_paths)
         self.layouts = fill_layouts(self.components, self.flow_paths)
-        position: Dict["LinkDirection", int] = {}
-        self.queues: List["QueueState"] = []
-        for direction in self.directions:
-            if direction.queue is not None:
-                position[direction] = len(self.queues)
-                self.queues.append(direction.queue)
-        self.hops = [
-            [position[d] for d in flow.directions if d in position]
-            for flow in self.flows
-        ]
+        self.queues: List["QueueState"] = [d.queue for d in self.directions]
+        self.carried = [d.bytes_carried for d in self.directions]
+        position = {d: i for i, d in enumerate(self.directions)}
+        self.paths = [[position[d] for d in flow.directions]
+                      for flow in self.flows]
 
 
 class CcRateModel(RateModel):
@@ -401,7 +397,10 @@ class CcRateModel(RateModel):
         # and queue inflows are current before windows move.
         network._flush_solve()
         if not self._states:
-            return  # every cc flow finished; the ticker re-arms on activate
+            # Every cc flow finished; the ticker re-arms on activate.  The
+            # plan would keep the finished flows alive until then.
+            self._plan = None
+            return
         sim = network.sim
         now = sim.now
         dt = now - self._last_tick
@@ -409,32 +408,24 @@ class CcRateModel(RateModel):
         plan = self._plan
         if plan is None or plan.churn != network._churn:
             plan = self._plan = _EpochPlan(network._churn, self._states)
-        # Close the epoch on every queue along any active path, then pull
-        # each queue's interval signals and delay once, parallel to
-        # plan.queues.
-        fracs: List[float] = []
-        drops: List[bool] = []
-        delays: List[float] = []
-        for queue in plan.queues:
-            queue.advance(now)
-            marked_s, observed_s, dropped = queue.collect()
-            fracs.append(marked_s / observed_s if observed_s > 0.0 else 0.0)
-            drops.append(dropped)
-            delays.append(queue.delay_s())
+        # Close the epoch on every queue along any active path: one
+        # (mark fraction, overflow, delay) per queue, parallel to
+        # plan.directions.
+        signals = [queue.close_epoch(now) for queue in plan.queues]
         # Window updates from the path-worst signals: the largest mark
         # fraction, any overflow, and the delays summed hop by hop.
         path_delays: List[float] = []
-        for hops, state in zip(plan.hops, plan.states):
+        for path, state in zip(plan.paths, plan.states):
             ecn_frac = 0.0
             loss = False
             queue_delay = 0.0
-            for i in hops:
-                frac = fracs[i]
+            for i in path:
+                frac, dropped, delay = signals[i]
                 if frac > ecn_frac:
                     ecn_frac = frac
-                if drops[i]:
+                if dropped:
                     loss = True
-                queue_delay += delays[i]
+                queue_delay += delay
             if dt > 0.0:
                 state.update(now, dt, state.rtt_base + queue_delay,
                              ecn_frac, loss)
@@ -450,12 +441,12 @@ class CcRateModel(RateModel):
         # every queue in the plan gets a new inflow, summed in flow_id
         # order.
         offered = [0.0] * len(plan.queues)
-        for hops, demand in zip(plan.hops, demands.values()):
-            for i in hops:
+        for path, demand in zip(plan.paths, demands.values()):
+            for i in path:
                 offered[i] += demand
         for queue, demand in zip(plan.queues, offered):
             queue.offered = demand
-        network._epoch_reallocate(plan.flows, rates, plan.directions)
+        network._epoch_reallocate(plan, rates)
         self._tick_event = sim.schedule(EPOCH_S, self._tick)
 
     def describe(self) -> dict:

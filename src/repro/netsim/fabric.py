@@ -31,14 +31,17 @@ boot quadratic in burst size.  Readers that want rates mid-instant
 (reports, placement) go through :meth:`Network.sync` /
 :meth:`Network.congestion_report`, which flush any pending solve first.
 
-Rate assignment itself is pluggable: every solve settles byte accounting,
-then delegates the actual rate vector to a
-:class:`~repro.netsim.cc.RateModel` strategy.  The default
+Rate assignment itself is pluggable: every solve delegates the rate
+vector to a :class:`~repro.netsim.cc.RateModel` strategy, then makes one
+pass over the solved flows in ``flow_id`` order that settles each
+flow's bytes at its old rate, installs its new rate and adds it into
+its directions' loads (:meth:`Network._reallocate`).  The default
 :class:`~repro.netsim.cc.MaxMinRateModel` reproduces the historic
 instantaneous fair share byte-for-byte; :class:`~repro.netsim.cc.CcRateModel`
 adds per-flow congestion windows, per-direction queue occupancy and an
 epoch-stepped update loop that re-enters the fabric through
-:meth:`Network._epoch_reallocate`.
+:meth:`Network._epoch_reallocate`, which runs the same pass on the
+epoch plan's index lists, rebuilt only on churn.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from operator import attrgetter
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional
 
 from repro import trace
 from repro.errors import ConnectionResetError, NetworkError, NoRouteError
@@ -58,6 +61,9 @@ from repro.sim.kernel import Event, Simulator
 from repro.sim.process import Signal, Timeout
 from repro.telemetry.series import Counter, TimeSeries
 from repro.trace.span import NULL_SPAN
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.netsim.cc import _EpochPlan
 
 _EPSILON_BYTES = 1e-6
 
@@ -553,44 +559,85 @@ class Network:
             return
         self.recomputes += 1
         self.flows_solved += len(flows)
-
-        for flow in flows:
-            self._settle(flow)
-
         rates = self.rate_model.allocate(flows, dirty_dirs)
-        self._apply_rates(flows, rates)
-        self._refresh_loads(flows, None if dirty_dirs is None
-                            else sorted(dirty_dirs, key=attrgetter("name")))
+        if dirty_dirs is None:
+            directions = [direction for link in self._links.values()
+                          for direction in (link.forward, link.reverse)]
+        else:
+            directions = sorted(dirty_dirs, key=attrgetter("name"))
+        # The churn pass keys its hops by direction: a solve touches a
+        # different subset each time, so there is no plan to index.
+        loads = dict.fromkeys(directions, 0.0)
+        self._reallocate(
+            flows, rates, [flow.directions for flow in flows],
+            {direction: direction.bytes_carried for direction in directions},
+            loads,
+        )
+        self._set_loads(directions, loads.values())
 
-    def _epoch_reallocate(self, flows: List[FlowTransfer],
-                          rates: Dict[FlowTransfer, float],
-                          directions: List[LinkDirection]) -> None:
+    def _epoch_reallocate(self, plan: _EpochPlan,
+                          rates: Dict[FlowTransfer, float]) -> None:
         """Cc epoch entry point: install ``rates`` from updated windows.
 
         Called by :class:`~repro.netsim.cc.CcRateModel` on its epoch tick
-        with the *whole* active cc flow set (sorted by flow id), the
-        rates its epoch allocation computed, and every direction on
-        their paths (sorted by name).  Same settle -> apply -> refresh
-        sequence as a churn solve, but without touching the dirty sets:
-        windows moving changes no link membership.  Only directions on
-        active paths can see their aggregate rate move, so only those
-        loads are refreshed.
+        with its :class:`~repro.netsim.cc._EpochPlan` -- the *whole*
+        active cc flow set (sorted by flow id), every direction on their
+        paths (sorted by name), each flow's hop positions in that list
+        and the directions' ``bytes_carried`` counters -- and the rates
+        its epoch allocation computed.  The same pass as a churn solve,
+        on index lists the plan rebuilds only on churn, and without
+        touching the dirty sets: windows moving changes no link
+        membership.  Only directions on active paths can see their
+        aggregate rate move, so only those loads are refreshed.
         """
         self.recomputes += 1
-        self.flows_solved += len(flows)
-        for flow in flows:
-            self._settle(flow)
-        self._apply_rates(flows, rates)
-        self._refresh_loads(flows, directions)
+        self.flows_solved += len(plan.flows)
+        loads = [0.0] * len(plan.directions)
+        self._reallocate(plan.flows, rates, plan.paths, plan.carried, loads)
+        self._set_loads(plan.directions, loads)
 
-    def _apply_rates(self, flows: List[FlowTransfer],
-                     rates: Dict[FlowTransfer, float]) -> None:
-        """Install new rates and (re)schedule completion events."""
+    def _reallocate(self, flows: List[FlowTransfer],
+                    rates: Dict[FlowTransfer, float], paths: Iterable,
+                    carried, loads) -> None:
+        """Settle, install ``rates`` and sum link loads, in one pass.
+
+        ``flows`` arrive sorted by flow id and ``paths`` runs parallel
+        to them: each flow's hops in path order, as keys into
+        ``carried`` (the hops' ``bytes_carried`` counters) and ``loads``
+        (their loads, each 0.0 on entry).  The epoch's keys are
+        positions in its plan's lists, a churn solve's the directions
+        themselves.  Per flow: settle its bytes at the old rate (the
+        arithmetic of :meth:`_settle`), install the new rate and
+        (re)schedule its completion, then add the new rate, if finite,
+        into its hops' loads -- so each load is summed in flow id order.
+        """
         now = self.sim.now
-        for flow in flows:
+        inf = math.inf
+        for flow, path in zip(flows, paths):
+            rate = flow.rate
+            if rate == inf:
+                # Unconstrained flow (e.g. loopback): drains instantly.
+                flow.remaining = 0.0
+            else:
+                elapsed = now - flow._last_update
+                if elapsed > 0 and rate > 0:
+                    moved = rate * elapsed
+                    remaining = flow.remaining
+                    if not moved < remaining:
+                        moved = remaining
+                    flow.remaining = remaining - moved
+                    if moved < 0:
+                        raise ValueError(
+                            f"flow {flow.flow_id}: negative settle {moved}")
+                    for i in path:
+                        carried[i].total += moved
+            flow._last_update = now
             new_rate = rates[flow]
+            if new_rate < inf:
+                for i in path:
+                    loads[i] += new_rate
             event = flow._completion_event
-            if new_rate == flow.rate and event is not None and not event.cancelled:
+            if new_rate == rate and event is not None and not event.cancelled:
                 # Unchanged rate: the pending completion event was
                 # computed from the same rate history, so its firing
                 # time is still valid -- skip the cancel/reschedule.
@@ -618,29 +665,15 @@ class Network:
                     due, self._complete, flow
                 )
 
-    def _refresh_loads(self, flows: List[FlowTransfer],
-                       directions: Optional[List[LinkDirection]]) -> None:
-        """Refresh loads and congestion accounting on touched directions
-        only: an untouched direction's aggregate rate cannot have moved.
-        ``directions`` arrive sorted by name, the order congestion spans
-        open in; ``None`` refreshes every direction (full solve)."""
-        loads: Dict[LinkDirection, float] = {}
-        for flow in flows:
-            if not math.isfinite(flow.rate):
-                continue
-            for direction in flow.directions:
-                loads[direction] = loads.get(direction, 0.0) + flow.rate
-        if directions is None:
-            for link in self._links.values():
-                for direction in (link.forward, link.reverse):
-                    direction.set_load(
-                        loads.get(direction, 0.0), self.congestion_threshold
-                    )
-        else:
-            for direction in directions:
-                direction.set_load(
-                    loads.get(direction, 0.0), self.congestion_threshold
-                )
+    def _set_loads(self, directions: Iterable[LinkDirection],
+                   loads: Iterable[float]) -> None:
+        """Apply each direction's new load, in ``directions`` order (the
+        order congestion spans open in), skipping loads that did not
+        move."""
+        threshold = self.congestion_threshold
+        for direction, load in zip(directions, loads):
+            if load != direction._last_load:
+                direction.set_load(load, threshold)
 
     def _complete(self, flow: FlowTransfer) -> None:
         if flow.state is not FlowState.ACTIVE:

@@ -62,7 +62,7 @@ class QueueState:
         self.observed_seconds = 0.0
         self.dropped_bytes = 0.0
         self.drop_events = 0
-        # Interval accumulators, reset by collect() at each cc epoch.
+        # Interval accumulators, reset by close_epoch() at each cc epoch.
         self._interval_marked_s = 0.0
         self._interval_observed_s = 0.0
         self._interval_dropped = 0.0
@@ -125,14 +125,35 @@ class QueueState:
             self.peak_bytes = q1
         self.depth_hist.record(q1, dt)
 
-    def collect(self) -> tuple[float, float, bool]:
-        """Return (marked_s, observed_s, dropped?) since the last collect and reset."""
-        out = (self._interval_marked_s, self._interval_observed_s,
-               self._interval_dropped > 0.0)
+    def close_epoch(self, now: float) -> tuple[float, bool, float]:
+        """Advance to ``now`` and close the cc epoch.
+
+        Returns the share of the epoch spent above the ECN threshold,
+        whether the queue overflowed during it, and the queueing delay
+        at ``now`` (as :meth:`delay_s`), then resets the epoch's
+        accumulators.
+        """
+        cap = self.direction.capacity
+        dt = now - self._last_update
+        if dt > 0.0 and self.occupancy == 0.0 and self.offered <= cap:
+            # Idle, as most queues are at most epochs: an empty queue
+            # whose inflow the link can serve stays empty and never
+            # reaches the ECN threshold, so advance() would add 0.0 to
+            # the marked seconds, store 0.0 and record a zero depth; only
+            # the clock moves.
+            self._last_update = now
+            self.observed_seconds += dt
+            self._interval_observed_s += dt
+            self.depth_hist.record(0.0, dt)
+        else:
+            self.advance(now)
+        observed_s = self._interval_observed_s
+        frac = self._interval_marked_s / observed_s if observed_s > 0.0 else 0.0
+        dropped = self._interval_dropped > 0.0
         self._interval_marked_s = 0.0
         self._interval_observed_s = 0.0
         self._interval_dropped = 0.0
-        return out
+        return frac, dropped, self.occupancy / cap if cap > 0 else 0.0
 
     def delay_s(self) -> float:
         """Current queueing delay: occupancy / service rate."""
@@ -169,9 +190,10 @@ class LinkDirection:
         self.capacity = link.bandwidth * link.bandwidth_frac
         self.flows: Set["FlowTransfer"] = set()
         # Last load applied via set_load; solves touching a direction
-        # whose aggregate rate did not actually move skip the telemetry
-        # and congestion-accounting work entirely.  None forces the next
-        # set_load through (initial state, or capacity changed under us).
+        # whose aggregate rate did not actually move skip the call, and
+        # with it the telemetry and congestion-accounting work.  None
+        # forces the next load through (initial state, or capacity
+        # changed under us).
         self._last_load: Optional[float] = None
         self.utilization = Gauge(sim, name=f"{self.name}.util", initial=0.0)
         self.bytes_carried = Counter(sim, name=f"{self.name}.bytes")
@@ -190,12 +212,13 @@ class LinkDirection:
         return self.link.latency + self.link.extra_latency
 
     def set_load(self, bytes_per_s: float, congestion_threshold: float) -> None:
-        """Fabric hook: aggregate flow rate on this direction changed."""
-        if bytes_per_s == self._last_load:
-            # Same load at the same capacity: the fraction, the gauge
-            # level and the congestion state machine's branch are all
-            # identical to the last call, which already settled them.
-            return
+        """Fabric hook: aggregate flow rate on this direction changed.
+
+        The fabric calls this only when ``bytes_per_s`` differs from
+        ``_last_load``: the same load at the same capacity gives the same
+        fraction, gauge level and congestion branch as the last call,
+        which already settled them.
+        """
         self._last_load = bytes_per_s
         fraction = bytes_per_s / self.capacity if self.capacity > 0 else 0.0
         self.utilization.set(fraction)

@@ -18,11 +18,13 @@ Four layers of assurance:
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import networkx as nx
@@ -39,7 +41,7 @@ from repro.netsim.cc import (
     MSS_BYTES, QUEUE_LIMIT_BYTES,
     CcFlowState, CcRateModel, MaxMinRateModel,
 )
-from repro.netsim.fabric import Network
+from repro.netsim.fabric import FlowState, FlowTransfer, Network
 from repro.netsim.link import Link, QueueState
 from repro.netsim.routing import EcmpRouting
 from repro.netsim.topology import fat_tree
@@ -264,6 +266,25 @@ class TestConfigDefaultsInSync:
         assert PiCloudConfig().rate_model.model == "maxmin"
 
 
+def _flows_held_by(model):
+    """The flows reachable from a rate model's own state, not counting
+    what it reaches through the fabric or simulator it is attached to."""
+    skip = (Network, Simulator, type, types.ModuleType, types.FunctionType,
+            types.MethodType)
+    seen, found = set(), []
+    stack = [value for name, value in vars(model).items() if name != "network"]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, FlowTransfer):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 class TestMaxminDefaultPath:
     def test_default_network_uses_maxmin_without_queue_state(self):
         sim = Simulator()
@@ -314,6 +335,19 @@ class TestMaxminDefaultPath:
         assert flow.cc is not None
         assert flow.cc.protocol == "dctcp"
         assert flow.cc.cwnd > 0.0
+
+    def test_model_releases_flows_once_the_last_one_finishes(self):
+        sim = Simulator()
+        topo = fat_tree(4)
+        model = _cc("dctcp")
+        net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
+                      rate_model=model)
+        flows = [net.transfer(f"h{i}", "h0", 50e3) for i in (1, 4, 8)]
+        # Runs until the first tick after the last flow finished, which
+        # finds no cc flow and does not re-arm.
+        sim.run()
+        assert all(flow.state is FlowState.DONE for flow in flows)
+        assert _flows_held_by(model) == []
 
     def test_path_queue_delay_zero_under_maxmin(self):
         sim = Simulator()
@@ -487,19 +521,24 @@ class TestQueueStateModel:
         queue.advance(2.0)
         assert queue.occupancy == 100.0
         assert queue.dropped_bytes == pytest.approx(100.0)  # 1s of overflow
-        marked_s, observed_s, dropped = queue.collect()
+        frac, dropped, delay = queue.close_epoch(2.0)
         assert dropped is True
-        assert observed_s == pytest.approx(2.0)
+        assert queue.observed_seconds == pytest.approx(2.0)
         # Above the 50 B threshold from t=0.5 onward.
-        assert marked_s == pytest.approx(1.5)
+        assert queue.marked_seconds == pytest.approx(1.5)
+        assert frac == pytest.approx(0.75)
+        assert delay == pytest.approx(1.0)   # 100 B at 100 B/s
+        # The epoch's accumulators reset; the queue itself does not.
+        assert queue.close_epoch(2.0) == (0.0, False, delay)
 
     def test_time_above_threshold_is_exact_at_the_crossing(self):
         queue = self._queue(capacity=100.0, limit=1000.0, threshold=100.0)
         queue.offered = 200.0          # +100 B/s: crosses 100 B at t=1
         queue.advance(2.0)
-        marked_s, observed_s, _ = queue.collect()
-        assert marked_s == pytest.approx(1.0)
-        assert observed_s == pytest.approx(2.0)
+        frac, _, _ = queue.close_epoch(2.0)
+        assert queue.marked_seconds == pytest.approx(1.0)
+        assert queue.observed_seconds == pytest.approx(2.0)
+        assert frac == pytest.approx(0.5)
         assert queue.mark_fraction() == pytest.approx(0.5)
 
 
@@ -549,6 +588,21 @@ def _reference_advance(queue, now):
     queue.depth_hist.record(q1, dt)
 
 
+def _reference_close_epoch(queue, now):
+    """``QueueState.close_epoch`` as the tick did it before its idle
+    branch: advance, collect the interval, read the delay."""
+    _reference_advance(queue, now)
+    marked_s = queue._interval_marked_s
+    observed_s = queue._interval_observed_s
+    dropped = queue._interval_dropped > 0.0
+    queue._interval_marked_s = 0.0
+    queue._interval_observed_s = 0.0
+    queue._interval_dropped = 0.0
+    cap = queue.direction.capacity
+    return (marked_s / observed_s if observed_s > 0.0 else 0.0, dropped,
+            queue.occupancy / cap if cap > 0 else 0.0)
+
+
 def _queue_slots(queue):
     """Every float and count of a queue (and its histogram), as hex."""
     hist = queue.depth_hist
@@ -567,33 +621,42 @@ _ORACLE_THRESHOLD = QUEUE_LIMIT_BYTES * ECN_THRESHOLD_FRAC
 
 
 def _advance_both(occupancy, offered_frac, steps, bandwidth_frac=1.0):
-    """Advance a queue and a reference twin from the same state through
-    ``steps`` (absolute times), comparing every slot after each step.
+    """Drive queues and reference twins from the same state through
+    ``steps`` (absolute times), comparing every slot after each step:
+    ``advance`` against ``_reference_advance``, and ``close_epoch``
+    (with its idle branch) against ``_reference_close_epoch``.
 
     ``offered_frac`` sets the inflow as a multiple of the (possibly
     degraded) capacity of a 100 Mb/s link."""
     link = Link(Simulator(), "a", "b", bandwidth=12.5e6)
     if bandwidth_frac != 1.0:
         link.degrade(bandwidth_frac=bandwidth_frac)
-    fast = QueueState(link.forward, _ORACLE_LIMIT, _ORACLE_THRESHOLD)
-    oracle = QueueState(link.forward, _ORACLE_LIMIT, _ORACLE_THRESHOLD)
-    for queue in (fast, oracle):
+    queues = [QueueState(link.forward, _ORACLE_LIMIT, _ORACLE_THRESHOLD)
+              for _ in range(4)]
+    for queue in queues:
         queue.occupancy = occupancy
         queue.offered = link.forward.capacity * offered_frac
+    advanced, advanced_ref, closed, closed_ref = queues
     for now in steps:
-        fast.advance(now)
-        _reference_advance(oracle, now)
-        assert _queue_slots(fast) == _queue_slots(oracle), (now,)
+        advanced.advance(now)
+        _reference_advance(advanced_ref, now)
+        assert _queue_slots(advanced) == _queue_slots(advanced_ref), (now,)
+        frac, dropped, delay = closed.close_epoch(now)
+        frac_ref, dropped_ref, delay_ref = _reference_close_epoch(
+            closed_ref, now)
+        assert (frac.hex(), dropped, delay.hex()) == (
+            frac_ref.hex(), dropped_ref, delay_ref.hex()), (now,)
+        assert _queue_slots(closed) == _queue_slots(closed_ref), (now,)
 
 
 _K = _ORACLE_THRESHOLD
 _STEPS = [0.001, 0.0017, 0.0017, 0.0031, 0.5, 0.5000001]
 
 
-class TestAdvanceMatchesReference:
-    """``QueueState.advance`` keeps the pre-change arithmetic bit for
-    bit, on its idle branch (empty queue, inflow within capacity) and
-    off it."""
+class TestQueueMatchesReference:
+    """``QueueState.advance`` and ``close_epoch`` keep the pre-change
+    arithmetic bit for bit, on the idle branch (empty queue, inflow
+    within capacity) and off it."""
 
     @pytest.mark.parametrize("offered_frac", [0.0, 0.3, 1.0, 1.0 + 2**-52,
                                               1.7])
