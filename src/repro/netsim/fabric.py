@@ -168,6 +168,13 @@ class Network:
         self._links: Dict[frozenset, Link] = {}
         for a, b, spec in topology.edges():
             self._links[frozenset((a, b))] = Link(sim, a, b, spec.bandwidth, spec.latency)
+        # Every direction (link order) -> its bytes_carried counter, for
+        # the churn solve's pass; directions and counters never change.
+        self._carried: Dict[LinkDirection, Counter] = {
+            direction: direction.bytes_carried
+            for link in self._links.values()
+            for direction in (link.forward, link.reverse)
+        }
 
         self._active: set[FlowTransfer] = set()
         # Rate caps of active flows, maintained incrementally alongside
@@ -561,18 +568,14 @@ class Network:
         self.flows_solved += len(flows)
         rates = self.rate_model.allocate(flows, dirty_dirs)
         if dirty_dirs is None:
-            directions = [direction for link in self._links.values()
-                          for direction in (link.forward, link.reverse)]
+            directions = list(self._carried)
         else:
             directions = sorted(dirty_dirs, key=attrgetter("name"))
         # The churn pass keys its hops by direction: a solve touches a
         # different subset each time, so there is no plan to index.
         loads = dict.fromkeys(directions, 0.0)
-        self._reallocate(
-            flows, rates, [flow.directions for flow in flows],
-            {direction: direction.bytes_carried for direction in directions},
-            loads,
-        )
+        self._reallocate(flows, rates, [flow.directions for flow in flows],
+                         self._carried, loads)
         self._set_loads(directions, loads.values())
 
     def _epoch_reallocate(self, plan: _EpochPlan,
