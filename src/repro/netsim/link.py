@@ -136,11 +136,12 @@ class QueueState:
         cap = self.direction.capacity
         dt = now - self._last_update
         if dt > 0.0 and self.occupancy == 0.0 and self.offered <= cap:
-            # Idle, as most queues are at most epochs: an empty queue
-            # whose inflow the link can serve stays empty and never
-            # reaches the ECN threshold, so advance() would add 0.0 to
-            # the marked seconds, store 0.0 and record a zero depth; only
-            # the clock moves.
+            # Idle, like most queues at most epochs: an empty queue whose
+            # inflow the link can serve stays empty and never reaches the
+            # ECN threshold, so advance() would add 0.0 to the marked
+            # seconds, store 0.0 and record a zero depth; only the clock
+            # moves.  Here, not in advance(), so an idle queue costs the
+            # tick one call.
             self._last_update = now
             self.observed_seconds += dt
             self._interval_observed_s += dt

@@ -543,7 +543,8 @@ class TestQueueStateModel:
 
 
 def _reference_advance(queue, now):
-    """``QueueState.advance`` as it was before its idle branch, verbatim."""
+    """``QueueState.advance``'s body before the idle branch landed in
+    ``close_epoch``, verbatim: the reference both are checked against."""
     dt = now - queue._last_update
     if dt <= 0.0:
         return
@@ -616,8 +617,8 @@ def _queue_slots(queue):
     return [value.hex() for value in floats] + [queue.drop_events]
 
 
-_ORACLE_LIMIT = QUEUE_LIMIT_BYTES
-_ORACLE_THRESHOLD = QUEUE_LIMIT_BYTES * ECN_THRESHOLD_FRAC
+# The cc model's ECN threshold, in bytes.
+_K = QUEUE_LIMIT_BYTES * ECN_THRESHOLD_FRAC
 
 
 def _advance_both(occupancy, offered_frac, steps, bandwidth_frac=1.0):
@@ -631,7 +632,7 @@ def _advance_both(occupancy, offered_frac, steps, bandwidth_frac=1.0):
     link = Link(Simulator(), "a", "b", bandwidth=12.5e6)
     if bandwidth_frac != 1.0:
         link.degrade(bandwidth_frac=bandwidth_frac)
-    queues = [QueueState(link.forward, _ORACLE_LIMIT, _ORACLE_THRESHOLD)
+    queues = [QueueState(link.forward, QUEUE_LIMIT_BYTES, _K)
               for _ in range(4)]
     for queue in queues:
         queue.occupancy = occupancy
@@ -649,7 +650,6 @@ def _advance_both(occupancy, offered_frac, steps, bandwidth_frac=1.0):
         assert _queue_slots(closed) == _queue_slots(closed_ref), (now,)
 
 
-_K = _ORACLE_THRESHOLD
 _STEPS = [0.001, 0.0017, 0.0017, 0.0031, 0.5, 0.5000001]
 
 
@@ -665,7 +665,7 @@ class TestQueueMatchesReference:
 
     @pytest.mark.parametrize("occupancy", [
         math.nextafter(_K, 0.0), _K, math.nextafter(_K, math.inf),
-        1.0, _ORACLE_LIMIT])
+        1.0, QUEUE_LIMIT_BYTES])
     @pytest.mark.parametrize("offered_frac", [0.0, 0.999, 1.0, 1.001])
     def test_around_the_ecn_threshold(self, occupancy, offered_frac):
         _advance_both(occupancy, offered_frac, _STEPS)
@@ -684,7 +684,7 @@ class TestQueueMatchesReference:
             math.nextafter(math.nextafter(start, 2.0), 2.0), start + 1e-12])
 
     @given(
-        occupancy=st.one_of(st.just(0.0), st.floats(0.0, _ORACLE_LIMIT)),
+        occupancy=st.one_of(st.just(0.0), st.floats(0.0, QUEUE_LIMIT_BYTES)),
         offered_frac=st.one_of(st.sampled_from([0.0, 1.0]),
                                st.floats(0.0, 3.0)),
         gaps=st.lists(st.floats(0.0, 0.01), min_size=1, max_size=8),
