@@ -46,7 +46,8 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.errors import RateModelError
 from repro.netsim.fairness import (
-    connected_components, fill_components, fill_layouts, max_min_rates,
+    connected_components, fill_components, fill_layouts, fill_with_layouts,
+    max_min_rates,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,6 +74,12 @@ DCTCP_G = 0.0625                # DCTCP's ECN-fraction EWMA gain
 # times the propagation RTT, smoothing with weight DELAY_SMOOTHING.
 DELAY_THRESHOLD = 1.25
 DELAY_SMOOTHING = 0.1
+# A parked queue's epochs are replayed at the latest after this many
+# ticks, so a long steady run keeps a bounded list of them.
+PARK_BACKLOG = 1024
+# What close_epoch returns for an idle queue: no marks, no overflow,
+# no delay.  The tick hands it to parked queues without calling them.
+_IDLE_SIGNAL = (0.0, False, 0.0)
 
 
 class RateModel:
@@ -112,6 +119,15 @@ class RateModel:
         dirty_dirs: Optional[set],
     ) -> Dict["FlowTransfer", float]:
         raise NotImplementedError
+
+    def catch_up(self) -> None:
+        """Bring every queue the model has parked up to date.
+
+        The fabric calls this before it reads or moves queue state
+        (:meth:`~repro.netsim.fabric.Network.sync`,
+        :meth:`~repro.netsim.fabric.Network.queue_metrics`, a gray
+        failure or its repair).  Max-min keeps no queues.
+        """
 
     def describe(self) -> dict:
         """Introspection row for reports and the CLI."""
@@ -236,35 +252,98 @@ class _EpochPlan:
     churn, which bumps ``Network._churn``; the tick rebuilds the plan
     when that counter moves.  Besides the sorted flows and directions
     and the bottleneck components, the plan keeps what the tick would
-    otherwise rebuild from those paths every epoch: each wide
+    otherwise rebuild from those paths every epoch: the flows' windows
+    and rate caps (a flow's cap is fixed when it activates), each wide
     component's :class:`~repro.netsim.fairness.FillLayout`, the queues
     and ``bytes_carried`` counters of its directions (name order; the cc
     model gives every direction a queue) and, per flow, the positions of
-    its hops in that order (path order).  Capacities, queue contents,
-    counter totals and windows change between epochs, so they are read
-    live and never cached here.
+    its hops in that order (path order).  The directions' capacities,
+    as a dict and in the layouts, are read again only when
+    ``Network._capacity_version`` moves (a gray failure or its repair).
+    Queue contents, counter totals and windows change between epochs,
+    so they are read live and never cached here.
+
+    *Parked queues.*  ``parked`` runs parallel to ``queues``: None for a
+    queue the tick closes, else the index into ``epochs`` from which the
+    queue sat out.  At the end of a tick, :meth:`set_inflows` parks each
+    queue the next :meth:`~repro.netsim.link.QueueState.close_epoch`
+    would find idle -- empty, with an inflow the link can serve -- and
+    the tick hands it the idle signal without calling it.  ``epochs``
+    lists the length of every epoch since the plan was built (or last
+    caught up), each exactly the ``dt`` the skipped ``close_epoch``
+    would have computed; a zero-length one is left out, as
+    ``close_epoch`` would change nothing over it.  A parked queue is replayed from there, epoch
+    by epoch (:meth:`~repro.netsim.link.QueueState.replay_idle`), when
+    its inflow outgrows the link or by :meth:`catch_up`, which the
+    model calls before anything reads or moves a queue between ticks.
     """
 
-    __slots__ = ("churn", "flows", "states", "flow_paths", "directions",
-                 "components", "layouts", "queues", "carried", "paths")
+    __slots__ = ("churn", "flows", "states", "rate_caps", "flow_paths",
+                 "directions", "components", "layouts", "queues", "carried",
+                 "paths", "capacity_version", "capacities", "parked",
+                 "epochs")
 
-    def __init__(self, churn: int,
+    def __init__(self, churn: int, capacity_version: int,
                  states: Dict["FlowTransfer", CcFlowState]) -> None:
         self.churn = churn
         self.flows = sorted(states, key=attrgetter("flow_id"))
         self.states = [states[flow] for flow in self.flows]
+        self.rate_caps = [flow.rate_cap for flow in self.flows]
         self.flow_paths = {flow: flow.directions for flow in self.flows}
         self.directions = sorted(
             {direction for flow in self.flows for direction in flow.directions},
             key=attrgetter("name"),
         )
         self.components = connected_components(self.flow_paths)
-        self.layouts = fill_layouts(self.components, self.flow_paths)
+        self.capacity_version = capacity_version
+        self.capacities = {d: d.capacity for d in self.directions}
+        self.layouts = fill_layouts(self.components, self.flow_paths,
+                                    self.capacities)
         self.queues: List["QueueState"] = [d.queue for d in self.directions]
         self.carried = [d.bytes_carried for d in self.directions]
         position = {d: i for i, d in enumerate(self.directions)}
         self.paths = [[position[d] for d in flow.directions]
                       for flow in self.flows]
+        self.parked: List[Optional[int]] = [None] * len(self.queues)
+        self.epochs: List[float] = []
+
+    def read_capacities(self, capacity_version: int) -> None:
+        """Re-read the directions' capacities after one changed."""
+        self.capacity_version = capacity_version
+        self.capacities = {d: d.capacity for d in self.directions}
+        for layout in self.layouts:
+            if layout is not None:
+                layout.read_capacities(self.capacities)
+
+    def set_inflows(self, offered: List[float], now: float) -> None:
+        """End of the tick at ``now``: set each queue's new inflow.
+
+        ``offered`` runs parallel to ``queues``.  A queue left empty
+        whose inflow the link can serve is parked from the next epoch
+        on; a parked queue whose inflow now exceeds its link's capacity
+        is replayed up to ``now`` and closed by the tick again.
+        """
+        parked = self.parked
+        mark = len(self.epochs)
+        for i, (queue, demand, capacity) in enumerate(
+                zip(self.queues, offered, self.capacities.values())):
+            queue.offered = demand
+            if demand <= capacity:
+                if parked[i] is None and queue.occupancy == 0.0:
+                    parked[i] = mark
+            elif parked[i] is not None:
+                queue.replay_idle(self.epochs[parked[i]:], now)
+                parked[i] = None
+
+    def catch_up(self, now: float) -> None:
+        """Replay every parked queue up to the tick at ``now``, the
+        plan's last, and hand it back to the tick."""
+        epochs = self.epochs
+        for i, start in enumerate(self.parked):
+            if start is not None:
+                self.queues[i].replay_idle(epochs[start:], now)
+        self.parked = [None] * len(self.queues)
+        self.epochs = []
 
 
 class CcRateModel(RateModel):
@@ -280,7 +359,9 @@ class CcRateModel(RateModel):
     sorted flows and directions, the paths and their bottleneck
     components -- lives in an :class:`_EpochPlan` rebuilt on the first
     tick after churn, so a steady epoch pays for signals, windows and
-    the fill alone.
+    the fill alone.  The plan also parks idle queues, so a steady epoch
+    steps only the queues that can move; :meth:`catch_up` replays them
+    exactly before anything else reads or moves a queue.
 
     ``config`` (:class:`~repro.core.config.RateModelConfig`) picks the
     protocol; the epoch, buffer and window constants are this module's.
@@ -323,6 +404,10 @@ class CcRateModel(RateModel):
     def on_detach(self, flow: "FlowTransfer") -> None:
         self._states.pop(flow, None)
 
+    def catch_up(self) -> None:
+        if self._plan is not None:
+            self._plan.catch_up(self._last_tick)
+
     # -- allocation ----------------------------------------------------------
 
     def _demands(
@@ -358,6 +443,9 @@ class CcRateModel(RateModel):
     ) -> Dict["FlowTransfer", float]:
         network = self.network
         now = network.sim.now
+        # The solve reads queue delays and moves queues: parked ones
+        # first stand where the ticks they sat out would have left them.
+        self.catch_up()
         # Churn solve: queue delays as of each queue's last update.
         demands = self._demands(flows, [
             network.path_queue_delay(flow.directions) for flow in flows])
@@ -396,26 +484,42 @@ class CcRateModel(RateModel):
         # Fold any same-instant churn solve in first so the active set
         # and queue inflows are current before windows move.
         network._flush_solve()
+        plan = self._plan
         if not self._states:
             # Every cc flow finished; the ticker re-arms on activate.  The
             # plan would keep the finished flows alive until then.
+            if plan is not None:
+                plan.catch_up(self._last_tick)
             self._plan = None
             return
+        if plan is None or plan.churn != network._churn:
+            if plan is not None:
+                plan.catch_up(self._last_tick)
+            plan = self._plan = _EpochPlan(
+                network._churn, network._capacity_version, self._states)
+        else:
+            if len(plan.epochs) >= PARK_BACKLOG:
+                plan.catch_up(self._last_tick)
+            if plan.capacity_version != network._capacity_version:
+                plan.read_capacities(network._capacity_version)
         sim = network.sim
         now = sim.now
         dt = now - self._last_tick
         self._last_tick = now
-        plan = self._plan
-        if plan is None or plan.churn != network._churn:
-            plan = self._plan = _EpochPlan(network._churn, self._states)
+        if dt > 0.0:
+            plan.epochs.append(dt)
         # Close the epoch on every queue along any active path: one
         # (mark fraction, overflow, delay) per queue, parallel to
-        # plan.directions.
-        signals = [queue.close_epoch(now) for queue in plan.queues]
+        # plan.directions.  A parked queue would return the idle signal.
+        idle = _IDLE_SIGNAL
+        signals = [idle if start is not None else queue.close_epoch(now)
+                   for queue, start in zip(plan.queues, plan.parked)]
         # Window updates from the path-worst signals: the largest mark
-        # fraction, any overflow, and the delays summed hop by hop.
-        path_delays: List[float] = []
-        for path, state in zip(plan.paths, plan.states):
+        # fraction, any overflow, and the delays summed hop by hop.  Then
+        # each flow's demand: window over queue-inclusive RTT, clamped
+        # by its rate cap, handed to the fill as its cap.
+        demands: List[float] = []
+        for path, state, cap in zip(plan.paths, plan.states, plan.rate_caps):
             ecn_frac = 0.0
             loss = False
             queue_delay = 0.0
@@ -429,23 +533,22 @@ class CcRateModel(RateModel):
             if dt > 0.0:
                 state.update(now, dt, state.rtt_base + queue_delay,
                              ecn_frac, loss)
-            path_delays.append(queue_delay)
+            demand = state.cwnd / (state.rtt_base + queue_delay)
+            if cap is not None and cap < demand:
+                demand = cap
+            demands.append(demand)
         # Re-allocate the whole active set under the new windows.  The
         # queues already stand at now, so only their inflows move.
-        demands = self._demands(plan.flows, path_delays)
-        capacities = {direction: direction.capacity
-                      for direction in plan.directions}
-        rates = fill_components(plan.components, plan.flow_paths, capacities,
-                                demands, plan.layouts)
+        rates = fill_with_layouts(plan.components, plan.flow_paths,
+                                  plan.capacities, demands, plan.layouts)
         # Every plan flow has a window, so every demand is finite and
         # every queue in the plan gets a new inflow, summed in flow_id
         # order.
         offered = [0.0] * len(plan.queues)
-        for path, demand in zip(plan.paths, demands.values()):
+        for path, demand in zip(plan.paths, demands):
             for i in path:
                 offered[i] += demand
-        for queue, demand in zip(plan.queues, offered):
-            queue.offered = demand
+        plan.set_inflows(offered, now)
         network._epoch_reallocate(plan, rates)
         self._tick_event = sim.schedule(EPOCH_S, self._tick)
 

@@ -41,7 +41,11 @@ instantaneous fair share byte-for-byte; :class:`~repro.netsim.cc.CcRateModel`
 adds per-flow congestion windows, per-direction queue occupancy and an
 epoch-stepped update loop that re-enters the fabric through
 :meth:`Network._epoch_reallocate`, which runs the same pass on the
-epoch plan's index lists, rebuilt only on churn.
+epoch plan's index lists, rebuilt only on churn.  The plan parks idle
+queues between ticks; whatever reads or moves a queue here
+(:meth:`Network.sync`, :meth:`Network.queue_metrics`, a gray failure
+or its repair, a churn solve) has the rate model catch them up first
+(:meth:`~repro.netsim.cc.RateModel.catch_up`).
 """
 
 from __future__ import annotations
@@ -200,6 +204,9 @@ class Network:
         # (activate, detach, reroute): rate models that cache per-epoch
         # structure compare it to know when to rebuild.
         self._churn = 0
+        # Bumped whenever a link's capacity changes (degrade_link,
+        # restore_link): the cc epoch plan re-reads capacities then.
+        self._capacity_version = 0
         # Cumulative solver effort counters (benchmark/diagnostic aid):
         # how many flow-rate assignments each recompute performed.
         self.recomputes = 0
@@ -271,6 +278,7 @@ class Network:
         self._advance_queues(link)
         link.degrade(bandwidth_frac=bandwidth_frac,
                      extra_latency=extra_latency, loss=loss)
+        self._capacity_version += 1
         self._dirty_directions.add(link.forward)
         self._dirty_directions.add(link.reverse)
         self._request_solve()
@@ -282,6 +290,7 @@ class Network:
             return
         self._advance_queues(link)
         link.restore()
+        self._capacity_version += 1
         self._dirty_directions.add(link.forward)
         self._dirty_directions.add(link.reverse)
         self._request_solve()
@@ -289,7 +298,10 @@ class Network:
     def _advance_queues(self, link: Link) -> None:
         """Integrate both queues up to now at the capacity about to change,
         so the part of the epoch before a gray failure (or its repair)
-        drains at the capacity it actually had."""
+        drains at the capacity it actually had.  Queues the rate model
+        parked are caught up first: the capacity change would un-idle
+        them."""
+        self.rate_model.catch_up()
         now = self.sim.now
         for direction in (link.forward, link.reverse):
             if direction.queue is not None:
@@ -765,9 +777,11 @@ class Network:
         touched; call this before reading byte counters mid-run so
         long-lived untouched flows are accounted up to ``sim.now`` too.
         Also flushes any solve deferred from churn at the current
-        instant, so rates and link loads read afterwards are current.
+        instant, so rates and link loads read afterwards are current,
+        and has the rate model catch up the queues it parked.
         """
         self._flush_solve()
+        self.rate_model.catch_up()
         for flow in sorted(self._active, key=lambda f: f.flow_id):
             self._settle(flow)
 
@@ -810,6 +824,7 @@ class Network:
         See :func:`repro.netsim.cc.queue_metrics`: worst-direction p99
         occupancy and ECN-mark fraction, summed drops.
         """
+        self.rate_model.catch_up()
         directions = []
         for link in self._links.values():
             directions.append(link.forward)

@@ -21,7 +21,7 @@ with this function is bit-identical to the slice of a full solve.
 :func:`connected_components` (decompose), then :func:`fill_components`
 (fill).  A caller whose flow paths have not changed since the last
 solve may keep the decomposition, and its :func:`fill_layouts`, and
-call the fill alone.
+call the fill alone (:func:`fill_with_layouts`).
 
 Determinism: all iteration happens in the insertion order of
 ``flow_paths`` (and path order within each flow), never over sets, so the
@@ -31,7 +31,6 @@ same instance always performs the same arithmetic in the same order.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import (
     Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
 )
@@ -108,10 +107,16 @@ class FillLayout:
     flow's hops start in ``flat`` (0 for an empty path, which
     ``nonempty`` masks out).  Built from the paths alone, so a caller
     whose paths have not changed may keep it (the cc epoch plan does).
+
+    ``capacity`` holds the resources' capacities, parallel to
+    ``resources``, as of the last :meth:`read_capacities`; a caller that
+    keeps the layout calls it again when a capacity changes.
+    :func:`fill_layouts` also sets ``positions``: where the component's
+    flows stand in the flow order the layouts were built for.
     """
 
     __slots__ = ("resources", "crossing", "flat", "lengths", "nonempty",
-                 "seg_starts")
+                 "seg_starts", "capacity", "positions")
 
     def __init__(self, flows: Sequence[FlowId],
                  flow_paths: Mapping[FlowId, Sequence[ResourceId]]) -> None:
@@ -137,24 +142,43 @@ class FillLayout:
         ptr = _np.zeros(len(flows) + 1, dtype=_np.intp)
         _np.cumsum(self.lengths, out=ptr[1:])
         self.seg_starts = _np.where(self.nonempty, ptr[:-1], 0)
+        self.capacity = None
+        self.positions = None
+
+    def read_capacities(self, capacities: Mapping[ResourceId, float]) -> None:
+        """Copy the resources' capacities into ``capacity``."""
+        self.capacity = _np.array(
+            [capacities[res] for res in self.resources], dtype=_np.float64)
 
 
 def fill_layouts(
     components: Iterable[List[FlowId]],
     flow_paths: Mapping[FlowId, Sequence[ResourceId]],
+    capacities: Mapping[ResourceId, float],
 ) -> List[Optional[FillLayout]]:
     """A :class:`FillLayout` for each component wide enough to vectorize.
 
     Parallel to ``components``; None where the component fills with the
-    scalar loop.  :func:`fill_components` uses a layout only while every
-    flow of its component is active (cap above ``_EPSILON``).
+    scalar loop.  Each layout holds ``capacities`` and its flows'
+    positions in ``flow_paths`` order, which is the order
+    :func:`fill_with_layouts` takes the caps in.  A layout is used only
+    while every flow of its component is active (cap above
+    ``_EPSILON``).
     """
-    return [
-        FillLayout(component, flow_paths)
-        if len(component) >= VECTORIZE_MIN_FLOWS
-        else None
-        for component in components
-    ]
+    position = None
+    layouts: List[Optional[FillLayout]] = []
+    for component in components:
+        if len(component) < VECTORIZE_MIN_FLOWS:
+            layouts.append(None)
+            continue
+        if position is None:
+            position = {flow: i for i, flow in enumerate(flow_paths)}
+        layout = FillLayout(component, flow_paths)
+        layout.read_capacities(capacities)
+        layout.positions = _np.array([position[flow] for flow in component],
+                                     dtype=_np.intp)
+        layouts.append(layout)
+    return layouts
 
 
 def _fill_component(
@@ -163,22 +187,17 @@ def _fill_component(
     capacities: Mapping[ResourceId, float],
     rate_caps: Mapping[FlowId, float],
     rates: Dict[FlowId, float],
-    layout: Optional[FillLayout] = None,
 ) -> None:
-    """Progressive filling over one component; writes into ``rates``.
-
-    ``layout``, when given, is the :class:`FillLayout` of all of
-    ``flows``; it stands in for building one only if every flow is
-    active.
-    """
+    """Progressive filling over one component; writes into ``rates``."""
     active: List[FlowId] = [
         flow for flow in flows if rate_caps.get(flow, math.inf) > _EPSILON
     ]
     if len(active) >= VECTORIZE_MIN_FLOWS:
-        if layout is None or len(active) != len(flows):
-            layout = FillLayout(active, flow_paths)
-        _fill_component_vectorized(active, layout, capacities, rate_caps,
-                                   rates)
+        layout = FillLayout(active, flow_paths)
+        layout.read_capacities(capacities)
+        caps = _np.array([rate_caps.get(flow, _np.inf) for flow in active],
+                         dtype=_np.float64)
+        _fill_component_vectorized(active, layout, caps, rates)
         return
 
     remaining: Dict[ResourceId, float] = {}
@@ -239,8 +258,7 @@ def _fill_component(
 def _fill_component_vectorized(
     active: List[FlowId],
     layout: FillLayout,
-    capacities: Mapping[ResourceId, float],
-    rate_caps: Mapping[FlowId, float],
+    caps: _np.ndarray,
     rates: Dict[FlowId, float],
 ) -> None:
     """Numpy water-fill: byte-identical to the scalar loop, faster wide.
@@ -254,23 +272,20 @@ def _fill_component_vectorized(
       each resource slot (repeated subtraction of one increment value is
       a chain on that slot alone, so interleaving cannot change it).
 
-    Paths live in ``layout``'s flat CSR arrays (:class:`FillLayout`,
-    the layout of exactly ``active``).  A round selects the hops of
-    alive (or newly frozen) flows with ``flat[np.repeat(mask, lengths)]``
-    -- the same indices, in the same order, as concatenating those
-    flows' paths.
+    Paths and capacities live in ``layout`` (:class:`FillLayout`, the
+    layout of exactly ``active``); ``caps`` is the flows' caps as a
+    float array parallel to ``active`` (``inf`` for none).  A round
+    selects the hops of alive (or newly frozen) flows with
+    ``flat[np.repeat(mask, lengths)]`` -- the same indices, in the same
+    order, as concatenating those flows' paths.
 
     Hence rates out of this path equal the scalar path's bit-for-bit --
     the gate at :data:`VECTORIZE_MIN_FLOWS` is purely a speed decision.
     """
     flat = layout.flat
     lengths = layout.lengths
-    rem = _np.array([float(capacities[res]) for res in layout.resources],
-                    dtype=_np.float64)
+    rem = layout.capacity.copy()
     cross = layout.crossing.copy()
-    caps = _np.array(
-        [rate_caps.get(flow, _np.inf) for flow in active], dtype=_np.float64
-    )
     flow_rates = _np.zeros(len(active), dtype=_np.float64)
     alive = _np.ones(len(active), dtype=bool)
 
@@ -305,8 +320,7 @@ def _fill_component_vectorized(
         _np.subtract.at(cross, flat[_np.repeat(frozen, lengths)], 1.0)
         alive &= ~frozen
 
-    for flow, rate in zip(active, flow_rates.tolist()):
-        rates[flow] = rate
+    rates.update(zip(active, flow_rates.tolist()))
 
 
 def fill_components(
@@ -314,23 +328,51 @@ def fill_components(
     flow_paths: Mapping[FlowId, Sequence[ResourceId]],
     capacities: Mapping[ResourceId, float],
     rate_caps: Mapping[FlowId, float],
-    layouts: Optional[Sequence[Optional[FillLayout]]] = None,
 ) -> Dict[FlowId, float]:
     """Water-fill each component of a decomposition of ``flow_paths``.
 
     The second step of :func:`max_min_rates`; ``components`` is what
     :func:`connected_components` returned for these ``flow_paths``.
-    The decomposition depends on the paths alone, so a caller whose
-    paths have not changed may reuse it, and its :func:`fill_layouts`
-    (the cc epoch does); capacities and caps are read afresh on every
-    fill.
     """
-    rates: Dict[FlowId, float] = {flow: 0.0 for flow in flow_paths}
-    if layouts is None:
-        layouts = repeat(None)
+    rates: Dict[FlowId, float] = dict.fromkeys(flow_paths, 0.0)
+    for component in components:
+        _fill_component(component, flow_paths, capacities, rate_caps, rates)
+    return rates
+
+
+def fill_with_layouts(
+    components: Sequence[List[FlowId]],
+    flow_paths: Mapping[FlowId, Sequence[ResourceId]],
+    capacities: Mapping[ResourceId, float],
+    caps: Sequence[float],
+    layouts: Sequence[Optional[FillLayout]],
+) -> Dict[FlowId, float]:
+    """:func:`fill_components` for a caller that keeps the decomposition.
+
+    The decomposition and its :func:`fill_layouts` depend on the paths
+    alone, so a caller whose paths have not changed may keep them (the
+    cc epoch does), and the layouts' capacities until one changes.
+    ``caps`` runs parallel to ``flow_paths`` (one cap per flow, in its
+    order).  A wide component whose flows are all active takes its caps
+    by position and its capacities from its layout; any other component
+    fills as :func:`fill_components` would, from ``capacities`` and the
+    caps by flow.  The rates are the same either way.
+    """
+    rates: Dict[FlowId, float] = dict.fromkeys(flow_paths, 0.0)
+    cap_array = None
+    rate_caps = None
     for component, layout in zip(components, layouts):
-        _fill_component(component, flow_paths, capacities, rate_caps, rates,
-                        layout)
+        if layout is not None:
+            if cap_array is None:
+                cap_array = _np.array(caps, dtype=_np.float64)
+            component_caps = cap_array[layout.positions]
+            if (component_caps > _EPSILON).all():
+                _fill_component_vectorized(component, layout, component_caps,
+                                           rates)
+                continue
+        if rate_caps is None:
+            rate_caps = dict(zip(flow_paths, caps))
+        _fill_component(component, flow_paths, capacities, rate_caps, rates)
     return rates
 
 

@@ -9,7 +9,9 @@ gauge plus congestion accounting -- the raw material for the paper's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, Optional, Sequence, Set
 
 from repro import trace
 from repro.errors import ConfigurationError
@@ -39,6 +41,14 @@ class QueueState:
     still counts downstream.  On the PiCloud's single-oversubscription
     fabric the bottleneck is the ToR/host edge and this is exact; on
     multi-bottleneck paths it overstates downstream occupancy.
+
+    The cc tick closes each queue once per epoch (:meth:`close_epoch`),
+    except an idle one -- empty, its inflow within capacity -- which
+    the epoch plan parks and later catches up with :meth:`replay_idle`.
+    While a queue is parked, its clock, ``observed_seconds`` and
+    ``depth_hist`` lag behind the ticks (its occupancy, marks and drops
+    cannot move); read them after ``Network.sync()`` or
+    ``Network.queue_metrics()``, which catch every queue up first.
     """
 
     __slots__ = (
@@ -131,30 +141,38 @@ class QueueState:
         Returns the share of the epoch spent above the ECN threshold,
         whether the queue overflowed during it, and the queueing delay
         at ``now`` (as :meth:`delay_s`), then resets the epoch's
-        accumulators.
+        accumulators.  An idle queue (empty, inflow the link can serve)
+        would return ``(0.0, False, 0.0)``; the cc tick parks such
+        queues instead of closing them and catches them up later with
+        :meth:`replay_idle`.
         """
-        cap = self.direction.capacity
-        dt = now - self._last_update
-        if dt > 0.0 and self.occupancy == 0.0 and self.offered <= cap:
-            # Idle, like most queues at most epochs: an empty queue whose
-            # inflow the link can serve stays empty and never reaches the
-            # ECN threshold, so advance() would add 0.0 to the marked
-            # seconds, store 0.0 and record a zero depth; only the clock
-            # moves.  Here, not in advance(), so an idle queue costs the
-            # tick one call.
-            self._last_update = now
-            self.observed_seconds += dt
-            self._interval_observed_s += dt
-            self.depth_hist.record(0.0, dt)
-        else:
-            self.advance(now)
+        self.advance(now)
         observed_s = self._interval_observed_s
         frac = self._interval_marked_s / observed_s if observed_s > 0.0 else 0.0
         dropped = self._interval_dropped > 0.0
         self._interval_marked_s = 0.0
         self._interval_observed_s = 0.0
         self._interval_dropped = 0.0
+        cap = self.direction.capacity
         return frac, dropped, self.occupancy / cap if cap > 0 else 0.0
+
+    def replay_idle(self, epochs: Sequence[float], now: float) -> None:
+        """Catch a parked queue up on the epochs it sat out.
+
+        ``epochs`` are the lengths (each positive) of the cc epochs the
+        queue was parked for, in order, and ``now`` the time the last of
+        them closed.  A parked queue is empty and the link can serve its
+        inflow, so each of those :meth:`close_epoch` calls would have
+        added 0.0 to the marked seconds, stored 0.0 as the occupancy,
+        added the epoch to the observed seconds, recorded a zero depth
+        for it and reset the interval accumulators to where they already
+        are (0.0).  This makes the two changes that move, epoch by epoch
+        in the same order: bit for bit the calls it stands for.
+        """
+        self._last_update = now
+        if epochs:
+            self.observed_seconds = reduce(add, epochs, self.observed_seconds)
+            self.depth_hist.record_each(0.0, epochs)
 
     def delay_s(self) -> float:
         """Current queueing delay: occupancy / service rate."""

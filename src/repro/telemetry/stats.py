@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -137,34 +139,59 @@ class LatencyHistogram:
         """Lower value edge of log bucket ``index`` (1-based)."""
         return 10.0 ** (self._log_min + (index - 1) / self._scale)
 
+    def _slot(self, value: float) -> tuple[int, float]:
+        """The bucket ``value`` lands in, and the value its moments use.
+
+        Exact moments use the value clamped into [min_value, max_value]:
+        overflow (inf) observations count at the ceiling so the mean
+        stays finite and conservative.
+        """
+        value = float(value)
+        if value < self.min_value:
+            return 0, self.min_value
+        last = len(self._counts) - 1
+        if value >= self.max_value:
+            return last, self.max_value
+        if value != value:
+            raise ValueError("cannot record NaN")
+        index = 1 + int((math.log10(value) - self._log_min) * self._scale)
+        if index < 1:
+            index = 1
+        elif index > last - 1:
+            index = last - 1
+        return index, value
+
     def record(self, value: float, count: float = 1.0) -> None:
         """Add ``count`` observations of ``value`` (fractions allowed)."""
         if count <= 0:
             return
-        value = float(value)
-        counts = self._counts
-        # Exact moments use the value clamped into [min_value, max_value]:
-        # overflow (inf) observations count at the ceiling so the mean
-        # stays finite and conservative.
-        if value < self.min_value:
-            index = 0
-            clamped = self.min_value
-        elif value >= self.max_value:
-            index = len(counts) - 1
-            clamped = self.max_value
-        elif value == value:  # false only for NaN
-            index = 1 + int((math.log10(value) - self._log_min) * self._scale)
-            if index < 1:
-                index = 1
-            elif index > len(counts) - 2:
-                index = len(counts) - 2
-            clamped = value
-        else:
-            raise ValueError("cannot record NaN")
-        counts[index] += count
+        index, clamped = self._slot(value)
+        self._counts[index] += count
         self.total += count
         self._sum += clamped * count
         self._sum_sq += clamped * clamped * count
+        if clamped < self._min_seen:
+            self._min_seen = clamped
+        if clamped > self._max_seen:
+            self._max_seen = clamped
+
+    def record_each(self, value: float, counts: Sequence[float]) -> None:
+        """``record(value, count)`` for each of ``counts``, in order.
+
+        Every ``count`` must be positive (``record`` ignores the rest).
+        Bit for bit the same as the calls: each running total adds the
+        counts one at a time, in order, never their sum, which rounds
+        differently.  Only the bucket lookup and the extrema, which
+        repeat the same result, are done once.
+        """
+        if not counts:
+            return
+        index, clamped = self._slot(value)
+        self._counts[index] = reduce(add, counts, self._counts[index])
+        self.total = reduce(add, counts, self.total)
+        self._sum = reduce(add, map(clamped.__mul__, counts), self._sum)
+        square = clamped * clamped
+        self._sum_sq = reduce(add, map(square.__mul__, counts), self._sum_sq)
         if clamped < self._min_seen:
             self._min_seen = clamped
         if clamped > self._max_seen:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.campaign.scenarios import run_cc_contrast
@@ -38,8 +38,8 @@ from repro.errors import ConfigurationError, NetworkError, RateModelError
 from repro.netsim.cc import (
     AI_MSS_PER_RTT, DCTCP_G, DELAY_SMOOTHING, DELAY_THRESHOLD,
     ECN_THRESHOLD_FRAC, EPOCH_S, INIT_CWND_BYTES, MD_FACTOR, MIN_CWND_BYTES,
-    MSS_BYTES, QUEUE_LIMIT_BYTES,
-    CcFlowState, CcRateModel, MaxMinRateModel,
+    MSS_BYTES, PARK_BACKLOG, QUEUE_LIMIT_BYTES, _IDLE_SIGNAL,
+    CcFlowState, CcRateModel, MaxMinRateModel, _EpochPlan,
 )
 from repro.netsim.fabric import FlowState, FlowTransfer, Network
 from repro.netsim.link import Link, QueueState
@@ -696,6 +696,223 @@ class TestQueueMatchesReference:
             now += gap
             steps.append(now)
         _advance_both(occupancy, offered_frac, steps)
+
+
+def _signal_hex(signal):
+    frac, dropped, delay = signal
+    return frac.hex(), dropped, delay.hex()
+
+
+def _park_and_replay(occupancy, observed, steps):
+    """Drive a queue the epoch plan's way next to a twin that closes
+    every tick; compare them at every tick and every barrier.
+
+    Both queues start with ``occupancy`` bytes and ``observed`` seconds
+    of idle history.  Each step is ``(gap, offered_frac, event)``: the
+    tick ``gap`` seconds after the last closes the epoch, then sets the
+    inflow to ``offered_frac`` of the link's capacity.  ``event``, if
+    any, comes halfway through the gap: ``"read"`` (a read barrier) or
+    a new bandwidth fraction for the link (a gray failure, or at 1.0
+    its repair), which integrates both queues up to it first.
+
+    The queue lives in an epoch plan of its own, which parks it while it
+    is idle, hands the tick the idle signal meanwhile, and replays it
+    when its inflow outgrows the link, at each barrier and at the end.
+    The twin calls ``close_epoch`` at every tick.  Their signals must
+    match at every tick, and every slot (by ``float.hex``) whenever the
+    queue is not parked.  Returns the number of ticks the queue spent
+    parked.
+    """
+    link = Link(Simulator(), "a", "b", bandwidth=12.5e6)
+    direction = link.forward
+    queue, twin = (QueueState(direction, QUEUE_LIMIT_BYTES, _K)
+                   for _ in range(2))
+    for q in (queue, twin):
+        q.occupancy = occupancy
+        if observed > 0.0:
+            q.observed_seconds = observed
+            q.depth_hist.record(0.0, observed)
+    plan = _EpochPlan(0, 0, {})          # no flows; one queue, by hand
+    plan.directions, plan.queues, plan.parked = [direction], [queue], [None]
+    plan.read_capacities(0)
+    capacity_version = 0
+
+    def same(where):
+        assert _queue_slots(queue) == _queue_slots(twin), where
+
+    last, parked_ticks = 0.0, 0
+    for gap, offered_frac, event in steps:
+        now = last + gap
+        if event is not None:
+            plan.catch_up(last)
+            same(("barrier", now))
+            if event != "read":
+                mid = last + gap / 2
+                queue.advance(mid)
+                twin.advance(mid)
+                if event == 1.0:
+                    link.restore()
+                else:
+                    link.degrade(bandwidth_frac=event)
+                capacity_version += 1
+                plan.read_capacities(capacity_version)
+        dt = now - last
+        last = now
+        if dt > 0.0:
+            plan.epochs.append(dt)
+        if plan.parked[0] is None:
+            signal = queue.close_epoch(now)
+        else:
+            signal = _IDLE_SIGNAL
+            parked_ticks += 1
+        assert _signal_hex(signal) == _signal_hex(twin.close_epoch(now)), now
+        offered = direction.capacity * offered_frac
+        plan.set_inflows([offered], now)
+        twin.offered = offered
+        if plan.parked[0] is None:
+            same(("tick", now))
+    plan.catch_up(last)
+    same("end")
+    return parked_ticks
+
+
+# Twelve ticks of a 1 ms clock from 0: eight epochs of
+# 0x1.0624dd2f1a9fcp-10 s, then 0x1.0624dd2f1aa00p-10 s.
+_MS_TICKS = [(0.001, 0.5, None)] * 12
+
+
+class TestParkedQueueReplaysExactly:
+    """A queue the epoch plan parks while idle and replays later ends
+    every epoch, barrier and run with the same bits as one closed at
+    every tick."""
+
+    def test_the_1ms_epochs_park_and_would_not_batch(self):
+        assert _park_and_replay(0.0, 1.0, _MS_TICKS) == 11
+        # Both epoch lengths occur, and after a second of history one
+        # record of their sum would round differently from one record
+        # per epoch: replaying them one by one is what keeps the bits.
+        now, epochs = 0.0, []
+        for _ in range(12):
+            epochs.append((now + 0.001) - now)
+            now += 0.001
+        assert {e.hex() for e in epochs} == {
+            "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1aa00p-10"}
+        one_by_one, batched = (
+            QueueState(Link(Simulator(), "a", "b", 12.5e6).forward,
+                       QUEUE_LIMIT_BYTES, _K).depth_hist for _ in range(2))
+        for hist in (one_by_one, batched):
+            hist.record(0.0, 1.0 + epochs[0])
+        one_by_one.record_each(0.0, epochs[1:])
+        batched.record(0.0, sum(epochs[1:]))
+        assert one_by_one.total.hex() != batched.total.hex()
+
+    @given(
+        occupancy=st.one_of(st.just(0.0), st.floats(0.0, QUEUE_LIMIT_BYTES)),
+        observed=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        steps=st.lists(st.tuples(
+            st.one_of(st.just(0.001), st.floats(0.0, 0.01)),
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-52, 1.5]),
+                      st.floats(0.0, 3.0)),
+            st.one_of(st.none(), st.just("read"),
+                      st.sampled_from([0.25, 0.5, 1.0])),
+        ), min_size=1, max_size=30),
+    )
+    @example(occupancy=0.0, observed=1.0, steps=_MS_TICKS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_queue_closed_every_tick(self, occupancy, observed,
+                                              steps):
+        _park_and_replay(occupancy, observed, steps)
+
+
+def _set_inflows_never_parking(plan, offered, now):
+    """``_EpochPlan.set_inflows`` without parking: every queue stays
+    live, so the tick closes each of them at every epoch."""
+    for queue, demand in zip(plan.queues, offered):
+        queue.offered = demand
+
+
+_READ_AT = 0.0205   # between two ticks; every flow is still active
+
+
+def _barrier_scenario(barrier):
+    """A fat_tree(4) DCTCP incast (8 senders into h0, plus h9->h14), run
+    to ``_READ_AT``; then ``barrier`` reads or moves the queues.
+
+    Returns every direction's queue slots right after the barrier, in
+    name order, the number of queues the plan had parked before it, and
+    what the barrier returned.  ``"backlog"`` instead runs one flow,
+    rate-capped below every link, past ``PARK_BACKLOG`` ticks and reads
+    through ``sync()``.  ``"rebuild"`` reads through ``sync()`` after a
+    plan rebuild that no churn solve came before: a flow that fails
+    while its path is resolved changes the active set (``_churn``)
+    without arming a solve.
+    """
+    sim = Simulator()
+    topo = fat_tree(4)
+    net = Network(sim, topo, path_service=EcmpRouting(sim, topo),
+                  rate_model=_cc("dctcp"))
+    model = net.rate_model
+    if barrier == "backlog":
+        net.transfer("h1", "h0", 2e6, flow_key="h1", rate_cap=1e6)
+        read_at, active = 1.5, 1
+    else:
+        for i in range(1, 9):
+            net.transfer(f"h{i}", "h0", 5e6, flow_key=f"h{i}")
+        net.transfer("h9", "h14", 5e6, flow_key="h9")
+        read_at, active = _READ_AT, 9
+    if barrier == "restore_link":
+        sim.schedule(0.0103, net.degrade_link, "h0", "p0-edge0", 0.5)
+    elif barrier == "rebuild":
+        def fail_to_resolve():
+            net.set_partition([["h15"]])
+            net.transfer("h14", "h15", 1e6, flow_key="h14")
+        sim.schedule(read_at - 0.001, fail_to_resolve)
+    sim.run(until=read_at)
+    assert net.active_flow_count == active
+    last_tick = model._last_tick
+    assert last_tick < sim.now
+    parked = sum(start is not None for start in model._plan.parked)
+    assert len(model._plan.epochs) <= PARK_BACKLOG
+    result = None
+    if barrier in ("sync", "backlog", "rebuild"):
+        net.sync()
+    elif barrier == "queue_metrics":
+        result = net.queue_metrics()
+    elif barrier == "degrade_link":
+        net.degrade_link("h0", "p0-edge0", bandwidth_frac=0.5)
+    elif barrier == "restore_link":
+        net.restore_link("h0", "p0-edge0")
+    else:
+        # A new flow's activation and the churn solve it arms, with no
+        # tick in between.
+        flow = net.transfer("h12", "h3", 1e6, flow_key="h12")
+        while flow.state is not FlowState.ACTIVE or net._solve_event:
+            sim.run(max_events=1)
+        assert model._last_tick == last_tick
+        result = flow.rate.hex()
+    directions = sorted(
+        (d for link in net.links() for d in (link.forward, link.reverse)),
+        key=lambda d: d.name)
+    return [_queue_slots(d.queue) for d in directions], parked, result
+
+
+class TestParkedQueuesAtReadBarriers:
+    """Each read barrier catches every parked queue up before it reads
+    or moves one, while flows are still active: right after it, every
+    direction's queue holds the floats of a run that never parks."""
+
+    @pytest.mark.parametrize("barrier", [
+        "sync", "queue_metrics", "degrade_link", "restore_link", "churn",
+        "rebuild", "backlog"])
+    def test_matches_a_run_that_never_parks(self, barrier, monkeypatch):
+        slots, parked, result = _barrier_scenario(barrier)
+        assert parked > 0
+        monkeypatch.setattr(_EpochPlan, "set_inflows",
+                            _set_inflows_never_parking)
+        never_slots, never_parked, never_result = _barrier_scenario(barrier)
+        assert never_parked == 0
+        assert result == never_result
+        assert slots == never_slots
 
 
 def _gray_incast(fault_at):

@@ -18,7 +18,8 @@ import pytest
 
 import repro.netsim.fairness as fairness
 from repro.netsim.fairness import (
-    connected_components, fill_components, fill_layouts, max_min_rates,
+    connected_components, fill_components, fill_layouts, fill_with_layouts,
+    max_min_rates,
 )
 
 
@@ -142,12 +143,13 @@ class TestPrebuiltLayout:
             flow_paths, capacities, rate_caps = _random_mesh(
                 seed, zero_cap_frac)
             components = connected_components(flow_paths)
-            layouts = fill_layouts(components, flow_paths)
+            layouts = fill_layouts(components, flow_paths, capacities)
             assert any(layout is not None for layout in layouts)
             built = fill_components(components, flow_paths, capacities,
                                     rate_caps)
-            reused = fill_components(components, flow_paths, capacities,
-                                     rate_caps, layouts)
+            caps = [rate_caps.get(flow, math.inf) for flow in flow_paths]
+            reused = fill_with_layouts(components, flow_paths, capacities,
+                                       caps, layouts)
             _assert_bit_identical(built, reused)
             scalar, _ = _solve_both_ways(flow_paths, capacities, rate_caps)
             _assert_bit_identical(scalar, reused)
@@ -157,8 +159,12 @@ class TestPrebuiltLayout:
         flow_paths.update({f"g{i}": ["b"] for i in range(
             fairness.VECTORIZE_MIN_FLOWS)})
         components = connected_components(flow_paths)
-        layouts = fill_layouts(components, flow_paths)
+        layouts = fill_layouts(components, flow_paths, {"a": 1.0, "b": 2.0})
         assert layouts[0] is None
         assert layouts[1].resources == ["b"]
         assert layouts[1].crossing.tolist() == [
             float(fairness.VECTORIZE_MIN_FLOWS)]
+        # The wide component's flows stand after the three narrow ones.
+        assert layouts[1].positions.tolist() == list(
+            range(3, 3 + fairness.VECTORIZE_MIN_FLOWS))
+        assert layouts[1].capacity.tolist() == [2.0]

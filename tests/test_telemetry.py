@@ -313,6 +313,26 @@ class TestRecordMatchesReference:
     def test_matches_reference(self, layout, samples):
         _record_both(layout, samples)
 
+    @given(
+        layout=st.sampled_from(_LAYOUTS),
+        history=st.floats(0.0, 1e6),
+        value=st.one_of(
+            st.floats(allow_nan=False),
+            st.sampled_from([0.0, 1e-4, 100.0, 1.0, 1e9, math.inf]),
+        ),
+        counts=st.lists(st.floats(5e-324, 1e6), max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_record_each_is_one_record_per_count(self, layout, history,
+                                                 value, counts):
+        each, oracle = LatencyHistogram(*layout), LatencyHistogram(*layout)
+        for histogram in (each, oracle):
+            histogram.record(2.0, history)
+        each.record_each(value, counts)
+        for count in counts:
+            _reference_record(oracle, value, count)
+        assert _fields(each) == _fields(oracle)
+
 
 class TestFormatTable:
     def test_renders_aligned_columns(self):
