@@ -7,6 +7,20 @@ finishes, or is rerouted, fair-share rates are recomputed with
 rescheduled.  Per-direction utilisation gauges and congestion counters
 feed the cross-layer experiments (C2/C3) directly.
 
+A flow sets itself up with three kernel callbacks of its own, not a
+process: :meth:`Network.transfer` queues :meth:`FlowTransfer._start`,
+which asks the path service for a route.  The route wakes
+:meth:`FlowTransfer._routed` -- on the event queue when it is already
+known, or as soon as a pending one (an SDN PacketIn) resolves -- which
+checks the path and queues :meth:`FlowTransfer._propagated` after the
+path's latency, or calls it inline on a zero-latency path; that
+activates the flow unless a link died or a partition landed meanwhile.
+These are the events a generator process per flow used to schedule (its
+start, its wakeup on the route, its propagation timeout) at the same
+times, priorities and sequence numbers, so a run is unchanged event for
+event.  Bound to the flow, each event's label names it in a budget
+snapshot (``FlowTransfer._propagated[flow7]``).
+
 The recompute is *incremental* by default: each churn event (activate,
 complete, fail, reroute) marks the link directions and flows it touched
 dirty, and the next solve only covers the affected bottleneck component
@@ -62,7 +76,7 @@ from repro.netsim.link import Link, LinkDirection
 from repro.netsim.routing import PathService, ShortestPathRouting, path_links
 from repro.netsim.topology import Topology
 from repro.sim.kernel import Event, Simulator
-from repro.sim.process import Signal, Timeout
+from repro.sim.process import Signal
 from repro.telemetry.series import Counter, TimeSeries
 from repro.trace.span import NULL_SPAN
 
@@ -84,7 +98,8 @@ class FlowTransfer(Signal):
 
     A flow is its own completion signal: it succeeds (``yield flow``
     resumes with ``None``) when the last byte arrives, or fails with a
-    :class:`~repro.errors.NetworkError`.
+    :class:`~repro.errors.NetworkError` (or with whatever error its path
+    service failed the route with).
     """
 
     _next_id = 0
@@ -142,6 +157,70 @@ class FlowTransfer(Signal):
         if duration is None or duration <= 0:
             return None
         return self.size / duration
+
+    # -- set-up ------------------------------------------------------------
+    # Three kernel callbacks, bound to the flow so that the kernel's
+    # labels for its events carry the flow's name.
+
+    def _start(self) -> None:
+        """First event (queued by :meth:`Network.transfer`): ask for a
+        path.  A resolved route wakes :meth:`_routed` on the event queue;
+        a pending one (an SDN PacketIn) calls it when it triggers."""
+        self.network.path_service.resolve(
+            self.src, self.dst, self.flow_key).add_done_callback(self._routed)
+
+    def _routed(self, route: Signal) -> None:
+        """Check the path, then wait out its latency, if any."""
+        network = self.network
+        if route.exception is not None:
+            # NoRouteError, or whatever else failed the path service:
+            # the flow's waiter sees it either way.
+            network._fail_flow(self, route.exception)
+            return
+        path = route.value
+        if (network._partition is not None
+                and network._partition_blocks(path)):
+            network._fail_flow(self, NoRouteError(
+                f"network partition blocks {self.src}->{self.dst}"
+            ))
+            return
+        try:
+            directions = network._directions_for(path)
+        except NetworkError as exc:
+            # Drop the traceback: its frames lead back to this one, which
+            # holds the flow, so the flow would sit in a cycle with it.
+            network._fail_flow(self, exc.with_traceback(None))
+            return
+        self.path = list(path)
+        self.directions = directions
+        # Propagation: the first byte takes the path's total latency.
+        total_latency = sum(d.latency for d in directions)
+        if total_latency > 0:
+            self.sim.schedule(total_latency, self._propagated)
+        else:
+            self._propagated()
+
+    def _propagated(self) -> None:
+        """The first byte arrived: activate unless the path broke."""
+        if self.state is not FlowState.PENDING:
+            return  # failed while propagating
+        network = self.network
+        # A link may have died -- or a partition landed -- during the
+        # propagation window.
+        dead = [d for d in self.directions if not d.link.up]
+        if dead:
+            network._fail_flow(self, NoRouteError(
+                f"link {dead[0].link.a}<->{dead[0].link.b} failed "
+                "while the flow was being established"
+            ))
+            return
+        if (network._partition is not None
+                and network._partition_blocks(self.path)):
+            network._fail_flow(self, NoRouteError(
+                f"network partition blocks {self.src}->{self.dst}"
+            ))
+            return
+        network._activate(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -389,48 +468,8 @@ class Network:
             self.sim, "net.flow", parent=parent, kind="net",
             attributes={"src": src, "dst": dst, "bytes": nbytes, "tag": tag},
         )
-        self.sim.process(self._run_flow(flow), name=f"flow{flow.flow_id}")
+        self.sim.schedule(0.0, flow._start)
         return flow
-
-    def _run_flow(self, flow: FlowTransfer):
-        try:
-            path = yield self.path_service.resolve(flow.src, flow.dst, flow.flow_key)
-        except NoRouteError as exc:
-            self._fail_flow(flow, exc)
-            return
-        if self._partition is not None and self._partition_blocks(path):
-            self._fail_flow(flow, NoRouteError(
-                f"network partition blocks {flow.src}->{flow.dst}"
-            ))
-            return
-        try:
-            directions = self._directions_for(path)
-        except NetworkError as exc:
-            self._fail_flow(flow, exc)
-            return
-        flow.path = list(path)
-        flow.directions = directions
-        # Propagation: the first byte takes the path's total latency.
-        total_latency = sum(d.latency for d in directions)
-        if total_latency > 0:
-            yield Timeout(self.sim, total_latency)
-        if flow.state is not FlowState.PENDING:
-            return  # failed while propagating
-        # A link may have died -- or a partition landed -- during the
-        # propagation window.
-        dead = [d for d in directions if not d.link.up]
-        if dead:
-            self._fail_flow(flow, NoRouteError(
-                f"link {dead[0].link.a}<->{dead[0].link.b} failed "
-                "while the flow was being established"
-            ))
-            return
-        if self._partition is not None and self._partition_blocks(flow.path):
-            self._fail_flow(flow, NoRouteError(
-                f"network partition blocks {flow.src}->{flow.dst}"
-            ))
-            return
-        self._activate(flow)
 
     def _directions_for(self, path: List[str]) -> List[LinkDirection]:
         directions = []
@@ -734,12 +773,15 @@ class Network:
             observer(flow)
         flow.succeed()
 
-    def _fail_flow(self, flow: FlowTransfer, exc: NetworkError) -> None:
+    def _fail_flow(self, flow: FlowTransfer, exc: Exception) -> None:
         if flow.state in (FlowState.DONE, FlowState.FAILED):
             return
         was_active = flow.state is FlowState.ACTIVE
         flow.state = FlowState.FAILED
-        self._detach(flow)
+        if was_active:
+            # A flow failing during set-up never joined the active set
+            # or its directions: there is nothing to detach.
+            self._detach(flow)
         self.flows_failed.add()
         flow.span.end("error", str(exc))
         for observer in self.flow_observers:

@@ -843,9 +843,9 @@ def _barrier_scenario(barrier):
     what the barrier returned.  ``"backlog"`` instead runs one flow,
     rate-capped below every link, past ``PARK_BACKLOG`` ticks and reads
     through ``sync()``.  ``"rebuild"`` reads through ``sync()`` after a
-    plan rebuild that no churn solve came before: a flow that fails
-    while its path is resolved changes the active set (``_churn``)
-    without arming a solve.
+    plan rebuild that no churn solve came before: a zero-byte loopback
+    flow activates and completes (``_churn`` moves twice) on no
+    direction, so the solve it arms has nothing to allocate.
     """
     sim = Simulator()
     topo = fat_tree(4)
@@ -863,11 +863,14 @@ def _barrier_scenario(barrier):
     if barrier == "restore_link":
         sim.schedule(0.0103, net.degrade_link, "h0", "p0-edge0", 0.5)
     elif barrier == "rebuild":
-        def fail_to_resolve():
-            net.set_partition([["h15"]])
-            net.transfer("h14", "h15", 1e6, flow_key="h14")
-        sim.schedule(read_at - 0.001, fail_to_resolve)
+        sim.run(until=read_at - 0.001)
+        plan, churn = model._plan, net._churn
+        loopback = net.transfer("h14", "h14", 0.0, flow_key="h14")
     sim.run(until=read_at)
+    if barrier == "rebuild":
+        assert loopback.state is FlowState.DONE
+        assert net._churn == churn + 2
+        assert model._plan is not plan and model._plan.churn == net._churn
     assert net.active_flow_count == active
     last_tick = model._last_tick
     assert last_tick < sim.now

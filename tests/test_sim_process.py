@@ -526,6 +526,35 @@ class TestRefcountReclamation:
             sim.run()
         assert leaked == Counter()
 
+    def test_transfer_storm_leaves_no_cycles(self, sim):
+        topo = single_switch([f"h{i}" for i in range(6)], bandwidth=100.0,
+                             latency=0.01)
+        net = Network(sim, topo)
+
+        def storm():
+            for i in range(12):
+                net.transfer(f"h{i % 6}", f"h{(i + 1) % 6}", 50.0 * (i % 3))
+            net.transfer("h2", "h2", 10.0)          # loopback: no latency
+            net.transfer("h0", "h5", 1e4)           # reset by the cut
+            sim.schedule(0.005, net.transfer, "h0", "h4", 10.0)
+            sim.schedule(0.01, net.fail_link, "h0", "sw0")  # mid-set-up
+            sim.schedule(0.02, net.transfer, "h0", "h3", 10.0)  # no route
+            sim.schedule(0.05, net.set_partition, [["h5"]])
+            sim.schedule(0.05, net.transfer, "h1", "h5", 10.0)  # refused
+            # A path over a link the router was not told is down.
+            sim.schedule(0.06, setattr, net.link("h1", "sw0"), "up", False)
+            sim.schedule(0.06, net.transfer, "h1", "h4", 10.0)
+
+        with cyclic_kernel_garbage() as leaked:
+            storm()
+            sim.run()
+            # Push the flows' callbacks out of the recent-event trace.
+            for _ in range(200):
+                sim.schedule(1.0, lambda: None)
+            sim.run()
+        assert (net.flows_completed.total, net.flows_failed.total) == (7, 11)
+        assert leaked == Counter()
+
     def test_cloud_leaves_no_cyclic_kernel_garbage(self):
         # A short REST deadline lets the guards' queue entries pop within
         # the run, so a lost race's objects become unreachable.
