@@ -14,16 +14,12 @@ the paper argues for are intrinsic, not scripted.
   HTTP clients with latency accounting.
 * :mod:`~repro.apps.mapreduce` -- a Hadoop-style job: splits, map tasks,
   an all-to-all shuffle over the fabric, reduce tasks.
-* :mod:`~repro.apps.threetier` -- the classic web -> app -> db service
-  chain with per-tier latency breakdown.
 """
 
 from repro.apps.http import HttpClientApp, HttpServerApp
 from repro.apps.mapreduce import MapReduceJob, MapReduceReport
-from repro.apps.threetier import ThreeTierService
 from repro.apps.traffic import (
     OnOffTrafficSource,
-    dc_flow_size,
     pareto_size,
     poisson_wait,
 )
@@ -34,8 +30,6 @@ __all__ = [
     "MapReduceJob",
     "MapReduceReport",
     "OnOffTrafficSource",
-    "ThreeTierService",
-    "dc_flow_size",
     "pareto_size",
     "poisson_wait",
 ]

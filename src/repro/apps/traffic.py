@@ -21,23 +21,8 @@ from typing import Callable, Optional
 from repro.load.arrivals import pareto_size, poisson_wait
 from repro.sim.kernel import Simulator
 from repro.sim.process import Timeout
-from repro.units import kib, mib
 
-__all__ = ["OnOffTrafficSource", "dc_flow_size", "pareto_size", "poisson_wait"]
-
-
-def dc_flow_size(rng: random.Random) -> int:
-    """The mice/elephants mix measured in DC traffic studies.
-
-    ~80% mice under 10 KB (queries, control), ~15% mid-size (KB-MB), and
-    ~5% elephants (backup/shuffle traffic, MBs to tens of MB).
-    """
-    roll = rng.random()
-    if roll < 0.80:
-        return int(rng.uniform(200, kib(10)))
-    if roll < 0.95:
-        return int(rng.uniform(kib(10), mib(1)))
-    return int(min(pareto_size(rng, alpha=1.1, minimum=mib(1)), mib(64)))
+__all__ = ["OnOffTrafficSource", "pareto_size", "poisson_wait"]
 
 
 class OnOffTrafficSource:

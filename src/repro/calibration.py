@@ -59,11 +59,6 @@ class TraceRecorder:
             self.network.flow_observers.append(self._observe)
             self._attached = True
 
-    def detach(self) -> None:
-        if self._attached:
-            self.network.flow_observers.remove(self._observe)
-            self._attached = False
-
     def _observe(self, flow: FlowTransfer) -> None:
         ok = flow.state is FlowState.DONE
         if not ok and not self.include_failed:

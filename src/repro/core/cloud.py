@@ -20,6 +20,7 @@ from typing import Dict, Optional
 from repro import trace
 from repro.core.config import PiCloudConfig, SimBudgetConfig
 from repro.errors import LeaseError, PiCloudError
+from repro.hardware.catalog import RASPBERRY_PI_MODEL_B_512
 from repro.hardware.machine import Machine
 from repro.hostos.kernelhost import HostKernel
 from repro.hostos.netstack import IpFabric
@@ -41,11 +42,16 @@ from repro.sim.process import AllOf, Signal
 from repro.sim.rng import RngRegistry
 from repro.telemetry import metrics as metrics_plane
 from repro.trace import Tracer
+from repro.units import usec
 from repro.virt.container import Container
 
 PIMASTER_NODE = "pimaster"
+# The head node is a 512 MB Model B.
+PIMASTER_SPEC = RASPBERRY_PI_MODEL_B_512
 # Static assignment for the head node, reserved out of the DHCP pool.
 PIMASTER_IP_SUFFIX = 1
+# Propagation latency of every cable in the fabric.
+LINK_LATENCY_S = usec(50)
 
 
 def run_until_triggered(
@@ -96,7 +102,7 @@ class PiCloud:
                 host_bandwidth=self.config.host_bandwidth,
                 uplink_bandwidth=self.config.uplink_bandwidth,
                 gateway_bandwidth=self.config.uplink_bandwidth,
-                latency=self.config.link_latency,
+                latency=LINK_LATENCY_S,
             )
             attach_point = "gateway"
         else:
@@ -105,14 +111,14 @@ class PiCloud:
                 hosts=self.node_names,
                 host_bandwidth=self.config.host_bandwidth,
                 fabric_bandwidth=self.config.uplink_bandwidth,
-                latency=self.config.link_latency,
+                latency=LINK_LATENCY_S,
             )
             attach_point = "core0"
         # The pimaster hangs off the gateway / a core switch.
         self.topology.add_host(PIMASTER_NODE)
         self.topology.connect(
             PIMASTER_NODE, attach_point,
-            self.config.uplink_bandwidth, self.config.link_latency,
+            self.config.uplink_bandwidth, LINK_LATENCY_S,
         )
 
         # -- routing / SDN ---------------------------------------------------
@@ -161,7 +167,7 @@ class PiCloud:
                     rack=f"rack{rack_index}", slot=slot,
                 )
         self.machines[PIMASTER_NODE] = Machine(
-            self.sim, self.config.pimaster_spec, PIMASTER_NODE, rack=None
+            self.sim, PIMASTER_SPEC, PIMASTER_NODE, rack=None
         )
 
         # Populated by boot():

@@ -20,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.hardware.catalog import (
-    RASPBERRY_PI_MODEL_B,
-    RASPBERRY_PI_MODEL_B_512,
-    SPEC_CATALOG,
-)
+from repro.hardware.catalog import RASPBERRY_PI_MODEL_B
 from repro.hardware.specs import MachineSpec
 from repro.sim.budget import SimBudgetConfig
-from repro.units import gbit_per_s, mbit_per_s, usec
+from repro.units import gbit_per_s, mbit_per_s
 
 ROUTING_MODES = (
     "shortest",             # static single shortest path (non-SDN baseline)
@@ -167,7 +163,6 @@ class PiCloudConfig:
     num_racks: int = 4
     pis_per_rack: int = 14
     machine_spec: MachineSpec = RASPBERRY_PI_MODEL_B
-    pimaster_spec: MachineSpec = RASPBERRY_PI_MODEL_B_512
 
     # -- network -------------------------------------------------------------
     topology: str = "multi-root-tree"
@@ -175,7 +170,6 @@ class PiCloudConfig:
     fat_tree_k: int = 4              # arity when topology == "fat-tree"
     host_bandwidth: float = mbit_per_s(100)
     uplink_bandwidth: float = gbit_per_s(1)
-    link_latency: float = usec(50)
     routing: str = "sdn-shortest"
     sdn_control_latency_s: float = 1e-3
     sdn_match_granularity: str = "pair"
@@ -244,16 +238,6 @@ class PiCloudConfig:
         return self.budget.run_budget()
 
     @classmethod
-    def paper_testbed(cls) -> "PiCloudConfig":
-        """The exact published deployment (also the default constructor)."""
-        return cls()
-
-    @classmethod
     def small(cls, racks: int = 2, pis: int = 3, **overrides) -> "PiCloudConfig":
         """A small cloud for tests and quick experiments."""
         return cls(num_racks=racks, pis_per_rack=pis, **overrides)
-
-    @classmethod
-    def with_spec(cls, spec_name: str, **overrides) -> "PiCloudConfig":
-        """Build around a named catalog spec (e.g. the 512 MB Model B)."""
-        return cls(machine_spec=SPEC_CATALOG[spec_name], **overrides)

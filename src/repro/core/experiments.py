@@ -4,9 +4,7 @@ The benchmark suite reproduces the paper's artefacts; this module packages
 the same scenario machinery as a public API, so downstream users can run
 parameterised studies without copying bench internals::
 
-    from repro.core.experiments import (
-        http_load_experiment, elephant_storm, chatty_pairs,
-    )
+    from repro.core.experiments import elephant_storm, chatty_pairs
 
 Each scenario takes a booted :class:`~repro.core.cloud.PiCloud`, drives
 it, and returns a plain-dict result row -- ready for tabulation.
@@ -18,7 +16,6 @@ import random
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.http import HttpClientApp, HttpServerApp
 from repro.apps.traffic import OnOffTrafficSource
 from repro.core.cloud import PiCloud, run_until_triggered
 from repro.errors import DeadlineExceeded, SimBudgetExceeded
@@ -89,43 +86,6 @@ def run_phase(
             deadline_s=float(sim_seconds),
         )
     return sim.now - started_sim
-
-
-def http_load_experiment(
-    cloud: PiCloud,
-    server_node: str,
-    client_node: str,
-    workers: int = 4,
-    duration_s: float = 30.0,
-    response_bytes: int = kib(16),
-    think_time_s: float = 0.1,
-    seed: int = 0,
-    name: str = "http-exp",
-    phase_wall_s: Optional[float] = DEFAULT_PHASE_WALL_S,
-) -> Dict[str, float]:
-    """Closed-loop HTTP against a freshly-spawned webserver container.
-
-    Returns completed count, error count and latency percentiles.  Each
-    phase (deploy, load) runs under a ``phase_wall_s`` wall-clock watchdog.
-    """
-    deploy = cloud.spawn("webserver", name=name, node_id=server_node)
-    run_phase(cloud, f"{name}:deploy", signal=deploy,
-              sim_seconds=86_400.0, wall_s=phase_wall_s)
-    record = deploy.value
-    server = HttpServerApp(cloud.container(name),
-                           default_response_bytes=response_bytes)
-    client = HttpClientApp(
-        cloud.kernels[client_node].netstack, record.ip,
-        response_bytes=response_bytes, rng=random.Random(seed),
-    )
-    run = client.run_closed_loop(workers=workers, duration_s=duration_s,
-                                 think_time_s=think_time_s)
-    run_phase(cloud, f"{name}:load", signal=run,
-              sim_seconds=duration_s * 20.0 + 3600.0, wall_s=phase_wall_s)
-    server.stop()
-    summary = run.value
-    summary["throughput_rps"] = summary["completed"] / duration_s
-    return summary
 
 
 def elephant_storm(

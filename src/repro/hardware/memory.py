@@ -97,9 +97,6 @@ class Memory:
         self.used_gauge.set(float(self.used))
         return nbytes
 
-    def allocation(self, label: str) -> int:
-        return self._allocations[label]
-
     def allocations(self) -> dict[str, int]:
         """Copy of the live allocation table (label -> bytes)."""
         return dict(self._allocations)

@@ -84,8 +84,3 @@ class StorageDevice:
             return nbytes
 
         return self.sim.process(run(), name=f"{self.owner}.storage.io")
-
-    def io_time(self, nbytes: int, write: bool = False) -> float:
-        """Uncontended service time for an I/O of ``nbytes`` (for planning)."""
-        bandwidth = self.spec.write_bytes_per_s if write else self.spec.read_bytes_per_s
-        return self.spec.access_latency_s + nbytes / bandwidth

@@ -83,23 +83,6 @@ class FileSystem:
         self.device.release(entry.size)
         del self._files[entry.path]
 
-    def truncate(self, path: str, new_size: int) -> None:
-        """Grow or shrink a file's on-disk footprint."""
-        entry = self.stat(path)
-        if new_size < 0:
-            raise ValueError("file size must be >= 0")
-        delta = new_size - entry.size
-        if delta > 0:
-            self.device.reserve(delta)
-        elif delta < 0:
-            self.device.release(-delta)
-        entry.size = new_size
-        entry.modified_at = self.sim.now
-
-    def usage(self) -> int:
-        """Total bytes of all files (== device reservation held by this FS)."""
-        return sum(e.size for e in self._files.values())
-
     def wipe(self) -> int:
         """Delete every file, releasing its device reservation.
 

@@ -78,17 +78,6 @@ class IpFabric:
         except KeyError:
             raise AddressError(f"no endpoint with IP {ip}") from None
 
-    def is_registered(self, ip: str) -> bool:
-        return ip in self._endpoints
-
-    def move(self, ip: str, new_stack: "NetStack", new_node_id: str) -> None:
-        """Re-home an address (live migration keeps the container's IP)."""
-        if ip not in self._endpoints:
-            raise AddressError(f"cannot move unknown IP {ip}")
-        if new_node_id not in self.network.topology.graph:
-            raise NetworkError(f"node {new_node_id!r} not in the fabric")
-        self._endpoints[ip] = _Endpoint(new_stack, new_node_id)
-
 
 class NetStack:
     """One host's (or container's) IP stack: bound addresses + port table."""

@@ -50,11 +50,6 @@ class ServiceProfile:
         if self.burst_rate <= 0:
             raise ConfigurationError("burst_rate must be > 0")
 
-    @property
-    def bytes_per_session_per_s(self) -> float:
-        """Offered downlink bytes/s of one active session."""
-        return self.requests_per_session_per_s * self.response_bytes
-
 
 @dataclass
 class Service:

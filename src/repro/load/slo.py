@@ -247,11 +247,6 @@ class SloTracker:
             )
         return self._peak_burn[window_s]
 
-    @property
-    def compliant(self) -> bool:
-        """True while the overall error rate is within the objective."""
-        return self.error_rate() <= self.objective.error_budget + 1e-12
-
     def merge(self, other: "SloTracker") -> "SloTracker":
         """Fold ``other`` (same objective) into this tracker, in place.
 

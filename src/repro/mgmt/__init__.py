@@ -38,7 +38,6 @@ from repro.mgmt.p2p import P2P_PORT, P2pAgent
 from repro.mgmt.pimaster import PiMaster
 from repro.mgmt.recovery import RecoveryManager, UnschedulableContainer
 from repro.mgmt.rest import RestClient, RestRequest, RestResponse, RestServer
-from repro.mgmt.rolling import RollingUpgrade, UpgradeReport
 
 __all__ = [
     "Autoscaler",
@@ -63,7 +62,5 @@ __all__ = [
     "RestRequest",
     "RestResponse",
     "RestServer",
-    "RollingUpgrade",
     "UnschedulableContainer",
-    "UpgradeReport",
 ]

@@ -238,10 +238,6 @@ class FailureDetector:
     def nodes_in(self, state: NodeHealth) -> List[str]:
         return sorted(n for n, s in self._states.items() if s is state)
 
-    def transition_context(self, node_id: str) -> Optional[SpanContext]:
-        """Trace context of the node's most recent health transition."""
-        return self._last_ctx.get(node_id)
-
     def add_listener(self, listener: TransitionListener) -> None:
         self._listeners.append(listener)
 

@@ -393,14 +393,17 @@ class PiMaster:
     def node_ids(self) -> list[str]:
         return sorted(self._nodes)
 
-    def daemon(self, node_id: str) -> NodeDaemon:
+    def _node(self, node_id: str) -> NodeRecord:
         try:
-            return self._nodes[node_id].daemon
+            return self._nodes[node_id]
         except KeyError:
             raise UnknownNodeError(f"unknown node {node_id!r}") from None
 
+    def daemon(self, node_id: str) -> NodeDaemon:
+        return self._node(node_id).daemon
+
     def node_ip(self, node_id: str) -> str:
-        return self._nodes[node_id].ip
+        return self._node(node_id).ip
 
     def container_record(self, name: str) -> ContainerRecord:
         try:

@@ -16,7 +16,7 @@ Models the paper's Fig. 2 network at flow level:
   services; the OpenFlow/SDN control plane lives in :mod:`repro.netsim.sdn`.
 """
 
-from repro.netsim.addresses import Ipv4Pool, MacAllocator
+from repro.netsim.addresses import Ipv4Pool
 from repro.netsim.cc import CcFlowState, CcRateModel, MaxMinRateModel, RateModel
 from repro.netsim.fabric import FlowTransfer, Network
 from repro.netsim.fairness import max_min_rates
@@ -37,7 +37,6 @@ __all__ = [
     "Ipv4Pool",
     "Link",
     "LinkDirection",
-    "MacAllocator",
     "MaxMinRateModel",
     "Network",
     "PathService",

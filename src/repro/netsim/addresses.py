@@ -1,8 +1,7 @@
-"""IPv4 and MAC address management.
+"""IPv4 address management.
 
 The pimaster's DHCP service (:mod:`repro.mgmt.dhcp`) allocates from an
-:class:`Ipv4Pool`; container veth interfaces get MACs from a
-:class:`MacAllocator`.  Built on the stdlib :mod:`ipaddress` module.
+:class:`Ipv4Pool`.  Built on the stdlib :mod:`ipaddress` module.
 """
 
 from __future__ import annotations
@@ -86,24 +85,3 @@ class Ipv4Pool:
         ):
             raise AddressError(f"{address} is the network/broadcast address")
         return addr
-
-
-class MacAllocator:
-    """Sequential locally-administered MAC addresses (02:xx:...)."""
-
-    def __init__(self, oui: str = "02:00:00") -> None:
-        parts = oui.split(":")
-        if len(parts) != 3 or not all(len(p) == 2 for p in parts):
-            raise AddressError(f"bad OUI {oui!r}; expected three octets")
-        self.oui = oui.lower()
-        self._next = 1
-
-    def allocate(self) -> str:
-        if self._next > 0xFFFFFF:
-            raise AddressError(f"MAC space under {self.oui} exhausted")
-        value = self._next
-        self._next += 1
-        return (
-            f"{self.oui}:{(value >> 16) & 0xFF:02x}"
-            f":{(value >> 8) & 0xFF:02x}:{value & 0xFF:02x}"
-        )

@@ -102,9 +102,6 @@ class FlowTable:
     def clear(self) -> None:
         self._entries.clear()
 
-    def entries(self) -> list[FlowEntry]:
-        self._expire()
-        return sorted(self._entries.values(), key=lambda e: e.match)
 
 
 class OpenFlowSwitch:

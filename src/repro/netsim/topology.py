@@ -111,12 +111,6 @@ class Topology:
         for a, b, data in self.graph.edges(data=True):
             yield a, b, data["spec"]
 
-    def edge_spec(self, a: str, b: str) -> EdgeSpec:
-        try:
-            return self.graph.edges[a, b]["spec"]
-        except KeyError:
-            raise NetworkError(f"no cable between {a!r} and {b!r}") from None
-
     def degree(self, node_id: str) -> int:
         return self.graph.degree[node_id]
 

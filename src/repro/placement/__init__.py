@@ -9,7 +9,7 @@ package is that experiment surface:
 
 * :mod:`~repro.placement.base` -- requests, node views, the policy protocol.
 * :mod:`~repro.placement.policies` -- first/best/worst fit, round robin,
-  random, lowest-load, and power-minimising packing.
+  lowest-load, and power-minimising packing.
 * :mod:`~repro.placement.network_aware` -- rack affinity / anti-affinity
   and uplink-congestion-aware placement.
 * :mod:`~repro.placement.consolidation` -- a runtime consolidator that
@@ -24,7 +24,6 @@ from repro.placement.policies import (
     FirstFit,
     LowestCpuLoad,
     PackingPlacement,
-    RandomFit,
     RoundRobin,
     WorstFit,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "PackingPlacement",
     "PlacementPolicy",
     "PlacementRequest",
-    "RandomFit",
     "RoundRobin",
     "WorstFit",
 ]

@@ -33,12 +33,9 @@ class NetworkAwarePlacement:
         self.locality_weight = locality_weight
         self.congestion_weight = congestion_weight
         self.packing_weight = packing_weight
-        # Injected view of rack uplink load (rack name -> [0, 1]); the
-        # pimaster refreshes this from the fabric before each placement.
+        # Injected view of rack uplink load (rack name -> [0, 1]), fixed
+        # at construction; the pimaster's node views carry live host load.
         self.rack_uplink_utilization = rack_uplink_utilization or {}
-
-    def update_rack_utilization(self, utilization: Dict[str, float]) -> None:
-        self.rack_uplink_utilization = dict(utilization)
 
     def _score(self, view: NodeView, request: PlacementRequest) -> float:
         score = 0.0

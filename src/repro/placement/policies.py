@@ -7,8 +7,7 @@ are enforced uniformly; the policy only expresses *preference*.
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.placement.base import NodeView, PlacementRequest, feasible
 
@@ -53,16 +52,6 @@ class RoundRobin:
         chosen = candidates[self._cursor % len(candidates)]
         self._cursor += 1
         return chosen.node_id
-
-
-class RandomFit:
-    """Uniform random feasible node (pass a seeded Random for determinism)."""
-
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self.rng = rng or random.Random(0)
-
-    def choose(self, request: PlacementRequest, nodes: Sequence[NodeView]) -> str:
-        return self.rng.choice(feasible(request, nodes)).node_id
 
 
 class LowestCpuLoad:

@@ -9,8 +9,7 @@ socket board" (§III).  This package provides:
   with exact (gauge-integral) energy accounting.
 * :mod:`~repro.power.cooling` -- the cooling overhead model ("reportedly
   accounts for 33% of the total power consumption in Cloud DCs").
-* :mod:`~repro.power.cost` -- capex/opex arithmetic and the Table I
-  generator.
+* :mod:`~repro.power.cost` -- the Table I generator.
 """
 
 from repro.power.bom import (
@@ -20,7 +19,7 @@ from repro.power.bom import (
     dc_tuned_variant,
 )
 from repro.power.cooling import CoolingModel
-from repro.power.cost import CostModel, TestbedCostRow, table1_rows
+from repro.power.cost import TestbedCostRow, table1_rows
 from repro.power.meter import CloudPowerMeter
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "RASPBERRY_PI_B_BOM",
     "dc_tuned_variant",
     "CoolingModel",
-    "CostModel",
     "TestbedCostRow",
     "table1_rows",
 ]

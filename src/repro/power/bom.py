@@ -124,14 +124,3 @@ def dc_tuned_variant(soc_cost_usd: float = 10.0) -> DcTunedEstimate:
         original_board_usd=original_board,
         tuned_board_usd=tuned_board,
     )
-
-
-def arm_license_cost_claim(units_sold: float = 8.7e9,
-                           share_of_market: float = 0.32) -> Dict[str, float]:
-    """§IV's ARM-economics facts: 8.7e9 chips in 2012, 32% of the market,
-    license cost per device below $0.10."""
-    return {
-        "units_sold_2012": units_sold,
-        "market_share": share_of_market,
-        "license_cost_ceiling_usd": 0.10,
-    }

@@ -1,4 +1,4 @@
-"""Capex/opex arithmetic and the Table I generator.
+"""The Table I generator.
 
 Table I of the paper compares a 56-machine commodity-x86 testbed against
 the 56-Pi PiCloud:
@@ -12,8 +12,7 @@ PiCloud  $1,960 (@$35)               196 W (@3.5 W)               No
 
 (The paper writes the power column as "W/h"; the figures are peak watts
 per machine times machine count.)  :func:`table1_rows` regenerates the
-table from the hardware catalog; :class:`CostModel` extends it with
-energy opex for total-cost-of-ownership sweeps.
+table from the hardware catalog.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ from dataclasses import dataclass
 
 from repro.hardware.catalog import COMMODITY_X86_SERVER, RASPBERRY_PI_MODEL_B
 from repro.hardware.specs import MachineSpec
-from repro.power.cooling import CoolingModel
-from repro.units import YEAR
-
-DEFAULT_ELECTRICITY_USD_PER_KWH = 0.12
 
 
 @dataclass(frozen=True)
@@ -72,49 +67,3 @@ def table1_rows(count: int = 56) -> list[TestbedCostRow]:
         cost_row("Testbed", COMMODITY_X86_SERVER, count),
         cost_row("PiCloud", RASPBERRY_PI_MODEL_B, count),
     ]
-
-
-class CostModel:
-    """Total cost of ownership: capex + powered-on opex (+ cooling)."""
-
-    def __init__(
-        self,
-        electricity_usd_per_kwh: float = DEFAULT_ELECTRICITY_USD_PER_KWH,
-        cooling: CoolingModel | None = None,
-    ) -> None:
-        if electricity_usd_per_kwh < 0:
-            raise ValueError("electricity price must be >= 0")
-        self.electricity_usd_per_kwh = electricity_usd_per_kwh
-        self.cooling = cooling or CoolingModel()
-
-    def energy_cost_usd(self, joules: float, needs_cooling: bool) -> float:
-        """Opex for measured IT energy, including cooling overhead."""
-        total_joules = self.cooling.total_watts(1.0, needs_cooling) * joules
-        return total_joules / 3.6e6 * self.electricity_usd_per_kwh
-
-    def annual_opex_usd(self, spec: MachineSpec, count: int,
-                        mean_utilization: float = 0.5) -> float:
-        """Steady-state yearly electricity bill for a testbed."""
-        it_watts = spec.power.watts_at(mean_utilization) * count
-        total = self.cooling.total_watts(it_watts, spec.power.needs_cooling)
-        kwh = total * YEAR / 3.6e6
-        return kwh * self.electricity_usd_per_kwh
-
-    def tco_usd(self, spec: MachineSpec, count: int, years: float,
-                mean_utilization: float = 0.5) -> float:
-        """Capex plus ``years`` of opex."""
-        return (
-            spec.unit_cost_usd * count
-            + self.annual_opex_usd(spec, count, mean_utilization) * years
-        )
-
-    def payback_analysis(self, count: int = 56, years: float = 3.0) -> dict[str, float]:
-        """x86-vs-Pi TCO comparison over a horizon (extends Table I)."""
-        x86 = self.tco_usd(COMMODITY_X86_SERVER, count, years)
-        pi = self.tco_usd(RASPBERRY_PI_MODEL_B, count, years)
-        return {
-            "x86_tco_usd": x86,
-            "picloud_tco_usd": pi,
-            "savings_usd": x86 - pi,
-            "ratio": x86 / pi if pi > 0 else float("inf"),
-        }

@@ -40,11 +40,6 @@ class CloudPowerMeter:
     ) -> float:
         return sum(m.power.energy_joules(start, end) for m in self.machines)
 
-    def energy_kwh(
-        self, start: Optional[float] = None, end: Optional[float] = None
-    ) -> float:
-        return self.energy_joules(start, end) / 3.6e6
-
     def mean_watts(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> float:

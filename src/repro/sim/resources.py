@@ -39,10 +39,6 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Signal:
         """Return a Signal that succeeds when a slot is granted."""
         grant = Signal(self.sim, name=f"acquire({self.name})")

@@ -37,7 +37,3 @@ class RngRegistry:
         """Derive a child registry (e.g. one per experiment repetition)."""
         digest = hashlib.sha256(f"{self.seed}/{suffix}".encode()).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))
-
-    def stream_names(self) -> list[str]:
-        """Names of streams created so far (for audit / debugging)."""
-        return sorted(self._streams)

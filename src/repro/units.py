@@ -49,16 +49,6 @@ def gib(n: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bit_per_s(n: float) -> float:
-    """Bits per second to bytes per second."""
-    return n / 8.0
-
-
-def kbit_per_s(n: float) -> float:
-    """Kilobits per second to bytes per second."""
-    return n * 1e3 / 8.0
-
-
 def mbit_per_s(n: float) -> float:
     """Megabits per second to bytes per second."""
     return n * 1e6 / 8.0
@@ -67,11 +57,6 @@ def mbit_per_s(n: float) -> float:
 def gbit_per_s(n: float) -> float:
     """Gigabits per second to bytes per second."""
     return n * 1e9 / 8.0
-
-
-def to_mbit_per_s(bytes_per_s: float) -> float:
-    """Bytes per second to megabits per second (for reporting)."""
-    return bytes_per_s * 8.0 / 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +92,6 @@ def mhz(n: float) -> float:
     return n * 1e6
 
 
-def ghz(n: float) -> float:
-    """Clock rate in GHz to cycles per second."""
-    return n * 1e9
-
-
 def mcycles(n: float) -> float:
     """Millions of cycles to cycles."""
     return n * 1e6
@@ -130,17 +110,3 @@ def fmt_bytes(n: float) -> str:
             return f"{value:.1f} {suffix}" if suffix != "B" else f"{int(value)} B"
         value /= 1024.0
     raise AssertionError("unreachable")
-
-
-def fmt_duration(seconds: float) -> str:
-    """Human-readable duration, e.g. ``fmt_duration(90) == '1m30.0s'``."""
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f}ms"
-    if seconds < MINUTE:
-        return f"{seconds:.1f}s"
-    if seconds < HOUR:
-        minutes, rest = divmod(seconds, MINUTE)
-        return f"{int(minutes)}m{rest:.1f}s"
-    hours, rest = divmod(seconds, HOUR)
-    minutes = rest / MINUTE
-    return f"{int(hours)}h{minutes:.0f}m"

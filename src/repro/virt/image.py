@@ -132,9 +132,3 @@ class ImageLibrary:
 
     def names(self) -> list[str]:
         return sorted(self._latest)
-
-    def versions(self, name: str) -> list[ContainerImage]:
-        return sorted(
-            (img for img in self._all.values() if img.name == name),
-            key=lambda img: img.version,
-        )

@@ -2,18 +2,18 @@
 
 The paper (§II-C) intends to adapt the libvirt framework but notes it is
 "currently not fully functional on the Pi platform", falling back to a
-bespoke REST API.  This adapter provides the libvirt *programming model*
--- connections, domains, define/create/suspend/resume/shutdown/undefine --
-as a thin veneer over :class:`~repro.virt.lxc.LxcRuntime`, so code written
-against libvirt idioms runs unchanged on the PiCloud model.
+bespoke REST API.  This adapter provides libvirt's *read side* -- a
+connection per host, its domains, and each domain's name, state and
+``info()`` -- as a thin veneer over :class:`~repro.virt.lxc.LxcRuntime`.
+The container lifecycle itself goes through the runtime or the node
+daemon's REST API, the paper's fallback.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import VirtualisationError
-from repro.sim.process import Signal
 from repro.virt.container import Container, ContainerState
 from repro.virt.lxc import LxcRuntime
 
@@ -40,39 +40,6 @@ class Domain:
 
     def name(self) -> str:
         return self._container.name
-
-    def UUIDString(self) -> str:
-        # Deterministic pseudo-UUID derived from host + name.
-        import hashlib
-
-        digest = hashlib.sha256(
-            f"{self._container.host_id}/{self._container.name}".encode()
-        ).hexdigest()
-        return (
-            f"{digest[:8]}-{digest[8:12]}-{digest[12:16]}-"
-            f"{digest[16:20]}-{digest[20:32]}"
-        )
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def create(self, ip: Optional[str] = None) -> Signal:
-        """Start the domain (libvirt's create == start for defined domains)."""
-        return self._connection.runtime.lxc_start(self._container, ip=ip)
-
-    def suspend(self) -> None:
-        self._connection.runtime.lxc_freeze(self._container)
-
-    def resume(self) -> None:
-        self._connection.runtime.lxc_unfreeze(self._container)
-
-    def shutdown(self) -> None:
-        self._connection.runtime.lxc_stop(self._container)
-
-    def undefine(self) -> None:
-        self._connection.runtime.lxc_destroy(self._container)
-
-    def isActive(self) -> bool:
-        return self._container.state in (ContainerState.RUNNING, ContainerState.FROZEN)
 
     # -- introspection --------------------------------------------------------------
 
@@ -114,45 +81,5 @@ class LibvirtConnection:
     def getURI(self) -> str:
         return f"lxc://{self.runtime.host_id}/"
 
-    def defineDomain(self, config: Dict[str, Any]) -> Signal:
-        """Define a domain from a config dict (libvirt defineXML analogue).
-
-        Required keys: ``name``, ``image`` (a ContainerImage).  Optional:
-        ``cpu_shares``, ``cpu_quota``, ``memory_limit_bytes``.
-        The Signal succeeds with a :class:`Domain`.
-        """
-        missing = {"name", "image"} - set(config)
-        if missing:
-            raise VirtualisationError(f"domain config missing keys: {sorted(missing)}")
-        create = self.runtime.lxc_create(
-            config["name"],
-            config["image"],
-            cpu_shares=config.get("cpu_shares", 1024),
-            cpu_quota=config.get("cpu_quota"),
-            memory_limit_bytes=config.get("memory_limit_bytes"),
-        )
-        wrapped = Signal(self.runtime.sim, name=f"defineDomain.{config['name']}")
-
-        def on_done(sig: Signal) -> None:
-            exc = sig.exception
-            if exc is not None:
-                wrapped.fail(exc)
-            else:
-                wrapped.succeed(Domain(self, sig.value))
-
-        create.add_done_callback(on_done)
-        return wrapped
-
-    def lookupByName(self, name: str) -> Domain:
-        return Domain(self, self.runtime.container(name))
-
     def listAllDomains(self) -> list[Domain]:
         return [Domain(self, c) for c in self.runtime.containers()]
-
-    def listDomainsID(self) -> list[int]:
-        """Numeric IDs of *active* domains (libvirt convention)."""
-        return [
-            index + 1
-            for index, container in enumerate(self.runtime.containers())
-            if container.state in (ContainerState.RUNNING, ContainerState.FROZEN)
-        ]

@@ -9,6 +9,7 @@ model rests on.
 """
 
 import dataclasses
+import importlib
 import subprocess
 import sys
 import warnings
@@ -58,9 +59,9 @@ EXPECTED_SURFACE = sorted([
 ])
 
 EXPECTED_CONFIG_FIELDS = [
-    "num_racks", "pis_per_rack", "machine_spec", "pimaster_spec",
+    "num_racks", "pis_per_rack", "machine_spec",
     "topology", "num_roots", "fat_tree_k", "host_bandwidth",
-    "uplink_bandwidth", "link_latency", "routing",
+    "uplink_bandwidth", "routing",
     "sdn_control_latency_s", "sdn_match_granularity", "congestion_threshold",
     "incremental_fairness", "structured_routing",
     "subnet", "dns_zone", "monitoring_interval_s", "start_monitoring",
@@ -69,12 +70,14 @@ EXPECTED_CONFIG_FIELDS = [
     "seed",
 ]
 
-# Fields 3.0.0 removed, by the config class that had them.  Each value
-# is now a module constant (docs/api.md, "Migrating from 2.x").
+# Fields 3.0.0 and 5.0.0 removed, by the config class that had them.
+# Each value is now a module constant (docs/api.md, "Migrating from 2.x"
+# and "Migrating from 4.x").
 REMOVED_FIELDS = {
     PiCloudConfig: [
         "instant_boot", "sdn_idle_timeout_s", "monitoring_idle_backoff",
         "monitoring_max_interval_s", "op_attempts", "op_backoff_s", "load",
+        "pimaster_spec", "link_latency",
     ],
     HealthConfig: [
         "evacuation_queue_limit", "evacuation_retry_budget",
@@ -91,6 +94,15 @@ REMOVED_FIELDS = {
 # Facade names 4.0.0 removed (docs/api.md, "Migrating from 3.x").
 REMOVED_NAMES = ["DiurnalArrivals"]
 
+# Modules and package exports 5.0.0 removed (docs/api.md, "Migrating
+# from 4.x").
+REMOVED_MODULES = ["repro.apps.threetier", "repro.mgmt.rolling"]
+REMOVED_EXPORTS = {
+    "repro.apps": ["ThreeTierService", "dc_flow_size"],
+    "repro.mgmt": ["RollingUpgrade", "UpgradeReport"],
+    "repro.power": ["CostModel"],
+}
+
 
 class TestFacadeSurface:
     def test_all_is_the_pinned_snapshot(self):
@@ -104,6 +116,18 @@ class TestFacadeSurface:
         for name in REMOVED_NAMES:
             with pytest.raises(AttributeError, match=name):
                 getattr(repro, name)
+
+    @pytest.mark.parametrize("module", REMOVED_MODULES)
+    def test_removed_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError, match=module):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("package", sorted(REMOVED_EXPORTS))
+    def test_removed_exports_are_gone(self, package):
+        package_module = importlib.import_module(package)
+        for name in REMOVED_EXPORTS[package]:
+            assert name not in package_module.__all__
+            assert not hasattr(package_module, name)
 
     def test_every_name_in_all_resolves(self):
         for name in repro.__all__:
@@ -195,13 +219,13 @@ class TestGroupedConfig:
         assert not hasattr(repro, "LoadConfig")
 
     def test_settable_value_count(self):
-        """36 settable values: PiCloudConfig's own plus its sub-configs'."""
+        """34 settable values: PiCloudConfig's own plus its sub-configs'."""
         subs = {"budget", "health", "trace", "rate_model"}
         own = [f for f in dataclasses.fields(PiCloudConfig)
                if f.name not in subs]
         nested = sum(len(dataclasses.fields(cls)) for cls in (
             SimBudgetConfig, HealthConfig, TraceConfig, RateModelConfig))
-        assert len(own) + nested == 36
+        assert len(own) + nested == 34
 
 
 # Each script writes its trace to argv[1] and prints its run metrics.

@@ -9,8 +9,6 @@ from repro.apps import (
     HttpServerApp,
     MapReduceJob,
     OnOffTrafficSource,
-    ThreeTierService,
-    dc_flow_size,
     pareto_size,
     poisson_wait,
 )
@@ -54,14 +52,6 @@ class TestTrafficPrimitives:
         sizes = [pareto_size(rng, alpha=1.2, minimum=1000.0) for _ in range(5000)]
         assert min(sizes) >= 1000.0
         assert max(sizes) > 20 * 1000.0  # the tail is really heavy
-
-    def test_dc_flow_size_mix(self):
-        rng = random.Random(3)
-        sizes = [dc_flow_size(rng) for _ in range(5000)]
-        mice = sum(1 for s in sizes if s < kib(10))
-        elephants = sum(1 for s in sizes if s >= mib(1))
-        assert 0.7 < mice / len(sizes) < 0.9
-        assert 0.01 < elephants / len(sizes) < 0.12
 
     def test_onoff_source_alternates(self):
         sim = Simulator()
@@ -183,29 +173,3 @@ class TestMapReduce:
     def test_validation(self, cloud):
         with pytest.raises(Exception):
             MapReduceJob([], input_bytes=mib(1))
-
-
-class TestThreeTier:
-    def test_request_traverses_all_tiers(self, cloud):
-        web = spawn(cloud, "webserver", "t3-web", node_id="pi-r0-n0")
-        app = spawn(cloud, "base", "t3-app", node_id="pi-r0-n1")
-        db = spawn(cloud, "database", "t3-db", node_id="pi-r1-n0")
-        service = ThreeTierService(web, app, db)
-        assert service.spans_racks()
-        client = HttpClientApp(
-            cloud.kernels["pi-r1-n2"].netstack,
-            service.entry_ip, service.entry_port,
-            rng=random.Random(12),
-        )
-        fetch = client.fetch("/page")
-        cloud.run_for(120.0)
-        assert fetch.triggered
-        breakdown = service.tier_latency_breakdown()
-        # Every tier saw the request; the web tier's span includes the others.
-        assert breakdown["db"] > 0
-        assert breakdown["app"] > breakdown["db"]
-        assert breakdown["web"] > breakdown["app"]
-        service.stop()
-        for name in ("t3-web", "t3-app", "t3-db"):
-            cloud.pimaster.destroy_container(name)
-            cloud.run_for(60.0)

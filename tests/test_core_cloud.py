@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PiCloud, PiCloudConfig
 from repro.errors import PiCloudError
-from repro.hardware import PowerState, RASPBERRY_PI_MODEL_B_512
+from repro.hardware import PowerState
 from repro.sim.process import Signal
 
 
@@ -17,16 +17,9 @@ class TestConfig:
         assert config.machine_spec.name == "raspberry-pi-model-b"
         assert config.topology == "multi-root-tree"
 
-    def test_paper_testbed_constructor(self):
-        assert PiCloudConfig.paper_testbed().node_count == 56
-
     def test_small_constructor(self):
         config = PiCloudConfig.small(racks=2, pis=3)
         assert config.node_count == 6
-
-    def test_with_spec(self):
-        config = PiCloudConfig.with_spec("raspberry-pi-model-b-512")
-        assert config.machine_spec is RASPBERRY_PI_MODEL_B_512
 
     def test_validation(self):
         with pytest.raises(PiCloudError):

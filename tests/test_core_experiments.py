@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core import PiCloud, PiCloudConfig
-from repro.core.experiments import (
-    chatty_pairs,
-    elephant_storm,
-    http_load_experiment,
-)
+from repro.core.experiments import chatty_pairs, elephant_storm
 
 
 @pytest.fixture
@@ -18,17 +14,6 @@ def cloud():
     cloud = PiCloud(config)
     cloud.boot()
     return cloud
-
-
-class TestHttpLoadExperiment:
-    def test_returns_summary_with_throughput(self, cloud):
-        summary = http_load_experiment(
-            cloud, server_node="pi-r0-n0", client_node="pi-r1-n0",
-            workers=2, duration_s=10.0,
-        )
-        assert summary["completed"] > 0
-        assert summary["throughput_rps"] == summary["completed"] / 10.0
-        assert summary["latency_p50"] > 0
 
 
 class TestElephantStorm:

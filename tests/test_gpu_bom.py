@@ -6,7 +6,6 @@ from repro.hardware import Machine, RASPBERRY_PI_MODEL_B, COMMODITY_X86_SERVER
 from repro.hardware.gpu import Gpu, GpuSpec, VIDEOCORE_IV
 from repro.power.bom import (
     RASPBERRY_PI_B_BOM,
-    arm_license_cost_claim,
     bom_total,
     dc_tuned_variant,
     most_expensive,
@@ -127,9 +126,3 @@ class TestBom:
             sum(v for k, v in blocks.items()
                 if k not in ("ARM core + caches", "interconnect + IO"))
         )
-
-    def test_arm_market_facts(self):
-        facts = arm_license_cost_claim()
-        assert facts["units_sold_2012"] == 8.7e9
-        assert facts["market_share"] == 0.32
-        assert facts["license_cost_ceiling_usd"] <= 0.10

@@ -172,7 +172,7 @@ class TestMemory:
         mem = Memory(sim, MemorySpec(mib(100)))
         mem.allocate("x", mib(10))
         mem.resize("x", mib(50))
-        assert mem.allocation("x") == mib(50)
+        assert mem.used == mib(50)
         mem.resize("x", mib(5))
         assert mem.used == mib(5)
 
@@ -258,11 +258,6 @@ class TestStorage:
         sim.run()
         assert device.bytes_read.total == 100
         assert device.bytes_written.total == 40
-
-    def test_io_time_planning_helper(self, sim):
-        device = self._device(sim, read_bw=100.0, write_bw=50.0, latency=1.0)
-        assert device.io_time(100) == pytest.approx(2.0)
-        assert device.io_time(100, write=True) == pytest.approx(3.0)
 
 
 class TestMachine:

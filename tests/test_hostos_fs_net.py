@@ -68,15 +68,7 @@ class TestFileSystem:
         fs.create("/a", 9_000)
         fs.delete("/a")
         fs.create("/b", 9_000)  # would fail if space leaked
-        assert fs.usage() == 9_000
-
-    def test_truncate_adjusts_reservation(self, fs):
-        fs.create("/f", 1000)
-        fs.truncate("/f", 5000)
-        assert fs.stat("/f").size == 5000
-        assert fs.device.used == 5000
-        fs.truncate("/f", 100)
-        assert fs.device.used == 100
+        assert fs.device.used == 9_000
 
     def test_timed_write_takes_bandwidth_time(self, sim, fs):
         done = fs.write("/data", 1000)
@@ -199,7 +191,8 @@ class TestNetStack:
         """Migration keeps the IP: the registry re-homes it."""
         _, fabric, stacks = make_ip_world(sim)
         stacks["h0"].bind_address("10.0.1.50")
-        fabric.move("10.0.1.50", stacks["h1"], "h1")
+        stacks["h0"].unbind_address("10.0.1.50")
+        stacks["h1"].bind_address("10.0.1.50")
         assert fabric.locate("10.0.1.50").node_id == "h1"
 
     def test_ephemeral_ports_unique(self, sim):

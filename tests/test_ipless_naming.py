@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.naming import CachedIpSender, FlatNameSender
 from repro.core import PiCloud, PiCloudConfig
-from repro.errors import NameError_
+from repro.errors import AddressError, NameError_
 
 
 @pytest.fixture
@@ -109,7 +109,8 @@ class TestMigrationReaddressing:
         assert updated.ip != old_ip
         assert cloud.pimaster.dns.resolve("svc") == updated.ip
         assert container.ip == updated.ip
-        assert not cloud.ip_fabric.is_registered(old_ip)
+        with pytest.raises(AddressError):
+            cloud.ip_fabric.locate(old_ip)
 
     def test_stale_cache_breaks_after_reassign(self, cloud):
         """The IP-full pain: cached peers fail until they re-resolve."""

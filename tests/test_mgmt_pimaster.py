@@ -7,7 +7,8 @@ import pytest
 pytestmark = pytest.mark.timeout(30)
 
 from repro.core import PiCloud, PiCloudConfig
-from repro.errors import ManagementError, NameError_, RestError
+from repro.errors import ManagementError, NameError_, RestError, UnknownNodeError
+from repro.mgmt.distribution import ImageDistributor
 from repro.mgmt.node_daemon import NODE_DAEMON_PORT
 from repro.placement import BestFit
 from repro.virt.container import ContainerState
@@ -150,6 +151,19 @@ class TestLifecycleViaPimaster:
         cloud.run_until_signal(destroy)
         assert isinstance(destroy.exception, NameError_)
         assert cloud.sim.now - start < 60.0
+
+
+class TestUnknownNode:
+    @pytest.mark.parametrize("lookup", ["daemon", "breaker", "node_ip"])
+    def test_lookup_raises_unknown_node_error(self, cloud, lookup):
+        with pytest.raises(UnknownNodeError, match="pi-r9-n9"):
+            getattr(cloud.pimaster, lookup)("pi-r9-n9")
+
+    def test_push_to_unknown_node_fails_as_management_error(self, cloud):
+        push = ImageDistributor(cloud.pimaster).distribute_unicast(
+            "base", nodes=["pi-r9-n9"])
+        cloud.run_for(1.0)
+        assert isinstance(push.exception, ManagementError)
 
 
 class TestDeadHeadNode:

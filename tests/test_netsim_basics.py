@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import AddressError, NetworkError
-from repro.netsim import Ipv4Pool, Link, MacAllocator, max_min_rates
+from repro.netsim import Ipv4Pool, Link, max_min_rates
 from repro.netsim.topology import (
     Topology,
     fat_tree,
@@ -72,21 +72,6 @@ class TestIpv4Pool:
         assert pool.capacity == 14
         pool.allocate()
         assert pool.assigned_count == 1
-
-
-class TestMacAllocator:
-    def test_sequential_unique(self):
-        alloc = MacAllocator()
-        macs = [alloc.allocate() for _ in range(300)]
-        assert len(set(macs)) == 300
-        assert macs[0] == "02:00:00:00:00:01"
-
-    def test_custom_oui(self):
-        assert MacAllocator("aa:bb:cc").allocate().startswith("aa:bb:cc:")
-
-    def test_bad_oui(self):
-        with pytest.raises(AddressError):
-            MacAllocator("nope")
 
 
 class TestMaxMinFairness:
@@ -288,12 +273,6 @@ class TestTopologyBuilders:
     def test_empty_topology_fails_validation(self):
         with pytest.raises(NetworkError, match="empty"):
             Topology().validate()
-
-    def test_edge_spec_lookup(self):
-        topo = single_switch(["h1"], bandwidth=1234.0)
-        assert topo.edge_spec("h1", "sw0").bandwidth == 1234.0
-        with pytest.raises(NetworkError):
-            topo.edge_spec("h1", "nope")
 
     def test_rack_host_names_shape(self):
         names = rack_host_names(4, 14)

@@ -77,7 +77,6 @@ class TestFlowTable:
         sim.schedule(5.0, lambda: None)
         sim.run()
         assert len(table) == 0
-        assert table.entries() == []
 
 
 class TestReactiveSetup:

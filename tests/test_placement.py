@@ -1,7 +1,5 @@
 """Unit tests for placement policies and the consolidation planner."""
 
-import random
-
 import pytest
 
 from repro.errors import PlacementError
@@ -13,7 +11,6 @@ from repro.placement import (
     NodeView,
     PackingPlacement,
     PlacementRequest,
-    RandomFit,
     RoundRobin,
     WorstFit,
 )
@@ -109,12 +106,6 @@ class TestClassicPolicies:
         chosen = [policy.choose(REQ, nodes) for _ in range(6)]
         assert chosen == ["a", "b", "c", "a", "b", "c"]
 
-    def test_random_fit_deterministic_with_seed(self):
-        nodes = [view("a"), view("b"), view("c")]
-        first = [RandomFit(random.Random(7)).choose(REQ, nodes) for _ in range(5)]
-        second = [RandomFit(random.Random(7)).choose(REQ, nodes) for _ in range(5)]
-        assert first == second
-
     def test_lowest_cpu_load(self):
         nodes = [view("a", load=0.9), view("b", load=0.1), view("c", load=0.5)]
         assert LowestCpuLoad().choose(REQ, nodes) == "b"
@@ -179,11 +170,6 @@ class TestNetworkAware:
     def test_no_feasible_raises(self):
         with pytest.raises(PlacementError):
             NetworkAwarePlacement().choose(REQ, [view("a", free=0)])
-
-    def test_update_rack_utilization(self):
-        policy = NetworkAwarePlacement()
-        policy.update_rack_utilization({"rack0": 0.7})
-        assert policy.rack_uplink_utilization == {"rack0": 0.7}
 
 
 class _FakeContainer:

@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.comparison import testbed_comparison
 from repro.hardware import COMMODITY_X86_SERVER, Machine, RASPBERRY_PI_MODEL_B
-from repro.power import CloudPowerMeter, CoolingModel, CostModel, table1_rows
+from repro.power import CloudPowerMeter, CoolingModel, table1_rows
 from repro.power.cost import cost_row
 from repro.sim import Simulator
-from repro.units import YEAR
 
 
 @pytest.fixture
@@ -46,7 +45,6 @@ class TestCloudPowerMeter:
         sim.schedule(100.0, lambda: None)
         sim.run()
         assert meter.energy_joules() == pytest.approx(2 * 2.5 * 100.0)
-        assert meter.energy_kwh() == pytest.approx(2 * 2.5 * 100.0 / 3.6e6)
 
     def test_mean_watts(self, sim):
         machines = pi_fleet(sim, count=1)
@@ -156,32 +154,3 @@ class TestComparison:
     def test_table_shape(self):
         table = testbed_comparison().table()
         assert [row["testbed"] for row in table] == ["Testbed", "PiCloud"]
-
-
-class TestCostModel:
-    def test_annual_opex_includes_cooling_only_for_x86(self):
-        model = CostModel(electricity_usd_per_kwh=0.10)
-        x86 = model.annual_opex_usd(COMMODITY_X86_SERVER, 1, mean_utilization=1.0)
-        # 180 W * 1.5 PUE = 270 W continuous.
-        expected = 270.0 * YEAR / 3.6e6 * 0.10
-        assert x86 == pytest.approx(expected)
-
-    def test_tco_combines_capex_and_opex(self):
-        model = CostModel()
-        tco = model.tco_usd(RASPBERRY_PI_MODEL_B, 56, years=1.0)
-        assert tco > 56 * 35.0  # capex plus something
-
-    def test_payback_analysis_favours_pi(self):
-        analysis = CostModel().payback_analysis(count=56, years=3.0)
-        assert analysis["savings_usd"] > 100_000
-        assert analysis["ratio"] > 10
-
-    def test_energy_cost(self):
-        model = CostModel(electricity_usd_per_kwh=0.12)
-        # 3.6 MJ == 1 kWh of IT load without cooling.
-        assert model.energy_cost_usd(3.6e6, needs_cooling=False) == pytest.approx(0.12)
-        assert model.energy_cost_usd(3.6e6, needs_cooling=True) == pytest.approx(0.18)
-
-    def test_price_validation(self):
-        with pytest.raises(ValueError):
-            CostModel(electricity_usd_per_kwh=-1.0)

