@@ -28,7 +28,7 @@ See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured record of every table and figure.
 """
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 # Lazy re-exports keep ``import repro`` cheap and avoid importing the
 # whole stack when callers only need one substrate package.

@@ -29,6 +29,8 @@ HTTP_PORT = 80
 # Service cost: base request parsing plus per-KiB response rendering.
 DEFAULT_BASE_CYCLES = mcycles(5)
 DEFAULT_CYCLES_PER_KIB = mcycles(0.5)
+# Size of one client GET on the wire.
+REQUEST_BYTES = 512
 
 
 class HttpServerApp:
@@ -38,8 +40,6 @@ class HttpServerApp:
         self,
         container: Container,
         port: int = HTTP_PORT,
-        base_cycles: float = DEFAULT_BASE_CYCLES,
-        cycles_per_kib: float = DEFAULT_CYCLES_PER_KIB,
         default_response_bytes: int = kib(16),
     ) -> None:
         if not container.is_running:
@@ -49,8 +49,6 @@ class HttpServerApp:
         self.container = container
         self.sim = container.runtime.sim
         self.port = port
-        self.base_cycles = base_cycles
-        self.cycles_per_kib = cycles_per_kib
         self.default_response_bytes = default_response_bytes
         self.requests_served = Counter(self.sim, f"{container.name}.http.requests")
         self.service_times = TimeSeries(f"{container.name}.http.service")
@@ -80,7 +78,7 @@ class HttpServerApp:
         start = self.sim.now
         request = message.payload or {}
         response_bytes = int(request.get("response_bytes", self.default_response_bytes))
-        cycles = self.base_cycles + self.cycles_per_kib * (response_bytes / kib(1))
+        cycles = DEFAULT_BASE_CYCLES + DEFAULT_CYCLES_PER_KIB * (response_bytes / kib(1))
         # CPU work inside the container (frozen/stopped container drops it).
         try:
             yield self.container.execute(cycles, name="http-request")
@@ -107,7 +105,6 @@ class HttpClientApp:
         netstack: NetStack,
         server_ip: str,
         server_port: int = HTTP_PORT,
-        request_bytes: int = 512,
         response_bytes: int = kib(16),
         rng: Optional[random.Random] = None,
         src_ip: Optional[str] = None,
@@ -116,7 +113,6 @@ class HttpClientApp:
         self.sim = netstack.sim
         self.server_ip = server_ip
         self.server_port = server_port
-        self.request_bytes = request_bytes
         self.response_bytes = response_bytes
         self.rng = rng or random.Random(0)
         self.src_ip = src_ip
@@ -140,7 +136,7 @@ class HttpClientApp:
                 yield self.netstack.send(
                     self.server_ip, self.server_port,
                     {"path": path, "response_bytes": self.response_bytes},
-                    size=self.request_bytes,
+                    size=REQUEST_BYTES,
                     src_ip=reply_ip, src_port=port, tag="http-request",
                 )
                 yield inbox.get()

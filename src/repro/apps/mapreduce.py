@@ -27,6 +27,8 @@ SHUFFLE_PORT = 7000
 # a 700 MHz ARM11 gives the paper's "compute-lite" workload profile.
 DEFAULT_MAP_CYCLES_PER_BYTE = 10.0
 DEFAULT_REDUCE_CYCLES_PER_BYTE = 8.0
+# Intermediate (shuffled) bytes per input byte.
+INTERMEDIATE_RATIO = 0.5
 
 
 @dataclass
@@ -64,9 +66,6 @@ class MapReduceJob:
         input_bytes: int,
         reducers: Optional[int] = None,
         split_bytes: int = mib(8),
-        map_cycles_per_byte: float = DEFAULT_MAP_CYCLES_PER_BYTE,
-        reduce_cycles_per_byte: float = DEFAULT_REDUCE_CYCLES_PER_BYTE,
-        intermediate_ratio: float = 0.5,
         shuffle_port: int = SHUFFLE_PORT,
     ) -> None:
         if not workers:
@@ -75,16 +74,11 @@ class MapReduceJob:
             raise PiCloudError("all MapReduce workers must be running containers")
         if input_bytes <= 0 or split_bytes <= 0:
             raise PiCloudError("input and split sizes must be positive")
-        if not (0.0 <= intermediate_ratio <= 2.0):
-            raise PiCloudError("intermediate_ratio out of range")
         self.workers = list(workers)
         self.sim = self.workers[0].runtime.sim
         self.input_bytes = input_bytes
         self.split_bytes = split_bytes
         self.reducer_count = min(reducers or len(self.workers), len(self.workers))
-        self.map_cycles_per_byte = map_cycles_per_byte
-        self.reduce_cycles_per_byte = reduce_cycles_per_byte
-        self.intermediate_ratio = intermediate_ratio
         self.shuffle_port = shuffle_port
         self.bytes_shuffled = Counter(self.sim, "mr.shuffled")
 
@@ -133,7 +127,7 @@ class MapReduceJob:
                 volume = sum(sizes)
                 if volume > 0:
                     maps.append(worker.execute(
-                        volume * self.map_cycles_per_byte, name="map-task"
+                        volume * DEFAULT_MAP_CYCLES_PER_BYTE, name="map-task"
                     ))
             if maps:
                 yield AllOf(self.sim, maps)
@@ -143,7 +137,7 @@ class MapReduceJob:
             phase_start = self.sim.now
             transfers = []
             for worker, sizes in zip(self.workers, assignments):
-                intermediate = sum(sizes) * self.intermediate_ratio
+                intermediate = sum(sizes) * INTERMEDIATE_RATIO
                 if intermediate <= 0:
                     continue
                 portion = intermediate / self.reducer_count
@@ -166,11 +160,11 @@ class MapReduceJob:
             # --- reduce phase ---------------------------------------------
             phase_start = self.sim.now
             reduce_volume = (
-                self.input_bytes * self.intermediate_ratio / self.reducer_count
+                self.input_bytes * INTERMEDIATE_RATIO / self.reducer_count
             )
             reduces = [
                 reducer.execute(
-                    reduce_volume * self.reduce_cycles_per_byte, name="reduce-task"
+                    reduce_volume * DEFAULT_REDUCE_CYCLES_PER_BYTE, name="reduce-task"
                 )
                 for reducer in reducers
             ]

@@ -103,20 +103,15 @@ class CachedIpSender(_SenderBase):
 class FlatNameSender(_SenderBase):
     """Resolve the current location on *every* send (IP-less routing)."""
 
-    def __init__(self, netstack: NetStack, dns: DnsServer,
-                 resolve_latency_s: float = DEFAULT_RESOLVE_LATENCY_S) -> None:
+    def __init__(self, netstack: NetStack, dns: DnsServer) -> None:
         super().__init__(netstack, dns)
-        if resolve_latency_s < 0:
-            raise ValueError("resolve latency must be >= 0")
-        self.resolve_latency_s = resolve_latency_s
         self.resolutions = 0
 
     def send(self, name: str, port: int, payload: Any, size: int) -> Signal:
         self.sent.add()
 
         def run():
-            if self.resolve_latency_s > 0:
-                yield Timeout(self.sim, self.resolve_latency_s)
+            yield Timeout(self.sim, DEFAULT_RESOLVE_LATENCY_S)
             try:
                 ip = self.dns.resolve(name)
             except NameError_:

@@ -29,6 +29,15 @@ from typing import Dict, List, Optional, Tuple
 from repro.netsim.fabric import FlowState, FlowTransfer, Network
 from repro.sim.process import Timeout
 
+# A capture keeps completed flows only; a failed flow carries no duration.
+RECORD_FAILED_FLOWS = False
+# Smallest flow (bytes) a fit keeps.
+MIN_FIT_SIZE = 1.0
+# Replayed arrival rate relative to the fitted one.
+REPLAY_RATE_SCALE = 1.0
+# Fabric tag of every replayed flow.
+REPLAY_TAG = "replay"
+
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -47,9 +56,8 @@ class FlowRecord:
 class TraceRecorder:
     """Subscribes to a fabric and captures completed flows."""
 
-    def __init__(self, network: Network, include_failed: bool = False) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.include_failed = include_failed
         self.records: List[FlowRecord] = []
         self._attached = False
         self.attach()
@@ -61,7 +69,7 @@ class TraceRecorder:
 
     def _observe(self, flow: FlowTransfer) -> None:
         ok = flow.state is FlowState.DONE
-        if not ok and not self.include_failed:
+        if not ok and not RECORD_FAILED_FLOWS:
             return
         self.records.append(FlowRecord(
             started_at=flow.requested_at,
@@ -116,10 +124,9 @@ class FittedWorkload:
     # -- fitting --------------------------------------------------------------
 
     @classmethod
-    def from_trace(cls, trace: TraceRecorder,
-                   min_size: float = 1.0) -> "FittedWorkload":
+    def from_trace(cls, trace: TraceRecorder) -> "FittedWorkload":
         """Fit sizes, rate and matrix to the recorder's capture."""
-        usable = [r for r in trace.records if r.ok and r.size >= min_size]
+        usable = [r for r in trace.records if r.ok and r.size >= MIN_FIT_SIZE]
         if len(usable) < 2:
             raise ValueError(f"need >= 2 usable flows, have {len(usable)}")
         span = trace.span_s or 1.0
@@ -157,8 +164,6 @@ class FittedWorkload:
         network: Network,
         duration_s: float,
         rng: Optional[random.Random] = None,
-        rate_scale: float = 1.0,
-        tag: str = "replay",
     ):
         """Drive ``network`` with fitted traffic for ``duration_s``.
 
@@ -169,7 +174,7 @@ class FittedWorkload:
         """
         rng = rng or random.Random(0)
         stats = {"launched": 0, "skipped": 0}
-        rate = self.arrival_rate_per_s * rate_scale
+        rate = self.arrival_rate_per_s * REPLAY_RATE_SCALE
 
         def run():
             deadline = network.sim.now + duration_s
@@ -180,7 +185,8 @@ class FittedWorkload:
                         or dst not in network.topology.graph):
                     stats["skipped"] += 1
                     continue
-                network.transfer(src, dst, self.sample_size(rng), tag=tag)
+                network.transfer(src, dst, self.sample_size(rng),
+                                 tag=REPLAY_TAG)
                 stats["launched"] += 1
 
         process = network.sim.process(run(), name="replay")

@@ -48,8 +48,6 @@ from repro.virt.container import Container
 PIMASTER_NODE = "pimaster"
 # The head node is a 512 MB Model B.
 PIMASTER_SPEC = RASPBERRY_PI_MODEL_B_512
-# Static assignment for the head node, reserved out of the DHCP pool.
-PIMASTER_IP_SUFFIX = 1
 # Propagation latency of every cable in the fabric.
 LINK_LATENCY_S = usec(50)
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.catalog import COMMODITY_X86_SERVER, RASPBERRY_PI_MODEL_B
-from repro.hardware.specs import MachineSpec
 from repro.power.cooling import CoolingModel
 from repro.power.cost import TestbedCostRow, cost_row
+from repro.power.meter import SOCKET_LIMIT_WATTS
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,11 @@ class TestbedComparison:
         return [self.x86.as_paper_row(), self.picloud.as_paper_row()]
 
 
-def testbed_comparison(
-    count: int = 56,
-    x86_spec: MachineSpec = COMMODITY_X86_SERVER,
-    pi_spec: MachineSpec = RASPBERRY_PI_MODEL_B,
-    cooling: CoolingModel | None = None,
-    socket_limit_watts: float = 2300.0,
-) -> TestbedComparison:
+def testbed_comparison(count: int = 56) -> TestbedComparison:
     """Build the comparison for ``count`` machines (paper: 56)."""
-    cooling = cooling or CoolingModel()
-    x86 = cost_row("Testbed", x86_spec, count)
-    pi = cost_row("PiCloud", pi_spec, count)
+    cooling = CoolingModel()
+    x86 = cost_row("Testbed", COMMODITY_X86_SERVER, count)
+    pi = cost_row("PiCloud", RASPBERRY_PI_MODEL_B, count)
     return TestbedComparison(
         x86=x86,
         picloud=pi,
@@ -54,5 +48,5 @@ def testbed_comparison(
         picloud_total_with_cooling_watts=cooling.total_watts(
             pi.total_watts, pi.needs_cooling
         ),
-        picloud_fits_single_socket=pi.total_watts <= socket_limit_watts,
+        picloud_fits_single_socket=pi.total_watts <= SOCKET_LIMIT_WATTS,
     )

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.hardware.catalog import RASPBERRY_PI_MODEL_B
 from repro.hardware.specs import MachineSpec
+from repro.netsim.sdn.controller import MATCH_GRANULARITIES
 from repro.sim.budget import SimBudgetConfig
 from repro.units import gbit_per_s, mbit_per_s
 
@@ -220,6 +221,11 @@ class PiCloudConfig:
         if self.routing not in ROUTING_MODES:
             raise ConfigurationError(
                 f"unknown routing {self.routing!r}; use one of {ROUTING_MODES}"
+            )
+        if self.sdn_match_granularity not in MATCH_GRANULARITIES:
+            raise ConfigurationError(
+                f"unknown sdn_match_granularity {self.sdn_match_granularity!r}; "
+                f"use one of {MATCH_GRANULARITIES}"
             )
         if self.topology == "fat-tree":
             capacity = self.fat_tree_k ** 3 // 4

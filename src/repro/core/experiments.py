@@ -27,6 +27,13 @@ from repro.units import kib, mib
 # tight enough that a non-terminating scenario fails in CI instead of
 # eating the job's whole time limit.
 DEFAULT_PHASE_WALL_S = 120.0
+# The C3 storm crosses from rack 0 to rack 1 under a day of simulated time.
+STORM_SRC_RACK = 0
+STORM_DST_RACK = 1
+STORM_SIM_DEADLINE_S = 24 * 3600.0
+# Mean ON and OFF period of a chatty pair's sender.
+CHATTY_ON_MEAN_S = 2.0
+CHATTY_OFF_MEAN_S = 0.5
 
 
 def run_phase(
@@ -92,10 +99,6 @@ def elephant_storm(
     cloud: PiCloud,
     flows: int = 6,
     size_bytes: float = mib(10),
-    src_rack: int = 0,
-    dst_rack: int = 1,
-    sim_deadline_s: float = 24 * 3600.0,
-    wall_s: Optional[float] = DEFAULT_PHASE_WALL_S,
 ) -> Dict[str, object]:
     """Parallel inter-rack elephants; returns completion time and paths.
 
@@ -105,8 +108,8 @@ def elephant_storm(
     finish raises :class:`DeadlineExceeded` instead of hanging.
     """
     racks = cloud.rack_inventory()
-    src_hosts = racks[f"rack{src_rack}"]
-    dst_hosts = racks[f"rack{dst_rack}"]
+    src_hosts = racks[f"rack{STORM_SRC_RACK}"]
+    dst_hosts = racks[f"rack{STORM_DST_RACK}"]
     transfers = []
     for index in range(flows):
         transfers.append(cloud.network.transfer(
@@ -129,7 +132,7 @@ def elephant_storm(
     for t in transfers:
         t.add_done_callback(on_flow_done)
     run_phase(cloud, "elephant-storm", signal=settled,
-              sim_seconds=sim_deadline_s, wall_s=wall_s)
+              sim_seconds=STORM_SIM_DEADLINE_S)
     failed = [t for t in transfers if not t.ok]
     completed = [t for t in transfers if t.ok]
     return {
@@ -148,8 +151,6 @@ def chatty_pairs(
     pairs: Sequence[tuple],
     message_bytes: int = kib(256),
     rate_per_s: float = 15.0,
-    on_mean_s: float = 2.0,
-    off_mean_s: float = 0.5,
     seed: int = 17,
     port: int = 9000,
 ) -> List[OnOffTrafficSource]:
@@ -170,6 +171,7 @@ def chatty_pairs(
 
         sources.append(OnOffTrafficSource(
             cloud.sim, rng, make_send(),
-            on_mean_s=on_mean_s, off_mean_s=off_mean_s, rate_per_s=rate_per_s,
+            on_mean_s=CHATTY_ON_MEAN_S, off_mean_s=CHATTY_OFF_MEAN_S,
+            rate_per_s=rate_per_s,
         ))
     return sources

@@ -27,7 +27,6 @@ class HostKernel:
         sim: Simulator,
         machine: Machine,
         ip_fabric: IpFabric,
-        node_id: Optional[str] = None,
     ) -> None:
         if not machine.is_on:
             raise PiCloudError(
@@ -36,7 +35,7 @@ class HostKernel:
             )
         self.sim = sim
         self.machine = machine
-        self.node_id = node_id or machine.machine_id
+        self.node_id = machine.machine_id
         self.scheduler = FairShareScheduler(sim, machine.cpu, owner=machine.machine_id)
         self.filesystem = FileSystem(sim, machine.storage, owner=machine.machine_id)
         self.netstack = NetStack(sim, ip_fabric, self.node_id, name=machine.machine_id)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import trace
 from repro.errors import ConfigurationError, LoadError, PiCloudError
@@ -221,9 +221,9 @@ class LoadEngine:
         proportion to ``Service.weight``.
     arrivals:
         The session arrival process.  A :class:`RegionalMixture` maps
-        its regions onto disjoint sets of client edge switches
-        (``regions=`` overrides the default round-robin split); any
-        other process drives a single global region.
+        its regions onto disjoint sets of client edge switches, split
+        round-robin (:func:`partition_regions`); any other process
+        drives a single global region.
     client_edges:
         Switches where sessions originate (default: every ToR/edge
         switch).  Clients sit *at* the edge, so the modelled path is
@@ -244,7 +244,6 @@ class LoadEngine:
         services: Sequence[Service],
         arrivals: ArrivalProcess,
         *,
-        regions: Optional[Mapping[str, Sequence[str]]] = None,
         client_edges: Optional[Sequence[str]] = None,
     ) -> None:
         if not services:
@@ -273,32 +272,7 @@ class LoadEngine:
             region_names = arrivals.region_names()
         else:
             region_names = [_GLOBAL_REGION]
-        if regions is not None:
-            unknown = set(regions) - set(region_names)
-            if unknown:
-                raise ConfigurationError(
-                    f"regions {sorted(unknown)} not in the arrival process "
-                    f"(has {region_names})"
-                )
-            missing = set(region_names) - set(regions)
-            if missing:
-                raise ConfigurationError(
-                    f"regions {sorted(missing)} have no edge assignment"
-                )
-            self.region_edges = {
-                name: sorted(regions[name]) for name in region_names
-            }
-            for name, assigned in self.region_edges.items():
-                bad = [e for e in assigned if e not in self._edge_index]
-                if bad:
-                    raise ConfigurationError(
-                        f"region {name!r} maps to unknown edges {bad}"
-                    )
-                if not assigned:
-                    raise ConfigurationError(f"region {name!r} has no edges")
-        else:
-            self.region_edges = partition_regions(self.client_edges,
-                                                  region_names)
+        self.region_edges = partition_regions(self.client_edges, region_names)
         self.regions = sorted(self.region_edges)
 
         # Seeded per-region arrival streams: adding a region or service

@@ -41,13 +41,9 @@ class DhcpServer:
         self,
         sim: Simulator,
         pool: Ipv4Pool,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     ) -> None:
-        if lease_ttl_s <= 0:
-            raise LeaseError("lease TTL must be positive")
         self.sim = sim
         self.pool = pool
-        self.lease_ttl_s = lease_ttl_s
         self._by_client: Dict[str, Lease] = {}
         self.leases_granted = 0
         self.leases_expired = 0
@@ -67,7 +63,7 @@ class DhcpServer:
         if existing is not None:
             self._reclaim(existing)
         ip = self.pool.allocate()  # raises AddressError when exhausted
-        ttl = ttl_s if ttl_s is not None else self.lease_ttl_s
+        ttl = ttl_s if ttl_s is not None else DEFAULT_LEASE_TTL_S
         lease = Lease(
             client_id=client_id,
             ip=ip,
@@ -84,7 +80,7 @@ class DhcpServer:
         lease = self._by_client.get(client_id)
         if lease is None or not lease.active(self.sim.now):
             raise LeaseError(f"no active lease for client {client_id!r}")
-        lease.expires_at = self.sim.now + self.lease_ttl_s
+        lease.expires_at = self.sim.now + DEFAULT_LEASE_TTL_S
         # The previously-scheduled expiry check will see the new deadline
         # and re-arm itself; no extra bookkeeping needed.
         return lease

@@ -56,10 +56,6 @@ class ImageService:
     def publish(self, image: ContainerImage) -> None:
         self.library.publish(image)
 
-    def patch(self, name: str, size_delta: int = 0) -> ContainerImage:
-        """Create the next version; nodes will re-pull on next spawn."""
-        return self.library.patch(name, size_delta)
-
     # -- distribution -------------------------------------------------------------
 
     def node_has(self, node_id: str, image: ContainerImage) -> bool:

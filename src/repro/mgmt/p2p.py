@@ -6,7 +6,7 @@ This module is that departure: no pimaster.  Every Pi runs a
 :class:`P2pAgent` that
 
 * maintains **membership** by anti-entropy gossip (heartbeat counters,
-  periodic exchange with ``fanout`` random peers, suspicion after
+  periodic exchange with ``FANOUT`` random peers, suspicion after
   ``suspect_timeout_s`` without heartbeat progress);
 * serves **decentralised placement**: a spawn request submitted to *any*
   agent is routed by consistent hashing of the container name over the
@@ -36,6 +36,8 @@ from repro.virt.image import ContainerImage
 from repro.virt.lxc import LxcRuntime
 
 P2P_PORT = 8700
+# Random peers each gossip round reaches.
+FANOUT = 2
 
 
 def ring_hash(key: str) -> int:
@@ -67,7 +69,6 @@ class P2pAgent:
         container_subnet: str,
         seeds: Optional[List[Tuple[str, str]]] = None,
         gossip_interval_s: float = 2.0,
-        fanout: int = 2,
         suspect_timeout_s: float = 10.0,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -77,7 +78,6 @@ class P2pAgent:
         self.node_id = kernel.node_id
         self.ip = kernel.netstack.primary_ip
         self.gossip_interval_s = gossip_interval_s
-        self.fanout = fanout
         self.suspect_timeout_s = suspect_timeout_s
         self.rng = rng or random.Random(ring_hash(self.node_id) & 0xFFFF)
         self.pool = Ipv4Pool(container_subnet)
@@ -148,7 +148,7 @@ class P2pAgent:
             me.updated_at = self.sim.now
             peers = [m for m in self.members.values() if m.node_id != self.node_id]
             self.rng.shuffle(peers)
-            for peer in peers[: self.fanout]:
+            for peer in peers[: FANOUT]:
                 try:
                     response = yield self.client.post(
                         peer.ip, P2P_PORT, "/p2p/gossip",

@@ -11,7 +11,7 @@ contain ``{param}`` segments.  A handler can be:
 * a generator (simulation process) yielding waitables and returning
   ``(status, body)`` -- for handlers that do timed work (CPU, disk, ...).
 
-The server charges ``request_cpu_cycles`` to its host per request,
+The server charges ``DEFAULT_REQUEST_CPU_CYCLES`` to its host per request,
 modelling REST parsing/serialisation cost on a 700 MHz ARM.
 """
 
@@ -106,14 +106,12 @@ class RestServer:
         kernel: HostKernel,
         port: int,
         name: str = "",
-        request_cpu_cycles: float = DEFAULT_REQUEST_CPU_CYCLES,
         ip: Optional[str] = None,
     ) -> None:
         self.kernel = kernel
         self.sim = kernel.sim
         self.port = port
         self.name = name or f"{kernel.node_id}:{port}"
-        self.request_cpu_cycles = request_cpu_cycles
         self._routes: list[Tuple[str, re.Pattern, Callable]] = []
         self.requests_served = 0
         self.requests_failed = 0
@@ -170,10 +168,9 @@ class RestServer:
             attributes={"server": self.name},
         )
         request.server_trace = span.context
-        if self.request_cpu_cycles > 0:
-            yield self.kernel.submit(
-                self.request_cpu_cycles, name=f"rest:{self.name}"
-            )
+        yield self.kernel.submit(
+            DEFAULT_REQUEST_CPU_CYCLES, name=f"rest:{self.name}"
+        )
         matched = self._match(request.method, request.path)
         if matched is None:
             response = RestResponse(404, {"error": f"no route {request.method} {request.path}"})

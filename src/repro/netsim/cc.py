@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 from repro.errors import RateModelError
 from repro.netsim.fairness import (
     connected_components, fill_components, fill_layouts, fill_with_layouts,
-    max_min_rates,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,10 +155,10 @@ class MaxMinRateModel(RateModel):
         for flow in flows:
             for direction in flow.directions:
                 capacities[direction] = direction.capacity
-        # validate=False: paths/capacities come straight from fabric
-        # state; re-walking them every solve is pure overhead.
-        return max_min_rates(flow_paths, capacities, network._rate_caps,
-                             validate=False)
+        # Paths and capacities come straight from fabric state, so the
+        # fill runs without max_min_rates' input checks.
+        return fill_components(connected_components(flow_paths), flow_paths,
+                               capacities, network._rate_caps)
 
 
 class CcFlowState:

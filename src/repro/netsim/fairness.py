@@ -380,7 +380,6 @@ def max_min_rates(
     flow_paths: Mapping[FlowId, Sequence[ResourceId]],
     capacities: Mapping[ResourceId, float],
     rate_caps: Mapping[FlowId, float] | None = None,
-    validate: bool = True,
 ) -> Dict[FlowId, float]:
     """Compute max-min fair rates.
 
@@ -402,24 +401,23 @@ def max_min_rates(
     """
     if rate_caps is None:
         rate_caps = {}
-    if validate:
-        # The fabric's solver skips this (validate=False): its inputs are
-        # built from link state it maintains itself, and re-walking every
-        # path per solve is measurable at 10^5 solves per run.
-        for resource, capacity in capacities.items():
-            if capacity <= 0:
+    # The fabric's solvers call fill_components directly: their inputs
+    # are built from link state they maintain themselves, and re-walking
+    # every path per solve is measurable at 10^5 solves per run.
+    for resource, capacity in capacities.items():
+        if capacity <= 0:
+            raise ConfigurationError(
+                f"resource {resource!r} capacity must be positive"
+            )
+    for flow, path in flow_paths.items():
+        for resource in path:
+            if resource not in capacities:
                 raise ConfigurationError(
-                    f"resource {resource!r} capacity must be positive"
+                    f"flow {flow!r} uses unknown resource {resource!r}"
                 )
-        for flow, path in flow_paths.items():
-            for resource in path:
-                if resource not in capacities:
-                    raise ConfigurationError(
-                        f"flow {flow!r} uses unknown resource {resource!r}"
-                    )
-            cap = rate_caps.get(flow)
-            if cap is not None and cap < 0:
-                raise ConfigurationError(f"flow {flow!r} has negative rate cap")
+        cap = rate_caps.get(flow)
+        if cap is not None and cap < 0:
+            raise ConfigurationError(f"flow {flow!r} has negative rate cap")
 
     return fill_components(connected_components(flow_paths), flow_paths,
                            capacities, rate_caps)

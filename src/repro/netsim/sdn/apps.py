@@ -27,6 +27,9 @@ from repro.netsim.routing import path_links
 from repro.sim.kernel import Simulator
 from repro.sim.process import Timeout
 
+# Longer-than-shortest alternatives the least-congested app also scores.
+EXTRA_PATHS = 2
+
 
 def congestion_score(direction) -> float:
     """How congested a directed link is, in [0, ~1]: the max of its
@@ -67,29 +70,25 @@ class EcmpHashApp:
 class LeastCongestedPathApp:
     """Global-view traffic engineering: pick the least-loaded candidate.
 
-    Considers all equal-cost shortest paths plus up to ``extra_paths``
+    Considers all equal-cost shortest paths plus up to ``EXTRA_PATHS``
     longer alternatives, scores each by the maximum current utilisation of
     its directed links (read live from the fabric), and picks the minimum.
     Requires ``controller.attach_network(...)`` to have been called.
     """
 
-    def __init__(self, extra_paths: int = 2) -> None:
-        self.extra_paths = extra_paths
-
     def compute_path(self, graph, src, dst, flow_key, controller):
         candidates = controller.paths.shortest_paths(src, dst)
-        if self.extra_paths > 0:
-            try:
-                longer = islice(
-                    nx.shortest_simple_paths(graph, src, dst),
-                    len(candidates) + self.extra_paths,
-                )
-                merged = {tuple(p) for p in candidates}
-                for path in longer:
-                    merged.add(tuple(path))
-                candidates = sorted([list(p) for p in merged], key=lambda p: (len(p), p))
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                raise NoRouteError(f"no path from {src!r} to {dst!r}") from None
+        try:
+            longer = islice(
+                nx.shortest_simple_paths(graph, src, dst),
+                len(candidates) + EXTRA_PATHS,
+            )
+            merged = {tuple(p) for p in candidates}
+            for path in longer:
+                merged.add(tuple(path))
+            candidates = sorted([list(p) for p in merged], key=lambda p: (len(p), p))
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            raise NoRouteError(f"no path from {src!r} to {dst!r}") from None
         network: Optional[Network] = controller.network
         if network is None:
             return candidates[0]

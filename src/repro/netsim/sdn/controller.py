@@ -25,7 +25,7 @@ from typing import Dict, Hashable, List, Protocol
 
 import networkx as nx
 
-from repro.errors import NoRouteError
+from repro.errors import ConfigurationError, NoRouteError
 from repro.netsim.routing import PathCache, path_links
 from repro.netsim.sdn.openflow import OpenFlowSwitch
 from repro.netsim.topology import Topology
@@ -35,6 +35,11 @@ from repro.units import msec
 
 DEFAULT_IDLE_TIMEOUT_S = 60.0
 DEFAULT_CONTROL_LATENCY_S = msec(1)
+# "pair": one rule covers all (src, dst) traffic -- cheap tables, but
+# every flow between a pair shares one path.  "flow": rules are per flow
+# key (5-tuple style) -- per-flow ECMP/TE works, at the cost of a
+# PacketIn per new flow.
+MATCH_GRANULARITIES = ("pair", "flow")
 
 
 class RoutingApp(Protocol):
@@ -136,20 +141,17 @@ class OpenFlowPathService:
         self,
         sim: Simulator,
         controller: SdnController,
-        idle_timeout: float = DEFAULT_IDLE_TIMEOUT_S,
         control_latency: float = DEFAULT_CONTROL_LATENCY_S,
         match_granularity: str = "pair",
     ) -> None:
-        if match_granularity not in ("pair", "flow"):
-            raise ValueError("match_granularity must be 'pair' or 'flow'")
+        if match_granularity not in MATCH_GRANULARITIES:
+            raise ConfigurationError(
+                f"unknown match granularity {match_granularity!r}; "
+                f"use one of {MATCH_GRANULARITIES}"
+            )
         self.sim = sim
         self.controller = controller
-        self.idle_timeout = idle_timeout
         self.control_latency = control_latency
-        # "pair": one rule covers all (src, dst) traffic -- cheap tables,
-        # but every flow between a pair shares one path.  "flow": rules
-        # are per flow key (5-tuple style) -- per-flow ECMP/TE works, at
-        # the cost of a PacketIn per new flow.
         self.match_granularity = match_granularity
         # Cache of the last installed path per match; validity is
         # re-checked against the switches' live tables on every use.
@@ -184,7 +186,8 @@ class OpenFlowPathService:
                 raise NoRouteError(f"no path from {src!r} to {dst!r}") from exc
             # FlowMods: controller -> switches (parallel, one latency).
             yield Timeout(self.sim, self.control_latency)
-            self.controller.install_path(path, self.idle_timeout, key=match[2])
+            self.controller.install_path(path, DEFAULT_IDLE_TIMEOUT_S,
+                                         key=match[2])
             self._installed_paths[match] = list(path)
             self.setups += 1
             return list(path)

@@ -163,7 +163,6 @@ def multi_root_tree(
     uplink_bandwidth: float = gbit_per_s(1),
     gateway_bandwidth: float = gbit_per_s(1),
     latency: float = usec(50),
-    include_gateway: bool = True,
 ) -> Topology:
     """The paper's canonical densely-interconnected multi-root tree (Fig. 2).
 
@@ -179,10 +178,9 @@ def multi_root_tree(
     roots = [f"agg{r}" for r in range(num_roots)]
     for root in roots:
         topo.add_switch(root, AGGREGATION, openflow=True)
-    if include_gateway:
-        topo.add_switch("gateway", GATEWAY)
-        for root in roots:
-            topo.connect(root, "gateway", gateway_bandwidth, latency)
+    topo.add_switch("gateway", GATEWAY)
+    for root in roots:
+        topo.connect(root, "gateway", gateway_bandwidth, latency)
     for rack_index, members in enumerate(rack_hosts):
         rack_name = f"rack{rack_index}"
         tor = f"tor{rack_index}"
@@ -251,9 +249,9 @@ def fat_tree(
     return topo
 
 
-def rack_host_names(num_racks: int, hosts_per_rack: int, prefix: str = "pi") -> list[list[str]]:
+def rack_host_names(num_racks: int, hosts_per_rack: int) -> list[list[str]]:
     """Generate the PiCloud's host naming: ``pi-r<rack>-n<slot>``."""
     return [
-        [f"{prefix}-r{r}-n{s}" for s in range(hosts_per_rack)]
+        [f"pi-r{r}-n{s}" for s in range(hosts_per_rack)]
         for r in range(num_racks)
     ]

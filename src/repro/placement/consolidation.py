@@ -19,7 +19,7 @@ modelling cautious vs. greedy consolidation (ablation experiment C2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro import trace
 from repro.sim.kernel import Simulator
@@ -81,8 +81,6 @@ class Consolidator:
         runtimes: Dict[str, LxcRuntime],
         aggressiveness: int = 1_000_000,
         power_off_empty: bool = False,
-        host_order: Optional[Sequence[str]] = None,
-        on_power_off: Optional[Callable[[str], None]] = None,
     ) -> None:
         if aggressiveness < 0:
             raise ValueError("aggressiveness must be >= 0")
@@ -90,8 +88,6 @@ class Consolidator:
         self.runtimes = dict(runtimes)
         self.aggressiveness = aggressiveness
         self.power_off_empty = power_off_empty
-        self.host_order = list(host_order) if host_order else sorted(runtimes)
-        self.on_power_off = on_power_off
         self.rounds_run = 0
 
     # -- planning ----------------------------------------------------------------
@@ -114,7 +110,7 @@ class Consolidator:
     def plan(self) -> Dict[str, str]:
         """Compute the target assignment without executing anything."""
         containers, free_if_empty = self._snapshot()
-        return plan_packing(containers, free_if_empty, self.host_order)
+        return plan_packing(containers, free_if_empty, sorted(self.runtimes))
 
     # -- execution ------------------------------------------------------------------
 
@@ -169,8 +165,6 @@ class Consolidator:
                     ):
                         machine.shutdown()
                         report.hosts_powered_off.append(host)
-                        if self.on_power_off is not None:
-                            self.on_power_off(host)
             span.set_attribute("executed", report.executed_migrations)
             span.set_attribute("failed", report.failed_migrations)
             span.end("ok" if report.failed_migrations == 0 else "error")

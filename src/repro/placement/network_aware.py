@@ -7,48 +7,39 @@ congestion" (§IV).  This policy looks at the network when placing:
 * **locality** -- place near a named peer (same rack) so their traffic
   stays on the ToR instead of crossing the aggregation layer;
 * **congestion** -- among otherwise-equal candidates, avoid hosts whose
-  access links (and racks whose uplinks) are already hot.
+  access links are already hot (the node views' ``uplink_utilization``).
 
-The score is a weighted sum, lowest wins; weights are constructor knobs
-so experiments can sweep the locality/congestion trade-off.
+The score is a weighted sum, lowest wins.  The congestion weight is a
+constructor argument, so experiments can sweep the locality/congestion
+trade-off; the locality and packing weights are module constants.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 from repro.placement.base import NodeView, PlacementRequest, feasible
+
+# Score added for a candidate outside the requested rack.
+LOCALITY_WEIGHT = 1.0
+# Weight of a candidate's free-memory fraction, so ties do not fragment
+# memory.
+PACKING_WEIGHT = 0.1
 
 
 class NetworkAwarePlacement:
     """Prefer rack locality and cold links; fall back to best fit."""
 
-    def __init__(
-        self,
-        locality_weight: float = 1.0,
-        congestion_weight: float = 1.0,
-        packing_weight: float = 0.1,
-        rack_uplink_utilization: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.locality_weight = locality_weight
+    def __init__(self, congestion_weight: float = 1.0) -> None:
         self.congestion_weight = congestion_weight
-        self.packing_weight = packing_weight
-        # Injected view of rack uplink load (rack name -> [0, 1]), fixed
-        # at construction; the pimaster's node views carry live host load.
-        self.rack_uplink_utilization = rack_uplink_utilization or {}
 
     def _score(self, view: NodeView, request: PlacementRequest) -> float:
         score = 0.0
         if request.same_rack_as is not None and view.rack != request.same_rack_as:
-            score += self.locality_weight
+            score += LOCALITY_WEIGHT
         score += self.congestion_weight * view.uplink_utilization
-        if view.rack is not None:
-            score += self.congestion_weight * self.rack_uplink_utilization.get(
-                view.rack, 0.0
-            )
-        # Mild packing pressure so ties do not fragment memory.
         if view.memory_capacity > 0:
-            score += self.packing_weight * (
+            score += PACKING_WEIGHT * (
                 view.memory_available / view.memory_capacity
             )
         return score

@@ -65,6 +65,8 @@ MULTIMEDIA_BLOCKS = (
 )
 
 EXTRA_ETHERNET_PHY_USD = 1.50
+# The BCM2835's estimated unit price.
+SOC_COST_USD = 10.0
 
 
 def bom_total(components: List[BomComponent]) -> float:
@@ -75,13 +77,13 @@ def most_expensive(components: List[BomComponent]) -> BomComponent:
     return max(components, key=lambda component: component.cost_usd)
 
 
-def soc_block_costs(soc_cost_usd: float = 10.0) -> Dict[str, float]:
+def soc_block_costs() -> Dict[str, float]:
     """Dollar cost of each SoC block under the die-area proxy."""
     total_fraction = sum(SOC_BLOCK_FRACTIONS.values())
     if abs(total_fraction - 1.0) > 1e-9:
         raise AssertionError("SoC block fractions must sum to 1")
     return {
-        block: soc_cost_usd * fraction
+        block: SOC_COST_USD * fraction
         for block, fraction in SOC_BLOCK_FRACTIONS.items()
     }
 
@@ -106,18 +108,18 @@ class DcTunedEstimate:
         return self.board_saving_usd / self.original_board_usd
 
 
-def dc_tuned_variant(soc_cost_usd: float = 10.0) -> DcTunedEstimate:
+def dc_tuned_variant() -> DcTunedEstimate:
     """Price the §IV proposal: drop the multimedia blocks, add a PHY."""
-    blocks = soc_block_costs(soc_cost_usd)
+    blocks = soc_block_costs()
     savings = sum(blocks[name] for name in MULTIMEDIA_BLOCKS)
-    tuned_soc = soc_cost_usd - savings + EXTRA_ETHERNET_PHY_USD
+    tuned_soc = SOC_COST_USD - savings + EXTRA_ETHERNET_PHY_USD
     original_board = bom_total(RASPBERRY_PI_B_BOM)
     # Board level: swap the SoC, drop the HDMI/display connectors share
     # (half of the connector line), keep everything else.
     connector_saving = 1.5
-    tuned_board = original_board - (soc_cost_usd - tuned_soc) - connector_saving
+    tuned_board = original_board - (SOC_COST_USD - tuned_soc) - connector_saving
     return DcTunedEstimate(
-        original_soc_usd=soc_cost_usd,
+        original_soc_usd=SOC_COST_USD,
         multimedia_savings_usd=savings,
         extra_phy_usd=EXTRA_ETHERNET_PHY_USD,
         tuned_soc_usd=tuned_soc,

@@ -12,6 +12,9 @@ from typing import Iterable, Optional
 
 from repro.hardware.machine import Machine
 
+# One 10 A / 230 V socket board.
+SOCKET_LIMIT_WATTS = 2300.0
+
 
 class CloudPowerMeter:
     """One socket board: every machine plugged into it."""
@@ -51,10 +54,10 @@ class CloudPowerMeter:
         """Nameplate worst case: every machine flat out."""
         return sum(m.spec.power.peak_watts for m in self.machines)
 
-    def fits_single_socket(self, socket_limit_watts: float = 2300.0) -> bool:
+    def fits_single_socket(self) -> bool:
         """Can the whole cloud run from one 10 A / 230 V socket board?
 
         The paper's claim for the 56-Pi cloud; trivially false for the
         x86 comparison testbed.
         """
-        return self.peak_possible_watts() <= socket_limit_watts
+        return self.peak_possible_watts() <= SOCKET_LIMIT_WATTS

@@ -24,10 +24,6 @@ KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
 
-KB = 1000
-MB = 1000 * KB
-GB = 1000 * MB
-
 
 def kib(n: float) -> int:
     """Kibibytes to bytes."""
@@ -65,11 +61,6 @@ def gbit_per_s(n: float) -> float:
 
 US = 1e-6
 MS = 1e-3
-SECOND = 1.0
-MINUTE = 60.0
-HOUR = 3600.0
-DAY = 24 * HOUR
-YEAR = 365 * DAY
 
 
 def usec(n: float) -> float:

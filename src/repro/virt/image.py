@@ -4,12 +4,12 @@ An image is a rootfs blob plus runtime characteristics: how much RSS the
 container occupies when idle (the paper measures ~30 MB), and a label for
 the application class it runs (the Fig. 3 stack shows web server,
 database and Hadoop containers).  The pimaster's image-management tools
-(upgrade, patch, spawn -- §II-A) operate on these.
+(§II-A) publish new versions of these and spawn containers from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import ImageError
@@ -38,13 +38,6 @@ class ContainerImage:
     @property
     def qualified_name(self) -> str:
         return f"{self.name}:v{self.version}"
-
-    def patched(self, size_delta: int = 0) -> "ContainerImage":
-        """Produce the next version (pimaster's patch/upgrade tooling)."""
-        new_size = self.rootfs_bytes + size_delta
-        if new_size <= 0:
-            raise ImageError(f"patch would shrink {self.name!r} to {new_size} bytes")
-        return replace(self, version=self.version + 1, rootfs_bytes=new_size)
 
 
 # The application classes named in the paper (Fig. 3 and §IV).
@@ -123,12 +116,6 @@ class ImageLibrary:
         except KeyError:
             known = ", ".join(sorted(self._latest))
             raise ImageError(f"no image {name!r}; library has: {known}") from None
-
-    def patch(self, name: str, size_delta: int = 0) -> ContainerImage:
-        """Create and publish the next version of ``name``."""
-        new_image = self.get(name).patched(size_delta)
-        self.publish(new_image)
-        return new_image
 
     def names(self) -> list[str]:
         return sorted(self._latest)

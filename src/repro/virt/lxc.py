@@ -27,10 +27,9 @@ LXC_ROOT = "/var/lib/lxc"
 class LxcRuntime:
     """One host's container runtime."""
 
-    def __init__(self, kernel: HostKernel, start_delay_s: float = DEFAULT_START_DELAY_S) -> None:
+    def __init__(self, kernel: HostKernel) -> None:
         self.kernel = kernel
         self.sim = kernel.sim
-        self.start_delay_s = start_delay_s
         self._containers: Dict[str, Container] = {}
         self.containers_created = 0
         self.containers_started = 0
@@ -150,7 +149,7 @@ class LxcRuntime:
         container.memory_bytes = container.image.idle_memory_bytes
 
         def run():
-            yield Timeout(self.sim, self.start_delay_s)
+            yield Timeout(self.sim, DEFAULT_START_DELAY_S)
             if container.state is not ContainerState.DEFINED:
                 span.end("error", "state changed during start")
                 raise ContainerStateError(

@@ -9,7 +9,7 @@ algorithm (as in Xen/QEMU):
 2. Repeat: copy only the pages dirtied during the previous round.  Rounds
    shrink geometrically while the achieved bandwidth exceeds the dirty
    rate.
-3. When the residual set is small enough (or ``max_rounds`` is hit),
+3. When the residual set is small enough (or ``DEFAULT_MAX_ROUNDS`` is hit),
    freeze the container, copy the last residue (**downtime**), move the
    IP, and resume on the destination.
 
@@ -57,8 +57,6 @@ class MigrationReport:
 def live_migrate(
     container: Container,
     destination: LxcRuntime,
-    stop_threshold_bytes: float = DEFAULT_STOP_THRESHOLD,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
     parent=None,
 ) -> Signal:
     """Start a live migration; the Signal succeeds with a MigrationReport.
@@ -84,9 +82,6 @@ def live_migrate(
         return Signal(sim).fail(MigrationError(
             f"container {container.name!r} is already on {destination.host_id}"
         ))
-    if max_rounds < 1:
-        span.end("error", "max_rounds must be >= 1")
-        return Signal(sim).fail(MigrationError("max_rounds must be >= 1"))
 
     network = source.kernel.netstack.fabric.network
     src_node = source.kernel.netstack.node_id
@@ -135,10 +130,10 @@ def live_migrate(
                 report.total_bytes += to_copy
                 round_time = sim.now - round_start
                 dirtied = container.dirty_rate * round_time
-                if dirtied <= stop_threshold_bytes:
+                if dirtied <= DEFAULT_STOP_THRESHOLD:
                     to_copy = dirtied
                     break
-                if report.rounds >= max_rounds:
+                if report.rounds >= DEFAULT_MAX_ROUNDS:
                     report.converged = False
                     to_copy = dirtied
                     break

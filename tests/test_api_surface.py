@@ -202,6 +202,11 @@ class TestGroupedConfig:
             PiCloudConfig.small(budget=SimBudgetConfig(max_events=0))
         assert issubclass(ConfigurationError, ValueError)
 
+    @pytest.mark.parametrize("routing", ["shortest", "sdn-shortest"])
+    def test_unknown_match_granularity_is_rejected(self, routing):
+        with pytest.raises(ConfigurationError, match="sdn_match_granularity"):
+            PiCloudConfig.small(routing=routing, sdn_match_granularity="bogus")
+
     def test_fields_are_the_pinned_snapshot(self):
         """Budget, health and trace knobs exist only in their sub-configs."""
         names = [f.name for f in dataclasses.fields(PiCloudConfig)]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import calibration
 from repro.calibration import (
     FittedWorkload,
     TraceRecorder,
@@ -58,8 +59,9 @@ class TestTraceRecorder:
         sim.run()
         assert len(recorder) == 0
 
-    def test_failed_flows_included_on_request(self, sim, net):
-        recorder = TraceRecorder(net, include_failed=True)
+    def test_failed_flows_included_on_request(self, sim, net, monkeypatch):
+        monkeypatch.setattr(calibration, "RECORD_FAILED_FLOWS", True)
+        recorder = TraceRecorder(net)
         net.transfer("h0", "h1", 1e9)
         sim.schedule(0.5, net.fail_link, "h0", "sw0")
         sim.run()
@@ -158,7 +160,7 @@ class TestReplay:
         assert process.stats["skipped"] > 0
         assert process.stats["launched"] > 0  # (h0, h1) flows still run
 
-    def test_rate_scale(self, sim, net):
+    def test_rate_scale(self, sim, net, monkeypatch):
         recorder = TraceRecorder(net)
         drive_workload(sim, net, random.Random(6), duration=50.0)
         fitted = FittedWorkload.from_trace(recorder)
@@ -166,8 +168,8 @@ class TestReplay:
         sim2 = Simulator()
         topo2 = single_switch([f"h{i}" for i in range(4)], bandwidth=1e6)
         net2 = Network(sim2, topo2)
-        half = fitted.replay(net2, duration_s=100.0, rng=random.Random(7),
-                             rate_scale=0.5)
+        monkeypatch.setattr(calibration, "REPLAY_RATE_SCALE", 0.5)
+        half = fitted.replay(net2, duration_s=100.0, rng=random.Random(7))
         sim2.run(until=160.0)
         expected = fitted.arrival_rate_per_s * 0.5 * 100.0
         assert half.stats["launched"] == pytest.approx(expected, rel=0.3)

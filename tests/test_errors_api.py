@@ -68,7 +68,7 @@ class TestHierarchy:
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
     def test_lazy_exports(self):
         assert repro.PiCloud.__name__ == "PiCloud"

@@ -104,7 +104,7 @@ class TestBom:
         assert bom_total(RASPBERRY_PI_B_BOM) < 35.0
 
     def test_soc_block_costs_sum_to_soc(self):
-        blocks = soc_block_costs(10.0)
+        blocks = soc_block_costs()
         assert sum(blocks.values()) == pytest.approx(10.0)
         assert blocks["ARM core + caches"] == pytest.approx(2.5)
 

@@ -80,9 +80,6 @@ class TestSenders:
         with pytest.raises(ValueError):
             CachedIpSender(cloud.kernels["pi-r1-n0"].netstack,
                            cloud.pimaster.dns, cache_ttl_s=0.0)
-        with pytest.raises(ValueError):
-            FlatNameSender(cloud.kernels["pi-r1-n0"].netstack,
-                           cloud.pimaster.dns, resolve_latency_s=-1.0)
 
 
 class TestMigrationReaddressing:

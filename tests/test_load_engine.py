@@ -32,7 +32,6 @@ from repro import (
     SloObjective,
 )
 from repro.load.engine import EPOCH_S
-from repro.netsim.topology import TOR
 from repro.units import mbit_per_s
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -69,17 +68,6 @@ class TestEngineValidation:
         with pytest.raises(LoadError):
             LoadEngine(cloud, [Service("web")], PoissonArrivals(1.0),
                        client_edges=["no-such-switch"])
-
-    def test_region_map_must_match_mixture(self):
-        cloud = small_cloud()
-        mix = RegionalMixture({"eu": (PoissonArrivals(1.0), 1.0),
-                               "us": (PoissonArrivals(1.0), 1.0)})
-        with pytest.raises(ConfigurationError):
-            LoadEngine(cloud, [Service("web")], mix,
-                       regions={"eu": cloud.topology.switches(TOR)})
-        with pytest.raises(ConfigurationError):
-            LoadEngine(cloud, [Service("web")], mix,
-                       regions={"eu": [], "us": [], "mars": []})
 
     def test_start_twice_rejected(self):
         cloud = small_cloud()

@@ -1,5 +1,7 @@
 """Unit tests for the image service and the monitoring poller."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import PiCloud, PiCloudConfig
@@ -60,14 +62,15 @@ class TestImageService:
         fs = cloud.daemons["pi-r0-n1"].kernel.filesystem
         assert fs.exists("/var/cache/picloud/images/webserver-v1.rootfs")
 
-    def test_patch_bumps_version_and_forces_repush(self, cloud):
+    def test_new_version_forces_repush(self, cloud):
         images = cloud.pimaster.images
         ip = cloud.pimaster.node_ip("pi-r0-n0")
         v1 = images.get("base")
         done = images.ensure_cached(cloud.pimaster.client, "pi-r0-n0", ip, 8600, v1)
         cloud.run_until_signal(done)
-        v2 = images.patch("base", size_delta=mib(5))
-        assert v2.version == 2
+        v2 = replace(v1, version=2, rootfs_bytes=v1.rootfs_bytes + mib(5))
+        images.publish(v2)
+        assert images.get("base") is v2
         assert not images.node_has("pi-r0-n0", v2)
         done = images.ensure_cached(cloud.pimaster.client, "pi-r0-n0", ip, 8600, v2)
         cloud.run_until_signal(done)

@@ -6,6 +6,7 @@ from repro.errors import AddressError, LeaseError, NameError_, RestError
 from repro.hardware import Machine, RASPBERRY_PI_MODEL_B
 from repro.hostos import HostKernel, IpFabric
 from repro.mgmt import DhcpServer, DnsServer, RestClient, RestServer
+from repro.mgmt import dhcp as dhcp_module, rest
 from repro.mgmt.rest import body_size
 from repro.netsim import Ipv4Pool, Network
 from repro.netsim.topology import single_switch
@@ -88,7 +89,7 @@ class TestRestServer:
         assert call.value.status == 418
 
     def test_generator_handler_does_timed_work(self, sim, world):
-        server = RestServer(world["server"], 8080, request_cpu_cycles=0)
+        server = RestServer(world["server"], 8080)
 
         def slow(req):
             yield Timeout(sim, 2.0)
@@ -100,9 +101,10 @@ class TestRestServer:
         sim.run()
         assert call.value.body["done_at"] >= 2.0
 
-    def test_request_costs_server_cpu(self, sim, world):
+    def test_request_costs_server_cpu(self, sim, world, monkeypatch):
         cycles = RASPBERRY_PI_MODEL_B.cpu.clock_hz  # exactly 1s of CPU
-        server = RestServer(world["server"], 8080, request_cpu_cycles=cycles)
+        monkeypatch.setattr(rest, "DEFAULT_REQUEST_CPU_CYCLES", cycles)
+        server = RestServer(world["server"], 8080)
         server.add_route("GET", "/x", lambda req: (200, None))
         client = RestClient(world["client"].netstack)
         call = client.get("10.0.0.1", 8080, "/x")
@@ -111,7 +113,7 @@ class TestRestServer:
         assert sim.now >= 1.0
 
     def test_concurrent_requests_not_serialised(self, sim, world):
-        server = RestServer(world["server"], 8080, request_cpu_cycles=0)
+        server = RestServer(world["server"], 8080)
 
         def slow(req):
             yield Timeout(sim, 5.0)
@@ -142,7 +144,7 @@ class TestRestServer:
 
     def test_wire_size_dominates_transfer_time(self, sim, world):
         """An image-push-sized body takes size/bandwidth to arrive."""
-        server = RestServer(world["server"], 8080, request_cpu_cycles=0)
+        server = RestServer(world["server"], 8080)
         server.add_route("POST", "/blob", lambda req: (201, None))
         client = RestClient(world["client"].netstack, timeout_s=1e6)
         call = client.post("10.0.0.1", 8080, "/blob", body=None, wire_size=5_000_000)
@@ -181,8 +183,9 @@ class TestDhcp:
         assert dhcp.lookup("c1").ip == lease.ip
         assert lease.hostname == "web"
 
-    def test_repeat_request_renews(self, sim):
-        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"), lease_ttl_s=100.0)
+    def test_repeat_request_renews(self, sim, monkeypatch):
+        monkeypatch.setattr(dhcp_module, "DEFAULT_LEASE_TTL_S", 100.0)
+        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"))
         first = dhcp.request_lease("c1")
         sim.run(until=50.0)
         second = dhcp.request_lease("c1")  # still active: renews in place
@@ -200,15 +203,17 @@ class TestDhcp:
         with pytest.raises(LeaseError):
             dhcp.release("ghost")
 
-    def test_expired_lease_reclaimed(self, sim):
-        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"), lease_ttl_s=10.0)
+    def test_expired_lease_reclaimed(self, sim, monkeypatch):
+        monkeypatch.setattr(dhcp_module, "DEFAULT_LEASE_TTL_S", 10.0)
+        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"))
         dhcp.request_lease("c1")
         sim.run(until=30.0)
         assert dhcp.lookup("c1") is None
         assert dhcp.leases_expired == 1
 
-    def test_renewal_rearms_expiry(self, sim):
-        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"), lease_ttl_s=10.0)
+    def test_renewal_rearms_expiry(self, sim, monkeypatch):
+        monkeypatch.setattr(dhcp_module, "DEFAULT_LEASE_TTL_S", 10.0)
+        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"))
         dhcp.request_lease("c1")
         sim.schedule(8.0, dhcp.renew, "c1")
         sim.run(until=15.0)
@@ -216,14 +221,16 @@ class TestDhcp:
         sim.run(until=30.0)
         assert dhcp.lookup("c1") is None
 
-    def test_infinite_ttl_never_expires(self, sim):
-        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"), lease_ttl_s=10.0)
+    def test_infinite_ttl_never_expires(self, sim, monkeypatch):
+        monkeypatch.setattr(dhcp_module, "DEFAULT_LEASE_TTL_S", 10.0)
+        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"))
         dhcp.request_lease("node1", ttl_s=float("inf"))
         sim.run(until=1000.0)
         assert dhcp.lookup("node1") is not None
 
-    def test_renew_expired_rejected(self, sim):
-        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"), lease_ttl_s=10.0)
+    def test_renew_expired_rejected(self, sim, monkeypatch):
+        monkeypatch.setattr(dhcp_module, "DEFAULT_LEASE_TTL_S", 10.0)
+        dhcp = DhcpServer(sim, Ipv4Pool("10.1.0.0/24"))
         dhcp.request_lease("c1")
         sim.schedule(20.0, lambda: None)
         sim.run()

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import NoRouteError
+from repro.errors import ConfigurationError, NoRouteError
 from repro.netsim import Network
 from repro.netsim.fabric import FlowState
+from repro.netsim.sdn import controller as sdn_controller
 from repro.netsim.sdn import (
     EcmpHashApp,
     ElephantRerouter,
@@ -100,10 +101,9 @@ class TestReactiveSetup:
         assert service.cache_hits == 1
         assert second.duration == pytest.approx(1.0)  # no setup latency
 
-    def test_rules_idle_out_and_setup_repays(self, sim):
-        network, controller, service, _ = sdn_world(
-            sim, control_latency=0.01, idle_timeout=5.0
-        )
+    def test_rules_idle_out_and_setup_repays(self, sim, monkeypatch):
+        monkeypatch.setattr(sdn_controller, "DEFAULT_IDLE_TIMEOUT_S", 5.0)
+        network, controller, service, _ = sdn_world(sim, control_latency=0.01)
         network.transfer("pi-r0-n0", "pi-r1-n0", 100.0)
         sim.run()
         # Wait past the idle timeout, then send again.
@@ -150,6 +150,10 @@ class TestReactiveSetup:
         sim.run()
         assert flow.state is FlowState.FAILED
         assert isinstance(flow.exception, NoRouteError)
+
+    def test_unknown_match_granularity_is_a_configuration_error(self, sim):
+        with pytest.raises(ConfigurationError):
+            sdn_world(sim, match_granularity="bogus")
 
 
 class TestControllerApps:

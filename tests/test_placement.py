@@ -14,6 +14,7 @@ from repro.placement import (
     RoundRobin,
     WorstFit,
 )
+from repro.placement import network_aware
 from repro.placement.base import feasible
 from repro.placement.consolidation import plan_packing
 from repro.units import mib
@@ -137,16 +138,10 @@ class TestNetworkAware:
         nodes = [view("a", uplink=0.95), view("b", uplink=0.05)]
         assert policy.choose(REQ, nodes) == "b"
 
-    def test_rack_utilization_feeds_score(self):
-        policy = NetworkAwarePlacement(
-            rack_uplink_utilization={"rack0": 0.9, "rack1": 0.0}
-        )
-        nodes = [view("a", rack="rack0"), view("b", rack="rack1")]
-        assert policy.choose(REQ, nodes) == "b"
-
-    def test_congestion_can_override_locality(self):
+    def test_congestion_can_override_locality(self, monkeypatch):
         """With heavy congestion weight, a hot preferred rack is avoided."""
-        policy = NetworkAwarePlacement(locality_weight=0.5, congestion_weight=2.0)
+        monkeypatch.setattr(network_aware, "LOCALITY_WEIGHT", 0.5)
+        policy = NetworkAwarePlacement(congestion_weight=2.0)
         request = PlacementRequest(
             image="x", memory_bytes=mib(30), same_rack_as="rack0"
         )
@@ -156,8 +151,9 @@ class TestNetworkAware:
         ]
         assert policy.choose(request, nodes) == "b"
 
-    def test_locality_wins_when_weighted_high(self):
-        policy = NetworkAwarePlacement(locality_weight=5.0, congestion_weight=1.0)
+    def test_locality_wins_when_weighted_high(self, monkeypatch):
+        monkeypatch.setattr(network_aware, "LOCALITY_WEIGHT", 5.0)
+        policy = NetworkAwarePlacement(congestion_weight=1.0)
         request = PlacementRequest(
             image="x", memory_bytes=mib(30), same_rack_as="rack0"
         )

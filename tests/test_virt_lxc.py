@@ -1,5 +1,7 @@
 """Unit tests for images, containers and the LXC runtime."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import (
@@ -60,15 +62,6 @@ class TestImage:
     def test_qualified_name(self):
         assert TINY.qualified_name == "tiny:v1"
 
-    def test_patched_bumps_version(self):
-        v2 = TINY.patched(size_delta=mib(1))
-        assert v2.version == 2
-        assert v2.rootfs_bytes == mib(2)
-
-    def test_patched_cannot_shrink_to_zero(self):
-        with pytest.raises(ImageError):
-            TINY.patched(size_delta=-mib(2))
-
     def test_standard_images_cover_paper_apps(self):
         """Fig. 3 shows web server, database and Hadoop containers."""
         classes = {img.app_class for img in STANDARD_IMAGES.values()}
@@ -84,12 +77,12 @@ class TestImageLibrary:
     def test_get_latest(self):
         lib = ImageLibrary()
         assert lib.get("webserver").version == 1
-        lib.patch("webserver")
+        lib.publish(replace(lib.get("webserver"), version=2))
         assert lib.get("webserver").version == 2
 
     def test_get_exact_version(self):
         lib = ImageLibrary()
-        lib.patch("base")
+        lib.publish(replace(lib.get("base"), version=2))
         assert lib.get("base:v1").version == 1
         assert lib.get("base:v2").version == 2
 
@@ -151,7 +144,7 @@ class TestLxcLifecycle:
 
     def test_start_delay_applied(self, sim):
         kernel = make_host(sim)
-        runtime = LxcRuntime(kernel, start_delay_s=2.0)
+        runtime = LxcRuntime(kernel)
         create = runtime.lxc_create("c1", TINY)
         sim.run()
         t0 = sim.now
