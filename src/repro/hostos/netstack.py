@@ -73,10 +73,10 @@ class IpFabric:
         self._endpoints.pop(ip, None)
 
     def locate(self, ip: str) -> _Endpoint:
-        try:
-            return self._endpoints[ip]
-        except KeyError:
-            raise AddressError(f"no endpoint with IP {ip}") from None
+        endpoint = self._endpoints.get(ip)
+        if endpoint is None:
+            raise AddressError(f"no endpoint with IP {ip}")
+        return endpoint
 
 
 class NetStack:
@@ -227,7 +227,8 @@ class NetStack:
         try:
             destination = self.fabric.locate(dst_ip)
         except AddressError as exc:
-            done.fail(exc)
+            # Without its traceback: the traceback's frame holds ``done``.
+            done.fail(exc.with_traceback(None))
             return done
         inbox = destination.stack.listener_for(dst_ip, dst_port)
         if inbox is None:

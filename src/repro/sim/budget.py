@@ -71,7 +71,12 @@ class BudgetSnapshot:
 
     ``reason`` is one of ``"events"``, ``"sim_time"``, ``"wall_clock"``.
     ``pending_head`` and ``recent_events`` are ``(sim_time, label)`` pairs;
-    labels are the scheduled callback's qualified name.
+    labels are the scheduled callback's qualified name, followed by its
+    owner's name in brackets when the callback is bound to a named
+    object (``FlowTransfer._start[flow7]``).  ``pending_kinds`` counts
+    every pending event by that label without the owner, most first:
+    work that is not a process (a flow in set-up, a REST call) shows
+    there even when its events sit behind the head.
     """
 
     reason: str
@@ -80,6 +85,7 @@ class BudgetSnapshot:
     wall_elapsed_s: float
     pending_count: int
     pending_head: List[Tuple[float, str]] = field(default_factory=list)
+    pending_kinds: List[Tuple[str, int]] = field(default_factory=list)
     recent_events: List[Tuple[float, str]] = field(default_factory=list)
     runnable_processes: List[str] = field(default_factory=list)
     # When a repro.trace.Tracer is installed, the trace id of the most
@@ -99,6 +105,10 @@ class BudgetSnapshot:
             lines.append(f"active trace: {self.trace_id}")
         for when, label in self.pending_head:
             lines.append(f"  next  t={when:.6f}  {label}")
+        if self.pending_kinds:
+            lines.append("pending events by kind:")
+            for kind, count in self.pending_kinds:
+                lines.append(f"  {count:>5}  {kind}")
         if self.runnable_processes:
             lines.append(f"live processes: {len(self.runnable_processes)}")
             for name in self.runnable_processes[:16]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import heapq
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Callable, Optional
 
 from repro.errors import SimBudgetExceeded, SimulationError
@@ -32,11 +32,17 @@ from repro.sim.budget import (
 GC_GEN0_THRESHOLD = 10_000
 
 
-def _callback_label(callback: Callable[..., None]) -> str:
-    """Stable human-readable name for a scheduled callback."""
+def _callback_kind(callback: Callable[..., None]) -> str:
+    """A scheduled callback's qualified name, without its owner."""
     label = getattr(callback, "__qualname__", None)
     if label is None:
         label = getattr(type(callback), "__qualname__", repr(callback))
+    return label
+
+
+def _callback_label(callback: Callable[..., None]) -> str:
+    """Stable human-readable name for a scheduled callback."""
+    label = _callback_kind(callback)
     owner = getattr(callback, "__self__", None)
     if owner is not None:
         name = getattr(owner, "name", None)
@@ -73,8 +79,15 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent this event from firing.  Idempotent."""
+        """Prevent this event from firing.  Idempotent.
+
+        Also drops the callback and its arguments, which only a firing
+        event reads: a cancelled event waits in the queue until it is
+        popped, and must not keep its owner alive until then.
+        """
         self.cancelled = True
+        self.callback = None
+        self.args = ()
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.priority, self.seq) < (
@@ -340,6 +353,7 @@ class Simulator:
         """Capture the kernel's diagnostic state (cheap; safe anytime)."""
         pending = [entry[3] for entry in sorted(self._queue)
                    if not entry[3].cancelled]
+        kinds = Counter(_callback_kind(e.callback) for e in pending)
         return BudgetSnapshot(
             reason=reason,
             now=self._now,
@@ -349,6 +363,7 @@ class Simulator:
             pending_head=[
                 (e.time, _callback_label(e.callback)) for e in pending[:head]
             ],
+            pending_kinds=sorted(kinds.items(), key=lambda kv: (-kv[1], kv[0])),
             # The ring buffer stores raw callbacks; labels are resolved
             # here, off the dispatch hot path.
             recent_events=[

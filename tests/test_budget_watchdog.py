@@ -14,9 +14,15 @@ from repro.core.config import SimBudgetConfig
 from repro.core.experiments import run_phase
 from repro.errors import DeadlineExceeded, PiCloudError, SimBudgetExceeded
 from repro.mgmt.pimaster import OP_ATTEMPTS, OP_BACKOFF_S
+from repro.mgmt.rest import RestClient
 from repro.sim.budget import BudgetSnapshot
 from repro.sim.kernel import Simulator
 from repro.sim.process import Signal, Timeout
+from tests.test_rest_exchange import _world
+
+
+def _idle():
+    pass
 
 
 def ticker(sim, period=1.0):
@@ -91,6 +97,32 @@ class TestEventBudget:
         assert "budget exceeded (events)" in text
         assert "pending events:" in text
         assert "ticker" in text
+
+    def test_snapshot_counts_pending_work_behind_the_head(self):
+        """Flows in set-up and REST calls are not processes: the pending
+        counts by kind name them even when the head shows other work."""
+        sim = Simulator(budget=SimBudgetConfig(max_events=2))
+        kernels = _world(sim)
+        for _ in range(12):
+            sim.schedule(0.0, _idle)
+        client = RestClient(kernels["client"].netstack)
+        for _ in range(3):
+            client.get("10.0.0.1", 8080, "/metrics")
+        network = kernels["client"].netstack.fabric.network
+        network.transfer("client", "server", 1e3)
+        with pytest.raises(SimBudgetExceeded) as excinfo:
+            sim.run()
+        snapshot = excinfo.value.snapshot
+        assert {label for _, label in snapshot.pending_head} == {
+            _idle.__qualname__}
+        assert snapshot.pending_kinds == [
+            (_idle.__qualname__, 10), ("_Call._start", 3),
+            ("FlowTransfer._start", 1)]
+        assert not snapshot.runnable_processes
+        text = snapshot.describe()
+        assert "pending events by kind:" in text
+        assert "      3  _Call._start" in text
+        assert "      1  FlowTransfer._start" in text
 
     def test_legacy_max_events_still_returns_quietly(self):
         sim = Simulator()

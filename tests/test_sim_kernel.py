@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,25 @@ class TestCancellation:
         event.cancel()
         event.cancel()
         sim.run()
+
+    def test_cancelled_event_holds_nothing(self):
+        """A cancelled event stays queued until popped; its callback and
+        arguments must not live that long."""
+        sim = Simulator()
+
+        class Owner:
+            def fire(self, payload):
+                pass
+
+        owner, payload = Owner(), Owner()
+        owner_ref, payload_ref = weakref.ref(owner), weakref.ref(payload)
+        event = sim.schedule(1.0, owner.fire, payload)
+        sim.schedule(2.0, lambda: None)
+        event.cancel()
+        del owner, payload
+        assert owner_ref() is None and payload_ref() is None
+        sim.run(until=0.5)
+        assert sim.peek() == 2.0
 
     def test_peek_skips_cancelled(self):
         sim = Simulator()

@@ -22,6 +22,7 @@ from repro.sim import (
     Timeout,
 )
 from repro.trace import Tracer
+from tests.test_rest_exchange import _exchange_storm
 
 
 @pytest.fixture
@@ -553,6 +554,24 @@ class TestRefcountReclamation:
                 sim.schedule(1.0, lambda: None)
             sim.run()
         assert (net.flows_completed.total, net.flows_failed.total) == (7, 11)
+        assert leaked == Counter()
+
+    def test_rest_storm_leaves_no_cycles(self):
+        sim = Simulator()
+        with cyclic_kernel_garbage() as leaked:
+            servers, clients, calls, completed = _exchange_storm(sim)
+            sim.run()
+            # Push the exchanges' callbacks out of the recent-event trace.
+            for _ in range(200):
+                sim.schedule(1.0, lambda: None)
+            sim.run()
+            assert len(completed) == len(calls) == 25
+            # A server waiting on its inbox is pending work, in a cycle
+            # with its inbox's getter; stop() breaks it.
+            for server in servers:
+                server.stop()
+            sim.run()
+            del servers, clients, calls, completed
         assert leaked == Counter()
 
     def test_cloud_leaves_no_cyclic_kernel_garbage(self):
